@@ -15,8 +15,8 @@ from repro.dtd.simplify import simplify_dtd
 from repro.encoding.combined import build_encoding
 from repro.encoding.dtd_system import encode_dtd, ext_var
 from repro.constraints.parser import parse_constraints
+from repro.ilp.assembled import AssembledSystem
 from repro.ilp.condsys import solve_conditional_system
-from repro.ilp.scipy_backend import solve_milp
 from repro.witness.skeleton import assemble_skeleton
 from repro.witness.synthesize import synthesize_witness
 
@@ -28,7 +28,7 @@ def test_star_assembly_scaling(benchmark, count):
     simple = simplify_dtd(d)
     system = encode_dtd(simple).system.copy()
     system.add_ge({ext_var("a"): 1}, count)
-    solution = solve_milp(system)
+    solution = AssembledSystem(system).solve_int({})
     assert solution.feasible
 
     tree = benchmark(assemble_skeleton, simple, solution.values)
@@ -42,7 +42,7 @@ def test_recursion_assembly_scaling(benchmark, depth):
     simple = simplify_dtd(d)
     system = encode_dtd(simple).system.copy()
     system.add_ge({ext_var("a"): 1}, depth)
-    solution = solve_milp(system)
+    solution = AssembledSystem(system).solve_int({})
     assert solution.feasible
 
     tree = benchmark(assemble_skeleton, simple, solution.values)

@@ -36,9 +36,7 @@ from repro.analysis import (
     apply_repair,
     diagnose,
     extent_bounds,
-    minimal_inconsistent_subset,
     minimal_repair,
-    minimal_unsat_core,
     mus,
     redundant_constraints,
 )
@@ -136,8 +134,6 @@ __all__ = [
     "diagnose",
     "DiagnosticsReport",
     "mus",
-    "minimal_inconsistent_subset",
-    "minimal_unsat_core",
     "redundant_constraints",
     "Repair",
     "minimal_repair",

@@ -10,9 +10,7 @@ XML specifications (Section 6). Two concrete tools toward that:
   QuickXplain divide-and-conquer (DESIGN.md section 7) — probe counts
   scale with the *core* size rather than ``|Sigma|``;
   ``method="deletion"`` is the classic linear filter, exactly
-  ``|Sigma|`` probes, kept as the reference.  The historical
-  ``minimal_unsat_core`` / ``minimal_inconsistent_subset`` pair remains
-  as deprecation shims over this single entry point.
+  ``|Sigma|`` probes, kept as the reference.
 * :func:`redundant_constraints` — constraints implied by the rest of the
   specification (over the DTD): safe to drop, or a hint that the author
   expected them to add strength they do not add. One implication probe per
@@ -51,7 +49,6 @@ True
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from collections.abc import Callable, Iterable
 
@@ -490,11 +487,8 @@ def mus(
 ) -> list[Constraint]:
     """A minimal inconsistent subset of ``Sigma`` (a MUS).
 
-    The single MUS entry point: the historical
-    :func:`minimal_unsat_core` / :func:`minimal_inconsistent_subset`
-    pair (and the internal rebuild variant) are thin deprecation shims
-    over this call — same computation, ``method`` and ``toggled`` select
-    the filter and the engine.
+    The single MUS entry point: ``method`` and ``toggled`` select the
+    filter and the engine.
 
     Requires the full set to be inconsistent with the DTD (raises
     :class:`InvalidConstraintError` otherwise). The result may be empty
@@ -542,52 +536,6 @@ def mus(
                 return []
             return _minimal_core(_probe_check(probe), current, method)
     return _minimal_unsat_core_rebuild(dtd, current, config, stats, method)
-
-
-def minimal_unsat_core(
-    dtd: DTD,
-    constraints: Iterable[Constraint],
-    config: CheckerConfig | None = None,
-    *,
-    method: str = "quickxplain",
-    toggled: bool = True,
-    stats: DiagnosticsStats | None = None,
-) -> list[Constraint]:
-    """Deprecated alias for :func:`mus` (QuickXplain-default "quickxplain"
-    filter).  Same computation, same results; new code calls
-    ``mus(dtd, sigma, method=...)`` directly."""
-    warnings.warn(
-        "minimal_unsat_core is deprecated; use mus(dtd, constraints, "
-        "method='quickxplain') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return mus(
-        dtd, constraints, config, method=method, toggled=toggled, stats=stats
-    )
-
-
-def minimal_inconsistent_subset(
-    dtd: DTD,
-    constraints: Iterable[Constraint],
-    config: CheckerConfig | None = None,
-    *,
-    method: str = "deletion",
-    toggled: bool = True,
-    stats: DiagnosticsStats | None = None,
-) -> list[Constraint]:
-    """Deprecated alias for :func:`mus` with the linear deletion filter as
-    the default ``method`` — the historical behaviour of this entry point.
-    New code calls ``mus(dtd, sigma, method='deletion')`` directly."""
-    warnings.warn(
-        "minimal_inconsistent_subset is deprecated; use mus(dtd, "
-        "constraints, method='deletion') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return mus(
-        dtd, constraints, config, method=method, toggled=toggled, stats=stats
-    )
 
 
 def _minimal_unsat_core_rebuild(

@@ -25,7 +25,7 @@ therefore one re-solve on the persistent workspace
 The search is the implicit-hitting-set loop, MUS-guided: whenever a
 candidate edit set probes infeasible, the engine shrinks a constraint-MUS
 of the edited spec with the **same** QuickXplain/deletion filters that
-power :func:`~repro.analysis.diagnostics.minimal_unsat_core` (deleting a
+power :func:`~repro.analysis.diagnostics.mus` (deleting a
 constraint *is* one of the edits, so the filters run unchanged over the
 edit oracle — the divide-and-conquer is exactly dual), then widens it to
 a *core*: the edits that could neutralize that MUS.  A repair must hit

@@ -12,9 +12,10 @@ class CheckerConfig:
     Attributes
     ----------
     backend:
-        ``"scipy"`` (HiGHS, default) or ``"exact"`` (rational simplex;
-        certified, slower). The scipy backend already falls back to the
-        exact one when float rounding is in doubt.
+        ``"scipy"`` (default: HiGHS, through the binding scipy vendors,
+        loaded directly) or ``"exact"`` (rational simplex; certified,
+        slower). The HiGHS backend already falls back to the exact one
+        when float rounding is in doubt.
     want_witness:
         Synthesize an actual witness tree for consistent instances (and
         counterexample trees for refuted implications). Disable for pure

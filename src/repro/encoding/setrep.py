@@ -213,8 +213,8 @@ def has_set_representation(
     small inputs only (exponential in ``n``). Uses the fast backend with
     certified fallback on numerical doubt.
     """
+    from repro.ilp.assembled import AssembledSystem
     from repro.ilp.exact import solve_exact
-    from repro.ilp.scipy_backend import solve_milp
 
     n = len(u)
     if n > max_active:
@@ -233,7 +233,7 @@ def has_set_representation(
                     coeffs_v[z_var(mask)] = 1
             system.add_eq(coeffs_u, u[i][j], label=f"u[{i}][{j}]")
             system.add_eq(coeffs_v, v[i][j], label=f"v[{i}][{j}]")
-    result = solve_milp(system)
+    result = AssembledSystem(system).solve_int({})
     if result.status == "error":
         result = solve_exact(system)
     return result.feasible

@@ -6,20 +6,18 @@ The support search of :mod:`repro.ilp.condsys` explores many variants of
 is a *variable-bound* change, never a new matrix row.  Rebuilding a fresh
 matrix per node (the pre-incremental design) therefore wasted almost all of
 its time re-densifying identical coefficients and re-validating them through
-``scipy.optimize``'s per-call machinery.
+a one-shot solver's per-call machinery.
 
-:class:`AssembledSystem` assembles the base matrix exactly once (sparse CSR,
-so there is no dense size cap) and serves every subsequent solve by patching
-the variable-bound arrays:
-
-* with the vendored HiGHS binding (``scipy.optimize._highspy``) available,
-  two persistent solver instances (one integer, one LP relaxation) hold the
-  model; each solve is a ``changeColsBounds`` + ``run`` round-trip, and
-  connectivity cuts learned during the search are appended with ``addRow``
-  and switched on/off per solve through their row bounds;
-* otherwise a portable fallback drives the public ``scipy.optimize.milp``
-  entry point with the cached sparse matrix — still assemble-once, just with
-  scipy's per-call validation cost.
+:class:`AssembledSystem` is the one floating-point solver of the package.
+It assembles the base matrix exactly once (sparse CSR, so there is no dense
+size cap) and serves every subsequent solve by patching the variable-bound
+arrays: two persistent HiGHS instances (one integer, one LP relaxation)
+hold the model; each solve is a ``changeColsBounds`` + ``run`` round-trip,
+and connectivity cuts learned during the search are appended with
+``addRow`` and switched on/off per solve through their row bounds.  HiGHS
+is the binding scipy vendors; :func:`_load_highs_core` loads that extension
+straight from its file, so the solver never pays for importing the rest of
+scipy's optimization package.
 
 **Toggleable rows** (DESIGN.md section 6) extend the same discipline to the
 *base* rows: a solve may name ``inactive_rows`` — base-row indices whose
@@ -59,6 +57,10 @@ rounded vertex passes the exact check.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections.abc import Mapping
 
 import numpy as np
@@ -75,10 +77,41 @@ from repro.ilp.model import (
     VarId,
 )
 
-try:  # pragma: no cover - exercised indirectly by every solver test
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # pragma: no cover - environment without vendored HiGHS
-    _highs = None
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core():
+    """The HiGHS binding vendored by scipy, loaded without its parent package.
+
+    Importing the binding the usual way first executes the ``__init__`` of
+    scipy's whole optimization package, which costs more than every solve
+    of a typical CLI call.  Instead, reuse the module if another import
+    already loaded it; else load the extension file from the installed
+    scipy with the extension loader and register it under its own name, so
+    a later import of the full package shares this one copy.
+    """
+    module = sys.modules.get(_HIGHS_CORE)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_HIGHS_CORE, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(_HIGHS_CORE, loader)
+                )
+                loader.exec_module(module)
+                sys.modules[_HIGHS_CORE] = module
+                return module
+    raise ImportError(
+        f"the float solver needs scipy>=1.15, whose package ships the HiGHS "
+        f"binding {_HIGHS_CORE}; no installed scipy provides it"
+    )
+
+
+_highs = _load_highs_core()
 
 
 def assemble_arrays(system: LinearSystem):
@@ -250,7 +283,6 @@ class AssembledSystem:
         self._engine_cut_state: dict[int, list[bool]] = {}
         #: Base rows currently deactivated, per engine (0=int, 1=lp).
         self._engine_inactive_rows: dict[int, set[int]] = {0: set(), 1: set()}
-        self._scipy_matrix = None  # lazy csr for the fallback engine
         self._base_csr = None  # lazy csr of the base rows (vector checks)
         self._max_abs_coeff = float(np.max(np.abs(self.data))) if self.data.size else 1.0
 
@@ -291,7 +323,6 @@ class AssembledSystem:
             if engine is not None:
                 engine.add_row(by_index, float(rhs))
                 self._engine_cut_state[engine_id].append(True)
-        self._scipy_matrix = None
         return len(self._cut_rows) - 1
 
     def cut_row(self, index: int) -> Row:
@@ -374,75 +405,10 @@ class AssembledSystem:
         lower, upper = bounds
         if np.any(lower > upper):
             return "infeasible", None, bounds
-        if _highs is not None:
-            self._apply_cut_activation(integer, active)
-            self._apply_row_activation(integer, inactive_rows)
-            status, x = self._engine(integer).solve(lower, upper)
-        else:
-            status, x = self._scipy_solve(
-                lower, upper, active, integer, inactive_rows
-            )
+        self._apply_cut_activation(integer, active)
+        self._apply_row_activation(integer, inactive_rows)
+        status, x = self._engine(integer).solve(lower, upper)
         return status, x, bounds
-
-    def _scipy_solve(
-        self,
-        var_lower: np.ndarray,
-        var_upper: np.ndarray,
-        active: set[int],
-        integer: bool,
-        inactive_rows: frozenset[int] = frozenset(),
-    ) -> tuple[str, np.ndarray | None]:  # pragma: no cover - fallback engine
-        from scipy.optimize import Bounds, LinearConstraint, milp
-        from scipy.sparse import csr_array, vstack
-
-        if self._scipy_matrix is None:
-            base = csr_array(
-                (self.data, self.indices, self.indptr),
-                shape=(self.num_base_rows, self.num_vars),
-            )
-            if self._cut_coeffs:
-                cut_rows = []
-                for coeffs in self._cut_coeffs:
-                    dense = np.zeros(self.num_vars)
-                    for j, c in coeffs.items():
-                        dense[j] = c
-                    cut_rows.append(dense)
-                base = csr_array(vstack([base, csr_array(np.array(cut_rows))]))
-            self._scipy_matrix = base
-        base_lower = self.base_row_lower.copy()
-        base_upper = self.base_row_upper.copy()
-        for i in inactive_rows:
-            base_lower[i] = -np.inf
-            base_upper[i] = np.inf
-        row_lower = np.concatenate(
-            [
-                base_lower,
-                np.array(
-                    [
-                        float(self._cut_rows[i].rhs) if i in active else -np.inf
-                        for i in range(self.num_cuts)
-                    ]
-                ),
-            ]
-        )
-        row_upper = np.concatenate([base_upper, np.full(self.num_cuts, np.inf)])
-        constraints = (
-            LinearConstraint(self._scipy_matrix, row_lower, row_upper)
-            if self._scipy_matrix.shape[0]
-            else ()
-        )
-        integrality = np.ones(self.num_vars) if integer else np.zeros(self.num_vars)
-        result = milp(
-            c=np.ones(self.num_vars),
-            constraints=constraints,
-            integrality=integrality,
-            bounds=Bounds(var_lower, var_upper),
-        )
-        if result.status == 2:
-            return "infeasible", None
-        if result.x is None:
-            return "unknown", None
-        return "optimal", result.x
 
     def _values_from(self, x: np.ndarray) -> dict[VarId, int]:
         # Variables are registered in column order, so a single rint +
@@ -525,7 +491,7 @@ class AssembledSystem:
         active: set[int] | None = None,
         inactive_rows: frozenset[int] = frozenset(),
     ) -> SolveResult:
-        """Integer solve under bound patches; exact-checked like solve_milp.
+        """Integer solve under bound patches, exact-checked.
 
         ``inactive_rows`` deactivates the named base rows for this solve
         (toggleable constraint rows; see the module docstring).  Status

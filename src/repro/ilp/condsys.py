@@ -98,7 +98,6 @@ from repro.ilp.model import (
     VarId,
     canonical_coeffs,
 )
-from repro.ilp.scipy_backend import lp_infeasible, solve_milp_certified
 
 
 @dataclass(frozen=True)
@@ -1377,23 +1376,25 @@ def _solve_leaf_assembled(
 def _make_solver(
     backend: str, exact_warm: bool, stats: CondSolveStats
 ) -> Callable[[LinearSystem], SolveResult]:
-    """A robust solve function: scipy with exact fallback, or exact only.
+    """A robust solve function: HiGHS with exact fallback, or exact only.
 
-    ``exact_warm`` selects basis reuse *within* each certified solve (the
-    rebuild path constructs a fresh system per leaf, so there is no state
-    to carry across calls); work counters land in ``stats``.
+    The float side assembles each leaf system fresh (one
+    :class:`AssembledSystem` per call) and falls back to the rational
+    simplex when its answer is in doubt.  ``exact_warm`` selects basis
+    reuse *within* each certified solve (the rebuild path constructs a
+    fresh system per leaf, so there is no state to carry across calls);
+    work counters land in ``stats``.
     """
     if backend not in ("exact", "scipy"):
         raise SolverError(f"unknown backend {backend!r}")
 
     def solve(system: LinearSystem) -> SolveResult:
         exact_stats = ExactStats()
-        if backend == "exact":
+        result = None
+        if backend == "scipy":
+            result = AssembledSystem(system).solve_int({})
+        if result is None or result.status == "error":
             result = solve_exact(system, warm=exact_warm, stats=exact_stats)
-        else:
-            result = solve_milp_certified(
-                system, exact_warm=exact_warm, exact_stats=exact_stats
-            )
         stats.exact_nodes += exact_stats.nodes
         stats.exact_pivots += exact_stats.pivots
         stats.exact_warm_solves += exact_stats.warm_solves
@@ -2046,7 +2047,8 @@ def _solve_rebuild(
             continue
         if lp_prune:
             stats.assemblies += 1
-            if lp_infeasible(_partial_rows(cs, current)):
+            probe = AssembledSystem(_partial_rows(cs, current))
+            if probe.lp_probe({}, want_values=False)[0] == "infeasible":
                 stats.lp_prunes += 1
                 continue
         choice = undecided(current)

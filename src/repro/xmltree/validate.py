@@ -5,7 +5,10 @@ A tree is valid with respect to a DTD when
 * the root is labelled with the DTD's root type;
 * every element's label is a declared element type;
 * every element's child-label word belongs to the language of its content
-  model (checked with a cached Glushkov automaton);
+  model (checked with a cached Glushkov automaton) — an element with no
+  children also matches a model that accepts a single text node, because
+  under XML 1.0 empty ``(#PCDATA)`` content is the empty string (so a
+  serialized ``<t></t>`` round-trips);
 * every element of type ``tau`` carries exactly the attributes ``R(tau)``,
   each with a string value (attributes are total and single-valued).
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dtd.model import DTD
+from repro.regex.ast import TEXT_SYMBOL
 from repro.regex.glushkov import GlushkovAutomaton
 from repro.xmltree.model import XMLTree
 
@@ -73,7 +77,13 @@ class TreeValidator:
                     break
                 continue
             word = node.child_word()
-            if not self._automaton(node.label).accepts(word):
+            automaton = self._automaton(node.label)
+            # No children may stand for one empty text node: XML 1.0 reads
+            # empty (#PCDATA) content as the empty string.
+            if not (
+                automaton.accepts(word)
+                or (not word and automaton.accepts([TEXT_SYMBOL]))
+            ):
                 if report(
                     f"children of a {node.label!r} element form "
                     f"{word!r}, not in L({self._dtd.content[node.label]})"

@@ -137,6 +137,16 @@ class TestValidate:
         doc.write_text(tree_to_string(school_document()))
         assert main(["validate", str(dtd_path), str(doc)]) == 0
 
+    def test_check_witness_validates(self, d1_file, keys_file, tmp_path, capsys):
+        # D1's research and subject elements are (#PCDATA): the witness
+        # writes them as empty elements, which must still conform.
+        witness = tmp_path / "w.xml"
+        assert main(["check", d1_file, keys_file, "--witness", str(witness)]) == 0
+        assert "></" in witness.read_text()
+        capsys.readouterr()
+        assert main(["validate", d1_file, str(witness), keys_file]) == 0
+        assert "conforms to DTD: True" in capsys.readouterr().out
+
 
 class TestImplies:
     def test_implied(self, d1_file, sigma1_file, capsys):

@@ -1,0 +1,139 @@
+"""Cold start: the CLI never imports ``scipy.optimize``, and the HiGHS core
+loaded by :mod:`repro.ilp.assembled` is the one scipy itself uses.
+
+Each check runs in a fresh interpreter, because ``sys.modules`` of the test
+process has long since imported everything.
+"""
+
+import subprocess
+import sys
+import textwrap
+
+from repro.dtd.serializer import dtd_to_string
+from repro.workloads.examples import teachers_dtd_d1
+
+SIGMA1 = (
+    "teacher.name -> teacher\n"
+    "subject.taught_by -> subject\n"
+    "subject.taught_by => teacher.name\n"
+)
+
+
+def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_import_cli_skips_scipy_optimize():
+    proc = _python(
+        """
+        import sys
+        import repro.cli
+        print("scipy.optimize" in sys.modules)
+        """
+    )
+    assert proc.stdout.split() == ["False"]
+
+
+def test_check_skips_scipy_optimize(tmp_path):
+    dtd_path = tmp_path / "d1.dtd"
+    dtd_path.write_text(dtd_to_string(teachers_dtd_d1()))
+    sigma_path = tmp_path / "sigma1.txt"
+    sigma_path.write_text(SIGMA1)
+    # ``python -m repro check`` in-process, then inspect what it imported.
+    proc = _python(
+        """
+        import runpy, sys
+        sys.argv = ["repro", "check", *sys.argv[1:]]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            print("exit", stop.code)
+        print("scipy.optimize" in sys.modules)
+        print("scipy.optimize._highspy._core" in sys.modules)
+        """,
+        str(dtd_path),
+        str(sigma_path),
+    )
+    lines = proc.stdout.splitlines()
+    assert "consistent: False" in lines[0]
+    # The check reached the float solver, yet only its core was loaded.
+    assert lines[-3:] == ["exit 1", "False", "True"]
+
+
+_ONE_CORE = """
+    import sys
+
+    def load_repro():
+        from repro.ilp.assembled import AssembledSystem, _highs
+        return AssembledSystem, _highs
+
+    def load_scipy():
+        import scipy.optimize
+        return scipy.optimize
+
+    if sys.argv[1] == "scipy-first":
+        optimize = load_scipy()
+        AssembledSystem, core = load_repro()
+    else:
+        AssembledSystem, core = load_repro()
+        optimize = load_scipy()
+
+    import numpy as np
+    from scipy.optimize._highspy import _highs_wrapper
+    from repro.ilp.model import LinearSystem
+
+    name = "scipy.optimize._highspy._core"
+    copies = {
+        id(module)
+        for module in list(sys.modules.values())
+        if getattr(module, "__name__", None) == name
+    }
+    assert sys.modules[name] is core, "repro holds a second core"
+    assert _highs_wrapper._h is core, "scipy holds a second core"
+    assert len(copies) == 1, copies
+
+    result = optimize.milp(
+        c=np.ones(1), integrality=np.ones(1), bounds=optimize.Bounds(2, 5)
+    )
+    assert result.status == 0 and round(result.x[0]) == 2
+
+    system = LinearSystem()
+    system.add_ge({"x": 3}, 2)
+    solved = AssembledSystem(system).solve_int({})
+    assert (solved.status, solved.values) == ("feasible", {"x": 1})
+    print("ok")
+"""
+
+
+def test_one_core_when_scipy_optimize_imported_first():
+    assert _python(_ONE_CORE, "scipy-first").stdout.split() == ["ok"]
+
+
+def test_one_core_when_repro_imported_first():
+    assert _python(_ONE_CORE, "repro-first").stdout.split() == ["ok"]
+
+
+def test_missing_core_names_the_scipy_requirement(tmp_path):
+    # A scipy package without the vendored binding shadows the real one.
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    proc = _python(
+        """
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        try:
+            import repro.ilp.assembled
+        except ImportError as error:
+            print(error)
+        """,
+        str(tmp_path),
+    )
+    assert "scipy>=1.15" in proc.stdout
+    assert "scipy.optimize._highspy._core" in proc.stdout

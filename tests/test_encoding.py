@@ -14,7 +14,7 @@ from repro.encoding.setrep import (
     has_set_representation,
 )
 from repro.errors import ComplexityLimitError, InvalidConstraintError
-from repro.ilp.scipy_backend import solve_milp
+from repro.ilp.assembled import AssembledSystem
 
 
 class TestPsiD:
@@ -27,7 +27,7 @@ class TestPsiD:
     def test_d1_solvable_with_teacher_subject_ratio(self, d1):
         # Any solution must satisfy |ext(subject)| = 2 |ext(teacher)|.
         psi = encode_dtd(simplify_dtd(d1))
-        result = solve_milp(psi.system)
+        result = AssembledSystem(psi.system).solve_int({})
         assert result.feasible
         assert (
             result.values[ext_var("subject")]
@@ -38,7 +38,7 @@ class TestPsiD:
     def test_d2_unsolvable(self, d2):
         # db -> foo, foo -> foo: ext(db)=1 forces ext(foo) = ext(foo) + 1.
         psi = encode_dtd(simplify_dtd(d2))
-        assert solve_milp(psi.system).infeasible
+        assert AssembledSystem(psi.system).solve_int({}).infeasible
 
     def test_edges_cover_occurrences(self, d1):
         psi = encode_dtd(simplify_dtd(d1))

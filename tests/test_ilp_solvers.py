@@ -1,17 +1,17 @@
-"""The scipy and exact ILP backends agree — unit and property tests."""
+"""The HiGHS and exact ILP backends agree — unit and property tests."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SolverError
+from repro.ilp.assembled import AssembledSystem
 from repro.ilp.exact import solve_exact
 from repro.ilp.model import LinearSystem
-from repro.ilp.scipy_backend import lp_infeasible, solve_milp
 
 
 def _both(system):
-    return solve_milp(system), solve_exact(system)
+    return AssembledSystem(system).solve_int({}), solve_exact(system)
 
 
 class TestKnownSystems:
@@ -37,7 +37,7 @@ class TestKnownSystems:
         system.add_eq({"x": 2, "y": -2}, 1)
         for result in _both(system):
             assert result.infeasible
-        assert not lp_infeasible(system)
+        assert AssembledSystem(system).lp_probe({})[0] == "feasible"
 
     def test_integrality_forces_larger_solution(self):
         # 3x >= 2, x integer: minimum is 1, not 2/3.
@@ -70,15 +70,8 @@ class TestKnownSystems:
     def test_minimization_prefers_small(self):
         system = LinearSystem()
         system.add_ge({"x": 1}, 4)
-        result = solve_milp(system)
+        result = AssembledSystem(system).solve_int({})
         assert result.values["x"] == 4
-
-    def test_objective_override(self):
-        system = LinearSystem()
-        system.add_ge({"x": 1, "y": 1}, 3)
-        result = solve_milp(system, objective={"x": 1.0, "y": 10.0})
-        assert result.feasible
-        assert result.values["y"] == 0
 
     def test_exact_node_limit_raises(self):
         # 2x + 3y = 1 over nonnegative integers: the root LP is fractional
@@ -96,16 +89,21 @@ class TestKnownSystems:
 
 
 class TestLpInfeasible:
+    """The LP relaxation probe that prunes the support search."""
+
     def test_definitely_infeasible_lp(self):
         system = LinearSystem()
         system.add_le({"x": 1}, 1)
         system.add_ge({"x": 1}, 3)
-        assert lp_infeasible(system)
+        probe = AssembledSystem(system).lp_probe({}, want_values=False)
+        assert probe == ("infeasible", None)
 
     def test_feasible_lp_not_pruned(self):
         system = LinearSystem()
         system.add_ge({"x": 1}, 3)
-        assert not lp_infeasible(system)
+        status, candidate = AssembledSystem(system).lp_probe({})
+        assert status == "feasible"
+        assert candidate == {"x": 3}
 
 
 @st.composite
@@ -148,13 +146,13 @@ class TestBackendAgreement:
     @given(system=_random_systems())
     def test_scipy_exact_and_brute_force_agree(self, system):
         expected = _brute_force_feasible(system)
-        scipy_result = solve_milp(system)
-        assert scipy_result.status in ("feasible", "infeasible")
-        assert scipy_result.feasible == expected
+        highs_result = AssembledSystem(system).solve_int({})
+        assert highs_result.status in ("feasible", "infeasible")
+        assert highs_result.feasible == expected
         exact_result = solve_exact(system, node_limit=20000)
         assert exact_result.feasible == expected
         if expected:
-            assert not system.check(scipy_result.values)
+            assert not system.check(highs_result.values)
             assert not system.check(exact_result.values)
 
 
@@ -168,8 +166,6 @@ class TestToggleableRows:
         return system, blocking
 
     def test_assembled_row_toggles_and_reactivation(self):
-        from repro.ilp.assembled import AssembledSystem
-
         system, blocking = self._system()
         assembled = AssembledSystem(system)
         off = frozenset({blocking})
@@ -186,8 +182,6 @@ class TestToggleableRows:
         assert assembled.assemblies == 1
 
     def test_assembled_check_and_materialize_skip_inactive(self):
-        from repro.ilp.assembled import AssembledSystem
-
         system, blocking = self._system()
         assembled = AssembledSystem(system)
         off = frozenset({blocking})

@@ -10,8 +10,8 @@ from repro.constraints.parser import parse_constraints
 from repro.dtd.simplify import simplify_dtd
 from repro.encoding.combined import build_encoding
 from repro.encoding.dtd_system import encode_dtd, ext_var
+from repro.ilp.assembled import AssembledSystem
 from repro.ilp.condsys import solve_conditional_system
-from repro.ilp.scipy_backend import solve_milp
 
 
 class TestSection1Cardinalities:
@@ -23,7 +23,7 @@ class TestSection1Cardinalities:
         for extra in (1, 2, 3):
             system = psi.system.copy()
             system.add_ge({ext_var("teacher"): 1}, extra)
-            solution = solve_milp(system)
+            solution = AssembledSystem(system).solve_int({})
             assert solution.feasible
             assert (
                 solution.values[ext_var("subject")]
@@ -63,11 +63,14 @@ class TestSection41SimplifiedD1:
     def test_psi_dn1_consistent_psi_dn2_not(self, d1, d2):
         # "It is easy to check that Psi_DN1 is consistent, whereas
         # Psi_DN2 is not." (end of Section 4.1)
-        assert solve_milp(encode_dtd(simplify_dtd(d1)).system).feasible
-        assert solve_milp(encode_dtd(simplify_dtd(d2)).system).infeasible
+        psi_dn1 = encode_dtd(simplify_dtd(d1)).system
+        psi_dn2 = encode_dtd(simplify_dtd(d2)).system
+        assert AssembledSystem(psi_dn1).solve_int({}).feasible
+        assert AssembledSystem(psi_dn2).solve_int({}).infeasible
 
     def test_root_count_is_one(self, d1):
-        solution = solve_milp(encode_dtd(simplify_dtd(d1)).system)
+        system = encode_dtd(simplify_dtd(d1)).system
+        solution = AssembledSystem(system).solve_int({})
         assert solution.values[ext_var("teachers")] == 1
 
     def test_research_equals_teacher_count(self, d1):
@@ -75,7 +78,7 @@ class TestSection41SimplifiedD1:
         psi = encode_dtd(simplify_dtd(d1))
         system = psi.system.copy()
         system.add_ge({ext_var("teacher"): 1}, 3)
-        solution = solve_milp(system)
+        solution = AssembledSystem(system).solve_int({})
         assert (
             solution.values[ext_var("research")]
             == solution.values[ext_var("teacher")]

@@ -285,28 +285,3 @@ def test_repair_wire_op_byte_identical_serve_and_fleet():
         for backend in backends:
             backend.close()
         reference.close()
-
-
-# ---------------------------------------------------------------------------
-# Deprecated MUS entry points: warn, then delegate to mus()
-# ---------------------------------------------------------------------------
-
-
-def test_deprecated_mus_names_warn_and_delegate():
-    from repro.analysis.diagnostics import (
-        minimal_inconsistent_subset,
-        minimal_unsat_core,
-        mus,
-    )
-
-    dtd, sigma = teachers_dtd_d1(), parse_constraints(SIGMA1)
-    expected_qx = sorted(str(phi) for phi in mus(dtd, sigma))
-    expected_del = sorted(
-        str(phi) for phi in mus(dtd, sigma, method="deletion")
-    )
-    with pytest.warns(DeprecationWarning, match="mus"):
-        legacy_qx = minimal_unsat_core(dtd, sigma)
-    with pytest.warns(DeprecationWarning, match="mus"):
-        legacy_del = minimal_inconsistent_subset(dtd, sigma)
-    assert sorted(str(phi) for phi in legacy_qx) == expected_qx
-    assert sorted(str(phi) for phi in legacy_del) == expected_del

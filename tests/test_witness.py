@@ -8,8 +8,8 @@ from repro.dtd.simplify import simplify_dtd
 from repro.encoding.combined import build_encoding
 from repro.encoding.dtd_system import encode_dtd, ext_var
 from repro.errors import SolverError
+from repro.ilp.assembled import AssembledSystem
 from repro.ilp.condsys import solve_conditional_system
-from repro.ilp.scipy_backend import solve_milp
 from repro.witness.skeleton import assemble_skeleton
 from repro.witness.synthesize import synthesize_witness
 from repro.workloads.generators import random_dtd
@@ -20,7 +20,7 @@ from tests.helpers import synthesize_any_tree
 class TestSkeleton:
     def test_realizes_solved_counts(self, d1):
         simple = simplify_dtd(d1)
-        result = solve_milp(encode_dtd(simple).system)
+        result = AssembledSystem(encode_dtd(simple).system).solve_int({})
         assert result.feasible
         tree = assemble_skeleton(simple, result.values)
         for symbol in simple.types:
@@ -33,7 +33,7 @@ class TestSkeleton:
 
     def test_rejects_inconsistent_pools(self, d1):
         simple = simplify_dtd(d1)
-        result = solve_milp(encode_dtd(simple).system)
+        result = AssembledSystem(encode_dtd(simple).system).solve_int({})
         values = dict(result.values)
         # Claim an extra teacher without a pool slot for it.
         values[ext_var("teacher")] += 1
@@ -51,7 +51,7 @@ class TestSkeleton:
         system = encode_dtd(simple).system.copy()
         # Force ext(a) = 2: a1 under r, a2 under b1; c1 under a2.
         system.add_ge({ext_var("a"): 1}, 2)
-        result = solve_milp(system)
+        result = AssembledSystem(system).solve_int({})
         assert result.feasible
         tree = assemble_skeleton(simple, result.values)
         assert len(tree.ext("a")) == result.values[ext_var("a")]

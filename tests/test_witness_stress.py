@@ -7,7 +7,7 @@ from repro.checkers.consistency import check_consistency
 from repro.dtd.model import DTD
 from repro.dtd.simplify import simplify_dtd
 from repro.encoding.dtd_system import encode_dtd, ext_var
-from repro.ilp.scipy_backend import solve_milp
+from repro.ilp.assembled import AssembledSystem
 from repro.witness.skeleton import assemble_skeleton
 from repro.xmltree.transform import splice_types
 from repro.xmltree.validate import conforms
@@ -26,7 +26,7 @@ class TestLargeSkeletons:
         simple = simplify_dtd(d)
         system = encode_dtd(simple).system.copy()
         system.add_ge({ext_var("a"): 1}, count)
-        solution = solve_milp(system)
+        solution = AssembledSystem(system).solve_int({})
         assert solution.feasible
         tree = assemble_skeleton(simple, solution.values)
         assert len(tree.ext("a")) >= count
@@ -38,7 +38,7 @@ class TestLargeSkeletons:
         simple = simplify_dtd(d)
         system = encode_dtd(simple).system.copy()
         system.add_ge({ext_var("a"): 1}, depth)
-        solution = solve_milp(system)
+        solution = AssembledSystem(system).solve_int({})
         assert solution.feasible
         tree = _contract(assemble_skeleton(simple, solution.values), simple)
         assert len(tree.ext("a")) >= depth
@@ -59,7 +59,7 @@ class TestLargeSkeletons:
         simple = simplify_dtd(d)
         system = encode_dtd(simple).system.copy()
         system.add_ge({ext_var("a"): 1}, 12)
-        solution = solve_milp(system)
+        solution = AssembledSystem(system).solve_int({})
         assert solution.feasible
         tree = _contract(assemble_skeleton(simple, solution.values), simple)
         assert conforms(tree, d)

@@ -1,10 +1,28 @@
 """Conformance checking tests (Definition 2.2)."""
 
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.checkers.consistency import check_consistency
+from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
+from repro.dtd.parser import parse_dtd
 from repro.workloads.examples import figure1_tree
 from repro.xmltree.builder import element, text
 from repro.xmltree.model import XMLTree
+from repro.xmltree.parse import parse_xml
+from repro.xmltree.serialize import tree_to_string
 from repro.xmltree.validate import TreeValidator, conforms
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.json"
+
+
+def _bibliography_spec() -> tuple[str, str]:
+    specs = json.loads(CORPUS.read_text())["cold_cli"]
+    spec = next(s for s in specs if s["name"] == "bibliography")
+    return spec["dtd"], spec["constraints"]
 
 
 class TestConforms:
@@ -78,3 +96,35 @@ class TestConforms:
         assert validator.validate(figure1_tree())
         assert validator.validate(figure1_tree())
         assert validator.dtd is d1
+
+
+class TestEmptyTextRoundTrip:
+    """A witness's empty text nodes serialize to ``<t></t>``; parsing that
+    back must still conform (XML 1.0: empty ``(#PCDATA)`` content is the
+    empty string)."""
+
+    @pytest.mark.parametrize(
+        "dtd_text, constraints_text",
+        [
+            _bibliography_spec(),
+            ("<!ELEMENT r (t)> <!ELEMENT t (#PCDATA)>", ""),
+        ],
+        ids=["bibliography", "r_t_pcdata"],
+    )
+    def test_witness_round_trips(self, dtd_text, constraints_text):
+        dtd = parse_dtd(dtd_text)
+        result = check_consistency(dtd, parse_constraints(constraints_text))
+        assert result.consistent
+        serialized = tree_to_string(result.witness)
+        assert "></" in serialized  # some text node really is empty
+        report = conforms(parse_xml(serialized), dtd)
+        assert report, report.errors
+
+    def test_empty_text_content_forms(self):
+        d = DTD.build("r", {"r": "(t)", "t": "(#PCDATA)"})
+        for markup in ("<r><t></t></r>", "<r><t/></r>", "<r><t>x</t></r>"):
+            assert conforms(parse_xml(markup), d), markup
+        # Only an absent child word is read as empty text: a missing
+        # element is still an error.
+        assert not conforms(parse_xml("<r></r>"), d)
+        assert not conforms(parse_xml("<r><t><r/></t></r>"), d)
