@@ -26,68 +26,15 @@ Quickstart::
 
 See ``README.md`` for the tour, ``DESIGN.md`` for the system inventory,
 and ``benchmarks/report.py`` for the per-figure reproduction record.
+
+The exports below resolve lazily, on first attribute access (PEP 562):
+``python -m repro check`` imports this package before the CLI, and a
+one-shot command should pay only for the modules it runs, not for the
+whole toolkit (importing the analysis layer alone costs more than a
+typical check).
 """
 
-from repro import api
-from repro.analysis import (
-    DiagnosticsReport,
-    ExtentBounds,
-    Repair,
-    apply_repair,
-    diagnose,
-    extent_bounds,
-    minimal_repair,
-    mus,
-    redundant_constraints,
-)
-from repro.checkers import (
-    CheckerConfig,
-    ConsistencyResult,
-    ImplicationResult,
-    bounded_consistency,
-    check_consistency,
-    check_consistency_primary,
-    dtd_has_valid_tree,
-    implies,
-    implies_all,
-    implies_primary,
-)
-from repro.constraints import (
-    Constraint,
-    ForeignKey,
-    InclusionConstraint,
-    Key,
-    NegInclusion,
-    NegKey,
-    classify,
-    parse_constraint,
-    parse_constraints,
-    satisfies,
-    satisfies_all,
-)
-from repro.dtd import DTD, dtd_to_string, parse_dtd
-from repro.errors import (
-    ComplexityLimitError,
-    InvalidConstraintError,
-    InvalidDTDError,
-    InvalidTreeError,
-    ParseError,
-    ReproError,
-    SolverError,
-    UndecidableProblemError,
-)
-from repro.xmltree import (
-    Element,
-    TextNode,
-    XMLTree,
-    conforms,
-    element,
-    parse_xml,
-    text,
-    tree_to_string,
-)
-
-from repro.api import Spec
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -151,3 +98,61 @@ __all__ = [
     "SolverError",
     "__version__",
 ]
+
+#: Exported name -> the module that provides it (``api`` is the submodule
+#: itself).  ``__getattr__`` imports that module on first access.
+_EXPORTS = {
+    "api": "repro.api",
+    "DiagnosticsReport": "repro.analysis",
+    "ExtentBounds": "repro.analysis",
+    "Repair": "repro.analysis",
+    "apply_repair": "repro.analysis",
+    "diagnose": "repro.analysis",
+    "extent_bounds": "repro.analysis",
+    "minimal_repair": "repro.analysis",
+    "mus": "repro.analysis",
+    "redundant_constraints": "repro.analysis",
+    "CheckerConfig": "repro.checkers",
+    "ConsistencyResult": "repro.checkers",
+    "ImplicationResult": "repro.checkers",
+    "bounded_consistency": "repro.checkers",
+    "check_consistency": "repro.checkers",
+    "check_consistency_primary": "repro.checkers",
+    "dtd_has_valid_tree": "repro.checkers",
+    "implies": "repro.checkers",
+    "implies_all": "repro.checkers",
+    "implies_primary": "repro.checkers",
+    "Constraint": "repro.constraints",
+    "ForeignKey": "repro.constraints",
+    "InclusionConstraint": "repro.constraints",
+    "Key": "repro.constraints",
+    "NegInclusion": "repro.constraints",
+    "NegKey": "repro.constraints",
+    "classify": "repro.constraints",
+    "parse_constraint": "repro.constraints",
+    "parse_constraints": "repro.constraints",
+    "satisfies": "repro.constraints",
+    "satisfies_all": "repro.constraints",
+    "DTD": "repro.dtd",
+    "dtd_to_string": "repro.dtd",
+    "parse_dtd": "repro.dtd",
+    "ComplexityLimitError": "repro.errors",
+    "InvalidConstraintError": "repro.errors",
+    "InvalidDTDError": "repro.errors",
+    "InvalidTreeError": "repro.errors",
+    "ParseError": "repro.errors",
+    "ReproError": "repro.errors",
+    "SolverError": "repro.errors",
+    "UndecidableProblemError": "repro.errors",
+    "Element": "repro.xmltree",
+    "TextNode": "repro.xmltree",
+    "XMLTree": "repro.xmltree",
+    "conforms": "repro.xmltree",
+    "element": "repro.xmltree",
+    "parse_xml": "repro.xmltree",
+    "text": "repro.xmltree",
+    "tree_to_string": "repro.xmltree",
+    "Spec": "repro.api",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

@@ -14,26 +14,19 @@ the decision procedures:
 * :mod:`repro.analysis.repair` — how to *fix* an inconsistent
   specification: a minimum-weight set of constraint deletions and DTD
   edits after which the specification is consistent.
+
+Diagnostics and repair resolve lazily (PEP 562): every import of an
+analysis submodule runs this file first, and ``extent_bounds`` alone
+should not pay for the other two.
 """
 
-from repro.analysis.diagnostics import (
-    DiagnosticsReport,
-    DiagnosticsStats,
-    diagnose,
-    mus,
-    redundant_constraints,
-)
+from repro._lazy import lazy_exports
+
+# Eager on purpose: the function shares its submodule's name, and importing
+# ``repro.analysis.extent_bounds`` binds the *module* on this package, which
+# a lazy ``__getattr__`` would never get to override.  Its imports are the
+# checker's own, so this costs next to nothing.
 from repro.analysis.extent_bounds import ExtentBounds, extent_bounds
-from repro.analysis.repair import (
-    DeleteConstraint,
-    DropAttribute,
-    LoosenChild,
-    Repair,
-    RepairAction,
-    RepairStats,
-    apply_repair,
-    minimal_repair,
-)
 
 __all__ = [
     "ExtentBounds",
@@ -52,3 +45,22 @@ __all__ = [
     "apply_repair",
     "minimal_repair",
 ]
+
+#: Exported name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "mus": "repro.analysis.diagnostics",
+    "redundant_constraints": "repro.analysis.diagnostics",
+    "DiagnosticsReport": "repro.analysis.diagnostics",
+    "DiagnosticsStats": "repro.analysis.diagnostics",
+    "diagnose": "repro.analysis.diagnostics",
+    "Repair": "repro.analysis.repair",
+    "RepairAction": "repro.analysis.repair",
+    "RepairStats": "repro.analysis.repair",
+    "DeleteConstraint": "repro.analysis.repair",
+    "LoosenChild": "repro.analysis.repair",
+    "DropAttribute": "repro.analysis.repair",
+    "apply_repair": "repro.analysis.repair",
+    "minimal_repair": "repro.analysis.repair",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

@@ -41,11 +41,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.analysis.diagnostics import DiagnosticsReport, DiagnosticsStats
-from repro.analysis.diagnostics import diagnose as _diagnose
-from repro.analysis.diagnostics import mus as _mus
-from repro.analysis.repair import Repair, RepairStats, minimal_repair
 from repro.checkers.config import DEFAULT_CONFIG, CheckerConfig
 from repro.checkers.consistency import check_consistency
 from repro.checkers.implication import implies as _implies
@@ -55,6 +52,10 @@ from repro.constraints.parser import parse_constraint, parse_constraints
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
+
+if TYPE_CHECKING:  # the analysis layer loads on first diagnose/mus/repair
+    from repro.analysis.diagnostics import DiagnosticsReport, DiagnosticsStats
+    from repro.analysis.repair import Repair, RepairStats
 
 __all__ = [
     "Spec",
@@ -144,6 +145,8 @@ def diagnose(
 ) -> DiagnosticsReport:
     """Specification health: a minimal conflict when inconsistent, the
     redundant constraints when consistent."""
+    from repro.analysis.diagnostics import diagnose as _diagnose
+
     resolved = as_spec(spec)
     return _diagnose(
         resolved.dtd,
@@ -163,6 +166,8 @@ def mus(
     stats: DiagnosticsStats | None = None,
 ) -> list[Constraint]:
     """A minimal inconsistent subset of the specification's Sigma."""
+    from repro.analysis.diagnostics import mus as _mus
+
     resolved = as_spec(spec)
     return _mus(
         resolved.dtd,
@@ -192,6 +197,8 @@ def repair(
     verdict.  See :func:`repro.analysis.repair.minimal_repair` for the
     search and the ``weights`` contract.
     """
+    from repro.analysis.repair import minimal_repair
+
     resolved = as_spec(spec)
     return minimal_repair(
         resolved.dtd,

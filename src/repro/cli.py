@@ -53,7 +53,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.extent_bounds import extent_bounds
 from repro.checkers.config import CheckerConfig
 from repro.constraints.parser import parse_constraints
 from repro.dtd.parser import parse_dtd
@@ -438,6 +437,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from repro.analysis.extent_bounds import extent_bounds
+
     dtd = _load_dtd(args.dtd, args.root)
     sigma = _load_constraints(args.constraints)
     bounds = extent_bounds(dtd, sigma, args.type, probe_limit=args.probe_limit)

@@ -12,25 +12,21 @@ programming (Theorem 4.1). This package supplies:
 * :mod:`repro.ilp.bounds` — the Papadimitriou small-solution bound used by
   the paper's big-M argument;
 * :mod:`repro.ilp.assembled` — the one floating-point solver (HiGHS,
-  loaded straight from the binding scipy vendors) with post-hoc exact
-  verification of solutions; the base system's sparse matrix is built a
-  single time and every support branch re-solves it by patching
-  variable-bound arrays (DESIGN.md section 4);
+  loaded straight from the extension file scipy vendors; no scipy Python
+  package is imported on any path) with post-hoc exact verification of
+  solutions by a numpy row residual; the base system's row-wise
+  compressed matrix is built a single time and every support branch
+  re-solves it by patching variable-bound arrays (DESIGN.md section 4);
 * :mod:`repro.ilp.condsys` — conditional systems ``x > 0 -> y > 0`` with
   tree-connectivity side conditions, solved by support branching plus
   connectivity cuts (see DESIGN.md section 3).
+
+The exports resolve lazily (PEP 562): importing any ``repro.ilp``
+submodule runs this file first, and the rational simplex is only needed
+when a float answer is in doubt.
 """
 
-from repro.ilp.assembled import AssembledSystem
-from repro.ilp.bounds import papadimitriou_bound
-from repro.ilp.condsys import (
-    ConditionalSystem,
-    CondSolveStats,
-    SupportClause,
-    solve_conditional_system,
-)
-from repro.ilp.exact import ExactAssembledSystem, ExactStats, solve_exact
-from repro.ilp.model import BoundPatch, LinearSystem, Row, SolveResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AssembledSystem",
@@ -47,3 +43,22 @@ __all__ = [
     "CondSolveStats",
     "solve_conditional_system",
 ]
+
+#: Exported name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "AssembledSystem": "repro.ilp.assembled",
+    "BoundPatch": "repro.ilp.model",
+    "ExactAssembledSystem": "repro.ilp.exact",
+    "ExactStats": "repro.ilp.exact",
+    "LinearSystem": "repro.ilp.model",
+    "Row": "repro.ilp.model",
+    "SolveResult": "repro.ilp.model",
+    "solve_exact": "repro.ilp.exact",
+    "papadimitriou_bound": "repro.ilp.bounds",
+    "ConditionalSystem": "repro.ilp.condsys",
+    "SupportClause": "repro.ilp.condsys",
+    "CondSolveStats": "repro.ilp.condsys",
+    "solve_conditional_system": "repro.ilp.condsys",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

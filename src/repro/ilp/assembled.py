@@ -9,15 +9,18 @@ its time re-densifying identical coefficients and re-validating them through
 a one-shot solver's per-call machinery.
 
 :class:`AssembledSystem` is the one floating-point solver of the package.
-It assembles the base matrix exactly once (sparse CSR, so there is no dense
-size cap) and serves every subsequent solve by patching the variable-bound
-arrays: two persistent HiGHS instances (one integer, one LP relaxation)
-hold the model; each solve is a ``changeColsBounds`` + ``run`` round-trip,
-and connectivity cuts learned during the search are appended with
-``addRow`` and switched on/off per solve through their row bounds.  HiGHS
-is the binding scipy vendors; :func:`_load_highs_core` loads that extension
-straight from its file, so the solver never pays for importing the rest of
-scipy's optimization package.
+It assembles the base matrix exactly once (row-wise compressed
+``indptr``/``indices``/``data`` arrays, so there is no dense size cap) and
+serves every subsequent solve by patching the variable-bound arrays: two
+persistent HiGHS instances (one integer, one LP relaxation) hold the
+model; each solve is a ``changeColsBounds`` + ``run`` round-trip, and
+connectivity cuts learned during the search are appended with ``addRow``
+and switched on/off per solve through their row bounds.  HiGHS is the
+binding scipy vendors; :func:`_load_highs_core` loads that extension
+straight from its file.  That file is all this package takes from scipy:
+no scipy Python package is imported on any path, and the exact re-check
+of a rounded point is a numpy-only row residual
+(:meth:`AssembledSystem._vector_check`).
 
 **Toggleable rows** (DESIGN.md section 6) extend the same discipline to the
 *base* rows: a solve may name ``inactive_rows`` — base-row indices whose
@@ -283,7 +286,10 @@ class AssembledSystem:
         self._engine_cut_state: dict[int, list[bool]] = {}
         #: Base rows currently deactivated, per engine (0=int, 1=lp).
         self._engine_inactive_rows: dict[int, set[int]] = {0: set(), 1: set()}
-        self._base_csr = None  # lazy csr of the base rows (vector checks)
+        #: Row index of every stored nonzero, for the numpy row residual.
+        self._row_of_nz = np.repeat(
+            np.arange(self.num_base_rows, dtype=np.int32), np.diff(self.indptr)
+        )
         self._max_abs_coeff = float(np.max(np.abs(self.data))) if self.data.size else 1.0
 
     # -- shape ---------------------------------------------------------------
@@ -427,8 +433,10 @@ class AssembledSystem:
         """Exact feasibility of a rounded integer point, vectorized.
 
         All coefficients and the rounded values are integers, and integer
-        arithmetic in float64 is exact below 2**53, so the CSR residual
-        *is* the exact row activity whenever the magnitude guard holds.
+        arithmetic in float64 is exact below 2**53.  The guard bounds every
+        partial sum of a row below that, so the residual — per-nonzero
+        products summed into their rows by ``np.bincount``, in whatever
+        order — *is* the exact row activity whenever the guard holds.
         Returns ``None`` when it does not — the caller falls back to the
         pure-Python exact check — and ``True``/``False`` otherwise.
         ``bounds`` reuses already-patched variable-bound arrays.
@@ -439,14 +447,11 @@ class AssembledSystem:
         lower, upper = bounds if bounds is not None else self._patched_bounds(patches)
         if np.any(x < lower) or np.any(x > upper):
             return False
-        if self._base_csr is None:
-            from scipy.sparse import csr_array
-
-            self._base_csr = csr_array(
-                (self.data, self.indices, self.indptr),
-                shape=(self.num_base_rows, self.num_vars),
-            )
-        residual = self._base_csr @ x
+        residual = np.bincount(
+            self._row_of_nz,
+            weights=self.data * x[self.indices],
+            minlength=self.num_base_rows,
+        )
         bad = (residual < self.base_row_lower) | (residual > self.base_row_upper)
         if bad.any():
             violated = set(np.nonzero(bad)[0].tolist())

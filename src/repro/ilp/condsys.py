@@ -73,13 +73,13 @@ worker is exact-checked like every other leaf.
 from __future__ import annotations
 
 import contextvars
-import multiprocessing
 import os
 import queue
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from repro.budget import check_deadline
 from repro.errors import (
@@ -90,7 +90,6 @@ from repro.errors import (
 )
 from repro.service.faults import fault_active, fault_seconds
 from repro.ilp.assembled import AssembledSystem
-from repro.ilp.exact import ExactAssembledSystem, ExactStats, solve_exact
 from repro.ilp.model import (
     BoundPatch,
     LinearSystem,
@@ -98,6 +97,9 @@ from repro.ilp.model import (
     VarId,
     canonical_coeffs,
 )
+
+if TYPE_CHECKING:  # the rational simplex loads on its first solve
+    from repro.ilp.exact import ExactAssembledSystem
 
 
 @dataclass(frozen=True)
@@ -366,6 +368,8 @@ class _ExactTwin:
 
     def get(self) -> ExactAssembledSystem:
         if self._exact is None:
+            from repro.ilp.exact import ExactAssembledSystem
+
             self._exact = ExactAssembledSystem(self._assembled.system)
             for i in range(self._assembled.num_cuts):
                 row = self._assembled.cut_row(i)
@@ -820,6 +824,9 @@ class WorkerPool:
         self.respawns = 0
         self.requeues = 0
         self._respawn_limit = jobs if respawn_limit is None else respawn_limit
+        # Deferred like the exact backend: a one-worker search never forks.
+        import multiprocessing
+
         self._ctx = multiprocessing.get_context("fork")
         self._initializer = initializer
         self._payload = payload
@@ -839,6 +846,8 @@ class WorkerPool:
     @staticmethod
     def available() -> bool:
         """Can a fork pool be built on this platform?"""
+        import multiprocessing
+
         return (
             hasattr(os, "fork")
             and "fork" in multiprocessing.get_all_start_methods()
@@ -1292,6 +1301,8 @@ def _solve_leaf_exact_cold(
     inactive_rows: frozenset[int] = frozenset(),
 ) -> SolveResult:
     """Cold certified solve on a materialized leaf (reference path)."""
+    from repro.ilp.exact import ExactStats, solve_exact
+
     exact_stats = ExactStats()
     result = solve_exact(
         assembled.materialize(patches, active, inactive_rows),
@@ -1387,6 +1398,7 @@ def _make_solver(
     """
     if backend not in ("exact", "scipy"):
         raise SolverError(f"unknown backend {backend!r}")
+    from repro.ilp.exact import ExactStats, solve_exact
 
     def solve(system: LinearSystem) -> SolveResult:
         exact_stats = ExactStats()

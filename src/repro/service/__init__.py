@@ -35,6 +35,8 @@ verdicts, witnesses and solver stats to the direct
 (``tests/test_service_differential.py`` enforces this).
 """
 
+from repro._lazy import lazy_exports
+
 __all__ = [
     "CheckingServer",
     "FleetRouter",
@@ -60,15 +62,4 @@ _EXPORTS = {
     "save_snapshot": "repro.service.persist",
 }
 
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(__all__)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

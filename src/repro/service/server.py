@@ -595,6 +595,11 @@ class CheckingServer(RequestServer):
         collector: StatsCollector | None = None,
     ):
         super().__init__(max_connections=max_connections)
+        # One-shot CLI commands never import the analysis layer; a server
+        # loads it here, before it listens, so the first served
+        # diagnose/repair does not pay for the import inside a request.
+        import repro.analysis.repair  # noqa: F401  (imports diagnostics too)
+
         self.registry = registry or SessionRegistry()
         self.stats = ServerStats()
         #: The process-wide metrics sink (DESIGN.md section 10): sessions

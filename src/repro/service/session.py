@@ -42,6 +42,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 from repro import api
 from repro.checkers.config import DEFAULT_CONFIG, CheckerConfig
@@ -64,10 +65,12 @@ from repro.encoding.combined import (
 )
 from repro.errors import ReproError
 from repro.ilp.condsys import SolveWorkspace, wave_observer_scope
-from repro.service.metrics import AdaptiveJobsController, StatsCollector
 from repro.xmltree.parse import parse_xml
 from repro.xmltree.serialize import tree_to_string
 from repro.xmltree.validate import conforms
+
+if TYPE_CHECKING:  # a server attaches these; a one-shot call never does
+    from repro.service.metrics import AdaptiveJobsController, StatsCollector
 
 #: The reuse modes a session can run in.
 MODES = ("replay", "warm")
@@ -243,6 +246,8 @@ class SpecSession:
     def jobs_controller(self) -> AdaptiveJobsController:
         """The session's adaptive-jobs controller (created on first use)."""
         if self._jobs_controller is None:
+            from repro.service.metrics import AdaptiveJobsController
+
             self._jobs_controller = AdaptiveJobsController(collector=self.collector)
         return self._jobs_controller
 

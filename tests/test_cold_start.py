@@ -1,5 +1,7 @@
 """Cold start: the CLI never imports ``scipy.optimize``, and the HiGHS core
-loaded by :mod:`repro.ilp.assembled` is the one scipy itself uses.
+loaded by :mod:`repro.ilp.assembled` is the one scipy itself uses.  A
+positive ``check`` or a negative ``implies`` — both re-verify an integer
+point — import no scipy Python package and none of the analysis layer.
 
 Each check runs in a fresh interpreter, because ``sys.modules`` of the test
 process has long since imported everything.
@@ -9,8 +11,11 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from repro.dtd.serializer import dtd_to_string
 from repro.workloads.examples import teachers_dtd_d1
+from repro.workloads.realistic import bibliography_constraints, bibliography_dtd
 
 SIGMA1 = (
     "teacher.name -> teacher\n"
@@ -19,10 +24,11 @@ SIGMA1 = (
 )
 
 
-def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+def _python(code: str, *argv: str, stdin: str = "") -> subprocess.CompletedProcess:
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code), *argv],
         capture_output=True,
+        input=stdin,
         text=True,
         timeout=120,
     )
@@ -65,6 +71,99 @@ def test_check_skips_scipy_optimize(tmp_path):
     assert "consistent: False" in lines[0]
     # The check reached the float solver, yet only its core was loaded.
     assert lines[-3:] == ["exit 1", "False", "True"]
+
+
+#: Modules a one-shot ``check``/``implies`` has no use for.
+_UNUSED_ON_CHECK = (
+    "scipy.sparse",
+    "scipy.optimize",
+    "repro.analysis.diagnostics",
+    "repro.analysis.repair",
+)
+
+
+def _run_cli(*argv: str) -> tuple[list[str], dict[str, bool]]:
+    """``python -m repro ARGV`` in a fresh interpreter: its output lines and
+    which of the watched modules it imported."""
+    watched = (*_UNUSED_ON_CHECK, "scipy.optimize._highspy._core")
+    proc = _python(
+        """
+        import runpy, sys
+        watched = sys.argv[1].split(",")
+        sys.argv = ["repro", *sys.argv[2:]]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            print("exit", stop.code)
+        for name in watched:
+            print(name, name in sys.modules)
+        """,
+        ",".join(watched),
+        *argv,
+    )
+    lines = proc.stdout.splitlines()
+    loaded = {}
+    for line in lines[-len(watched):]:
+        name, flag = line.split()
+        loaded[name] = flag == "True"
+    return lines[: -len(watched)], loaded
+
+
+def _write_spec(tmp_path, name, dtd, constraints):
+    dtd_path = tmp_path / f"{name}.dtd"
+    dtd_path.write_text(dtd_to_string(dtd))
+    sigma_path = tmp_path / f"{name}.txt"
+    sigma_path.write_text("".join(f"{phi}\n" for phi in constraints))
+    return str(dtd_path), str(sigma_path)
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("check-bibliography", ["consistent: True", "ilp-encoding", "exit 0"]),
+        ("check-d1-empty-sigma", ["consistent: True", "exit 0"]),
+        ("implies-bibliography", ["implied: False", "ilp-encoding", "exit 1"]),
+    ],
+)
+def test_positive_check_and_refuted_implication_stay_lean(tmp_path, command, expected):
+    if command == "check-d1-empty-sigma":
+        argv = ["check", *_write_spec(tmp_path, "d1", teachers_dtd_d1(), [])]
+    else:
+        spec = _write_spec(
+            tmp_path, "bib", bibliography_dtd(), bibliography_constraints()
+        )
+        argv = (
+            ["check", *spec]
+            if command == "check-bibliography"
+            else ["implies", *spec, "article.venue_id -> article"]
+        )
+    lines, loaded = _run_cli(*argv)
+    output = "\n".join(lines)
+    for needle in expected:
+        assert needle in output, output
+    assert not [name for name in _UNUSED_ON_CHECK if loaded[name]], loaded
+    assert loaded["scipy.optimize._highspy._core"]
+
+
+def test_serve_loads_analysis_before_the_first_request():
+    # The only request is ``shutdown``: whatever analysis code is loaded
+    # afterwards was loaded at start-up, not by a diagnose/repair request.
+    proc = _python(
+        """
+        import sys
+        from repro.cli import main
+
+        watched = ("repro.analysis.diagnostics", "repro.analysis.repair")
+        print(*(name in sys.modules for name in watched), file=sys.stderr)
+        code = main(["serve"])
+        print(code, *(name in sys.modules for name in watched), file=sys.stderr)
+        """,
+        stdin='{"id": 1, "op": "shutdown"}\n',
+    )
+    before, after = proc.stderr.strip().splitlines()[-2:]
+    assert before.split() == ["False", "False"]
+    assert after.split() == ["0", "True", "True"]
+    assert '"id": 1' in proc.stdout
 
 
 _ONE_CORE = """

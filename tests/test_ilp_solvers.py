@@ -1,5 +1,6 @@
 """The HiGHS and exact ILP backends agree — unit and property tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -292,3 +293,89 @@ class TestToggleableRows:
             solve_conditional_system(
                 cs, workspace=SolveWorkspace(system.copy())
             )
+
+
+class _Mentions:
+    """A coefficient "map" whose ``items()`` may name a variable twice (a
+    row like ``2*x - x``); :class:`LinearSystem` stores the terms as given."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def items(self):
+        return list(self._pairs)
+
+
+_NAMES = ("v0", "v1", "v2", "v3")
+_coeff = st.integers(-5, 5)
+
+
+@st.composite
+def _checked_points(draw):
+    """A random small system (empty rows, duplicate mentions, negative
+    coefficients), optional cuts, a bound-patch map, a set of inactive
+    rows, and an integer point to check against all of it."""
+    num_vars = draw(st.integers(1, len(_NAMES)))
+    names = _NAMES[:num_vars]
+    system = LinearSystem()
+    for name in names:
+        system.ensure_var(name)
+        if draw(st.booleans()):
+            system.set_upper(name, draw(st.integers(0, 6)))
+    for _ in range(draw(st.integers(0, 5))):
+        terms = draw(st.lists(st.tuples(st.sampled_from(names), _coeff), max_size=5))
+        add = draw(st.sampled_from([system.add_le, system.add_ge, system.add_eq]))
+        add(_Mentions(terms), draw(st.integers(-8, 8)))
+    assembled = AssembledSystem(system)
+    for _ in range(draw(st.integers(0, 2))):
+        terms = draw(st.dictionaries(st.sampled_from(names), _coeff, min_size=1))
+        assembled.add_cut(terms, draw(st.integers(-4, 4)))
+    active = draw(st.sets(st.integers(0, max(assembled.num_cuts - 1, 0))))
+    active &= set(range(assembled.num_cuts))
+    inactive = draw(st.frozensets(st.integers(0, max(system.num_rows - 1, 0))))
+    patches = draw(
+        st.dictionaries(
+            st.sampled_from(names),
+            st.tuples(
+                st.none() | st.integers(0, 4), st.none() | st.integers(0, 6)
+            ),
+        )
+    )
+    point = draw(
+        st.lists(
+            st.integers(-2, 7) | st.just(2**52),
+            min_size=num_vars,
+            max_size=num_vars,
+        )
+    )
+    return assembled, patches, active, inactive, point
+
+
+class TestVectorCheck:
+    """The numpy row residual of ``_vector_check`` is exact: wherever its
+    magnitude guard lets it answer, it agrees with the pure-Python check."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_checked_points())
+    def test_agrees_with_exact_check(self, case):
+        assembled, patches, active, inactive, point = case
+        x = np.array(point, dtype=np.float64)
+        verdict = assembled._vector_check(x, patches, active, inactive)
+        if verdict is None:  # magnitude guard: the caller checks exactly
+            assert max(point) == 2**52
+            return
+        values = dict(zip(assembled.system.variables, point))
+        exact = assembled.check_values(values, patches, active, inactive)
+        assert verdict == (exact == []), exact
+
+    def test_duplicate_mentions_merge(self):
+        system = LinearSystem()
+        row = system.add_eq(_Mentions([("x", 2), ("y", 1), ("x", -1)]), 3)
+        assembled = AssembledSystem(system)
+        assert assembled._vector_check(np.array([1.0, 2.0]), {}, set(), frozenset())
+        assert not assembled._vector_check(
+            np.array([2.0, 2.0]), {}, set(), frozenset()
+        )
+        assert assembled._vector_check(
+            np.array([2.0, 2.0]), {}, set(), frozenset({row})
+        )
