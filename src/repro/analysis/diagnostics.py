@@ -96,6 +96,8 @@ class DiagnosticsStats:
     dfs_nodes: int = 0
     leaves_solved: int = 0
     bound_patch_solves: int = 0
+    lp_solves: int = 0
+    mip_solves: int = 0
     cuts_added: int = 0
     cut_pool_hits: int = 0
     lp_prunes: int = 0
@@ -111,6 +113,8 @@ class DiagnosticsStats:
         self.dfs_nodes += solve.dfs_nodes
         self.leaves_solved += solve.leaves_solved
         self.bound_patch_solves += solve.bound_patch_solves
+        self.lp_solves += solve.lp_solves
+        self.mip_solves += solve.mip_solves
         self.cuts_added += solve.cuts_added
         self.cut_pool_hits += solve.cut_pool_hits
         self.lp_prunes += solve.lp_prunes
@@ -127,6 +131,8 @@ class DiagnosticsStats:
         self.dfs_nodes += stats.get("dfs_nodes", 0)
         self.leaves_solved += stats.get("leaves", 0)
         self.bound_patch_solves += stats.get("bound_patch_solves", 0)
+        self.lp_solves += stats.get("lp_solves", 0)
+        self.mip_solves += stats.get("mip_solves", 0)
         self.cuts_added += stats.get("cuts", 0)
         self.cut_pool_hits += stats.get("cut_pool_hits", 0)
         self.lp_prunes += stats.get("lp_prunes", 0)
@@ -161,6 +167,8 @@ class DiagnosticsStats:
             "dfs_nodes": self.dfs_nodes,
             "leaves_solved": self.leaves_solved,
             "bound_patch_solves": self.bound_patch_solves,
+            "lp_solves": self.lp_solves,
+            "mip_solves": self.mip_solves,
             "cuts_added": self.cuts_added,
             "cut_pool_hits": self.cut_pool_hits,
             "lp_prunes": self.lp_prunes,

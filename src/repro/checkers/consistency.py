@@ -186,6 +186,8 @@ def check_consistency_encoded(
         "shortcut": stats.shortcut_hit,
         "assemblies": stats.assemblies,
         "bound_patch_solves": stats.bound_patch_solves,
+        "lp_solves": stats.lp_solves,
+        "mip_solves": stats.mip_solves,
         "cut_pool_hits": stats.cut_pool_hits,
         "propagation_visits": stats.propagation_visits,
         "lp_probe_decided": stats.lp_probe_decided,

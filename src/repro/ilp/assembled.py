@@ -11,11 +11,21 @@ a one-shot solver's per-call machinery.
 :class:`AssembledSystem` is the one floating-point solver of the package.
 It assembles the base matrix exactly once (row-wise compressed
 ``indptr``/``indices``/``data`` arrays, so there is no dense size cap) and
-serves every subsequent solve by patching the variable-bound arrays: two
-persistent HiGHS instances (one integer, one LP relaxation) hold the
-model; each solve is a ``changeColsBounds`` + ``run`` round-trip, and
-connectivity cuts learned during the search are appended with ``addRow``
-and switched on/off per solve through their row bounds.  HiGHS is the
+serves every subsequent solve by patching the variable-bound arrays: a
+persistent HiGHS instance holds the model; each solve is a
+``changeColsBounds`` + ``run`` round-trip, and connectivity cuts learned
+during the search are appended with ``addRow`` and switched on/off per
+solve through their row bounds.
+
+Integer solves run **LP first**.  The LP-relaxation instance decides most
+of them: an infeasible relaxation refutes every integer point, and a
+rounded vertex that passes the exact check is an integer solution.  Only
+a fractional (or check-failing) vertex runs the MIP, on a second instance
+built on first such use, which replays the cut pool at build time.  Both
+minimise ``sum(x)``, so an integral LP optimum is also a MIP optimum, but
+it may be a different optimal vertex than the MIP would pick: witnesses
+are equally valid, not necessarily the same.  ``lp_solves`` and
+``mip_solves`` count the HiGHS runs of each instance.  HiGHS is the
 binding scipy vendors; :func:`_load_highs_core` loads that extension
 straight from its file.  That file is all this package takes from scipy:
 no scipy Python package is imported on any path, and the exact re-check
@@ -49,13 +59,16 @@ owners under the pool's dedup/merge policy.
 >>> result = assembled.solve_int({}, inactive_rows=frozenset({blocking}))
 >>> (result.status, result.values["x"], assembled.assemblies)
 ('feasible', 1, 1)
+>>> assembled.solve_counts          # (lp_solves, mip_solves): LP decided both
+(2, 0)
 
 Exactness is preserved by the same discipline as the one-shot backend: every
 floating-point solution is rounded and re-checked exactly against the
-integer rows (base, cuts, and patched bounds); a failed check degrades to
-``"error"`` so callers fall back to the rational simplex, never to a wrong
-answer.  LP answers are only trusted when definitely infeasible, or when the
-rounded vertex passes the exact check.
+integer rows (base, cuts, and patched bounds) by one helper,
+:meth:`AssembledSystem._accept`; a failed check of the MIP's point degrades
+to ``"error"`` so callers fall back to the rational simplex, never to a
+wrong answer.  LP answers are only trusted when definitely infeasible, or
+when the rounded vertex passes the exact check.
 """
 
 from __future__ import annotations
@@ -247,9 +260,25 @@ class _HighsInstance:
         h.changeColsBounds(
             self._n, self._all_cols, self._finite(var_lower), self._finite(var_upper)
         )
-        if h.run() == _highs.HighsStatus.kError:
-            return "unknown", None
+        run = h.run()
         status = h.getModelStatus()
+        if (
+            run == _highs.HighsStatus.kError
+            or status == _highs.HighsModelStatus.kSolveError
+        ):
+            # The vendored HiGHS presolve occasionally fails on tiny
+            # integer-infeasible models (3a + 2b + 3c = 1) that it decides
+            # fine without presolve.  Retry once with presolve off; the
+            # instance is persistent, so restore the previous setting.
+            _, previous = h.getOptionValue("presolve")
+            h.setOptionValue("presolve", "off")
+            try:
+                run = h.run()
+                status = h.getModelStatus()
+            finally:
+                h.setOptionValue("presolve", previous)
+            if run == _highs.HighsStatus.kError:
+                return "unknown", None
         if status == _highs.HighsModelStatus.kOptimal:
             return "optimal", np.asarray(h.getSolution().col_value)
         if status == _highs.HighsModelStatus.kInfeasible:
@@ -279,6 +308,9 @@ class AssembledSystem:
             self.base_var_upper,
         ) = assemble_arrays(system)
         self.assemblies = 1
+        #: HiGHS runs of the LP-relaxation engine and of the MIP engine.
+        self.lp_solves = 0
+        self.mip_solves = 0
         self._cut_rows: list[Row] = []
         self._cut_coeffs: list[dict[int, float]] = []
         self._int_engine: _HighsInstance | None = None
@@ -413,8 +445,17 @@ class AssembledSystem:
             return "infeasible", None, bounds
         self._apply_cut_activation(integer, active)
         self._apply_row_activation(integer, inactive_rows)
+        if integer:
+            self.mip_solves += 1
+        else:
+            self.lp_solves += 1
         status, x = self._engine(integer).solve(lower, upper)
         return status, x, bounds
+
+    @property
+    def solve_counts(self) -> tuple[int, int]:
+        """``(lp_solves, mip_solves)`` so far, for callers booking deltas."""
+        return self.lp_solves, self.mip_solves
 
     def _values_from(self, x: np.ndarray) -> dict[VarId, int]:
         # Variables are registered in column order, so a single rint +
@@ -490,13 +531,39 @@ class AssembledSystem:
                 problems.append(row.pretty())
         return problems
 
+    def _accept(
+        self,
+        x: np.ndarray,
+        patches: Mapping[VarId, BoundPatch],
+        active: set[int],
+        inactive_rows: frozenset[int],
+        bounds: tuple[np.ndarray, np.ndarray],
+    ) -> dict[VarId, int] | None:
+        """Round a float point; its values if they pass the exact check.
+
+        The one way this module accepts a float solution: the vectorized
+        check decides unless its magnitude guard trips, and then the
+        pure-Python exact check is authoritative.  ``None`` means the
+        rounded point is not an integer solution.
+        """
+        rounded = np.rint(x)
+        passed = self._vector_check(rounded, patches, active, inactive_rows, bounds)
+        if passed is False:
+            return None
+        values = self._values_from(rounded)
+        if passed is None and self.check_values(values, patches, active, inactive_rows):
+            return None
+        return values
+
     def solve_int(
         self,
         patches: Mapping[VarId, BoundPatch],
         active: set[int] | None = None,
         inactive_rows: frozenset[int] = frozenset(),
     ) -> SolveResult:
-        """Integer solve under bound patches, exact-checked.
+        """Integer solve under bound patches, exact-checked, LP first: the
+        MIP runs only when the relaxation's rounded vertex fails the exact
+        check (see the module docstring).
 
         ``inactive_rows`` deactivates the named base rows for this solve
         (toggleable constraint rows; see the module docstring).  Status
@@ -510,25 +577,23 @@ class AssembledSystem:
                 if i not in inactive_rows and not row.evaluate({}):
                     return SolveResult("infeasible", message="constant row violated")
             return SolveResult("feasible", {})
-        status, x, bounds = self._solve_raw(patches, active, True, inactive_rows)
-        if status == "infeasible":
-            return SolveResult("infeasible", message="patched system infeasible")
+        for integer in (False, True):
+            status, x, bounds = self._solve_raw(patches, active, integer, inactive_rows)
+            if status == "infeasible":
+                return SolveResult("infeasible", message="patched system infeasible")
+            if status == "optimal" and x is not None:
+                values = self._accept(x, patches, active, inactive_rows, bounds)
+                if values is not None:
+                    return SolveResult("feasible", values)
         if status != "optimal" or x is None:
             return SolveResult("error", message="incremental solve inconclusive")
-        rounded = np.rint(x)
-        if self._vector_check(rounded, patches, active, inactive_rows, bounds):
-            return SolveResult("feasible", self._values_from(rounded))
-        # Failed or magnitude-voided vector check: the pure-Python exact
-        # check is authoritative and names the violated rows.
-        values = self._values_from(x)
-        violated = self.check_values(values, patches, active, inactive_rows)
-        if violated:
-            return SolveResult(
-                "error",
-                message="rounded incremental solution violates: "
-                + "; ".join(violated[:3]),
-            )
-        return SolveResult("feasible", values)
+        violated = self.check_values(
+            self._values_from(x), patches, active, inactive_rows
+        )
+        return SolveResult(
+            "error",
+            message="rounded incremental solution violates: " + "; ".join(violated[:3]),
+        )
 
     def lp_probe(
         self,
@@ -559,23 +624,13 @@ class AssembledSystem:
         status, x, bounds = self._solve_raw(patches, active, False, inactive_rows)
         if status == "infeasible":
             return "infeasible", None
-        if status == "optimal" and x is not None:
-            if not want_values:
-                return "feasible", None
-            rounded = np.rint(x)
-            if not verified:
-                return "feasible", self._values_from(rounded)
-            passed = self._vector_check(
-                rounded, patches, active, inactive_rows, bounds
-            )
-            if passed is None:  # magnitude guard: authoritative slow check
-                values = self._values_from(rounded)
-                passed = not self.check_values(
-                    values, patches, active, inactive_rows
-                )
-                return "feasible", (values if passed else None)
-            return "feasible", (self._values_from(rounded) if passed else None)
-        return "unknown", None
+        if status != "optimal" or x is None:
+            return "unknown", None
+        if not want_values:
+            return "feasible", None
+        if verified:
+            return "feasible", self._accept(x, patches, active, inactive_rows, bounds)
+        return "feasible", self._values_from(np.rint(x))
 
     def materialize(
         self,

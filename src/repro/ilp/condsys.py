@@ -179,6 +179,10 @@ class CondSolveStats:
     assemblies: int = 0
     #: Solves served by patching the assembled system's bound arrays.
     bound_patch_solves: int = 0
+    #: HiGHS runs of the LP-relaxation engine (probes and LP-first solves).
+    lp_solves: int = 0
+    #: HiGHS MIP runs: integer solves whose LP vertex was fractional.
+    mip_solves: int = 0
     #: Leaf solves at which a cut learned by an *earlier* leaf was active.
     cut_pool_hits: int = 0
     #: Clause examinations during unit propagation (worklist work).
@@ -212,6 +216,14 @@ class CondSolveStats:
     #: The pool was lost beyond recovery and the solve re-ran on the
     #: sequential ``jobs=1`` path (verdict byte-identical by construction).
     parallel_degraded: bool = False
+
+    def book_solves(
+        self, assembled: AssembledSystem, before: tuple[int, int] = (0, 0)
+    ) -> None:
+        """Add the HiGHS runs ``assembled`` made since ``before``."""
+        lp, mip = assembled.solve_counts
+        self.lp_solves += lp - before[0]
+        self.mip_solves += mip - before[1]
 
     def absorb(self, worker: "CondSolveStats | Mapping[str, int | bool]") -> None:
         """Fold a worker's counters into this (parent) stats object.
@@ -1356,7 +1368,9 @@ def _solve_leaf_assembled(
             result = certify(active)
         else:
             stats.bound_patch_solves += 1
+            before = assembled.solve_counts
             result = assembled.solve_int(patches, active, inactive_rows)
+            stats.book_solves(assembled, before)
             if result.status == "error":
                 # Floating-point trouble: certify with the exact solver.
                 result = certify(active)
@@ -1404,7 +1418,9 @@ def _make_solver(
         exact_stats = ExactStats()
         result = None
         if backend == "scipy":
-            result = AssembledSystem(system).solve_int({})
+            assembled = AssembledSystem(system)
+            result = assembled.solve_int({})
+            stats.book_solves(assembled)
         if result is None or result.status == "error":
             result = solve_exact(system, warm=exact_warm, stats=exact_stats)
         stats.exact_nodes += exact_stats.nodes
@@ -1678,10 +1694,12 @@ def _solve_incremental(
     # that passes the exact checks is already a realizable answer.
     root_probed = False
     if lp_prune and backend == "scipy":
+        before = assembled.solve_counts
         status, candidate = assembled.lp_probe(
             root_patches, set(), inactive_rows=inactive_rows, verified=True
         )
         stats.bound_patch_solves += 1
+        stats.book_solves(assembled, before)
         root_probed = status != "unknown"
         if status == "infeasible":
             stats.lp_probe_decided = True
@@ -1831,10 +1849,12 @@ def _dfs_search(
                 tau for tau, value in current.items() if value is True
             }
             active = pool.active_for(decided_true)
+            before = assembled.solve_counts
             status, _ = assembled.lp_probe(
                 patches, active, want_values=False, inactive_rows=inactive_rows
             )
             stats.bound_patch_solves += 1
+            stats.book_solves(assembled, before)
             if status == "infeasible":
                 stats.lp_prunes += 1
                 first_node = False
@@ -2060,7 +2080,9 @@ def _solve_rebuild(
         if lp_prune:
             stats.assemblies += 1
             probe = AssembledSystem(_partial_rows(cs, current))
-            if probe.lp_probe({}, want_values=False)[0] == "infeasible":
+            status = probe.lp_probe({}, want_values=False)[0]
+            stats.book_solves(probe)
+            if status == "infeasible":
                 stats.lp_prunes += 1
                 continue
         choice = undecided(current)

@@ -49,7 +49,9 @@ the trust model is a localhost/stdio tool, not an internet service.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import copy
+import os
 import sys
 import threading
 import time
@@ -65,6 +67,39 @@ from repro.service.faults import fault_active, fault_seconds
 from repro.service.metrics import StatsCollector
 from repro.service.registry import SessionRegistry
 from repro.service.session import SpecSession
+
+
+@contextlib.contextmanager
+def _protocol_stdout():
+    """The stdio protocol stream, safe from native writes to fd 1.
+
+    Native code writes to file descriptor 1 directly, past ``sys.stdout``
+    (the vendored HiGHS MIP prints a diagnostic line there even with its
+    output switched off), and would interleave non-JSON bytes with the
+    responses.  So the protocol goes to a private duplicate of fd 1,
+    which also becomes ``sys.stdout`` (Python-level announcements keep
+    their place in the stream), while fd 1 itself points at stderr until
+    serving ends.  A ``sys.stdout`` not backed by fd 1 is used as is.
+    """
+    original = sys.stdout
+    try:
+        fd = original.fileno()
+    except (AttributeError, OSError, ValueError):
+        fd = None
+    if fd != 1:
+        yield original
+        return
+    original.flush()
+    private = os.fdopen(os.dup(1), "w", encoding=original.encoding)
+    os.dup2(2, 1)
+    sys.stdout = private
+    try:
+        yield private
+    finally:
+        private.flush()
+        os.dup2(private.fileno(), 1)
+        sys.stdout = original
+        private.close()
 
 
 @dataclass
@@ -448,10 +483,10 @@ class RequestServer:
         default executor: a blocked ``readline`` must not keep the
         process alive after a ``shutdown`` request (``asyncio.run``
         joins default-executor threads on exit; it never joins a
-        daemon).
+        daemon).  Without an explicit ``stdout``, responses go to a
+        private duplicate of fd 1 (see :func:`_protocol_stdout`).
         """
         stdin = stdin or sys.stdin
-        stdout = stdout or sys.stdout
         stop = self._serving_setup()
         loop = asyncio.get_running_loop()
         lines: asyncio.Queue = asyncio.Queue()
@@ -476,6 +511,8 @@ class RequestServer:
                 stdout.write(protocol.encode(response) + "\n")
                 stdout.flush()
 
+        claimed = contextlib.ExitStack()
+        stdout = stdout or claimed.enter_context(_protocol_stdout())
         try:
             while not stop.is_set():
                 read = asyncio.ensure_future(lines.get())
@@ -498,6 +535,7 @@ class RequestServer:
                 await asyncio.gather(*tasks, return_exceptions=True)
         finally:
             self._serving_teardown()
+            claimed.close()
 
     # -- background lifecycle (tests, benchmarks, the README quickstart) -----
 

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro import api
 from repro.checkers.consistency import check_consistency, dtd_has_valid_tree
 from repro.checkers.primary import check_consistency_primary
 from repro.constraints.parser import parse_constraints
 from repro.constraints.satisfaction import satisfies_all
 from repro.dtd.model import DTD
+from repro.dtd.parser import parse_dtd
 from repro.errors import InvalidConstraintError, UndecidableProblemError
 from repro.workloads.generators import (
     fixed_dtd_constraint_family,
@@ -204,3 +206,41 @@ class TestBackends:
         result = check_consistency(dtd, sigma, exact_config)
         assert result.consistent
         assert satisfies_all(result.witness, sigma)
+
+
+_PARITY_DTD = """<!ELEMENT r ((a, a)*, b, (b, b)*)>
+<!ELEMENT a EMPTY>
+<!ATTLIST a x CDATA #REQUIRED>
+<!ELEMENT b EMPTY>
+<!ATTLIST b y CDATA #REQUIRED>
+"""
+# Keys plus mutual inclusions force |ext(a)| = |ext(b)|, but the DTD makes
+# |ext(a)| even and |ext(b)| odd: LP-feasible, integer-infeasible.
+_PARITY_SIGMA = "a.x -> a\nb.y -> b\na.x <= b.y\nb.y <= a.x"
+
+
+class TestSolveCounters:
+    """``lp_solves``/``mip_solves`` split the HiGHS runs by engine."""
+
+    def test_lp_decided_spec_runs_no_mip(self, d1, sigma1):
+        result = check_consistency(d1, sigma1)
+        assert not result.consistent
+        assert result.stats["lp_solves"] >= 1
+        assert result.stats["mip_solves"] == 0
+        assert result.stats["bound_patch_solves"] >= result.stats["lp_solves"]
+
+    def test_fractional_relaxation_runs_the_mip(self):
+        dtd = parse_dtd(_PARITY_DTD)
+        sigma = parse_constraints(_PARITY_SIGMA)
+        result = check_consistency(dtd, sigma)
+        assert not result.consistent
+        assert result.stats["mip_solves"] >= 1
+
+    def test_diagnose_and_repair_report_the_split(self):
+        spec = (parse_dtd(_PARITY_DTD), parse_constraints(_PARITY_SIGMA))
+        diagnosis = api.diagnose(spec).stats.as_dict()
+        assert diagnosis["mip_solves"] >= 1
+        assert diagnosis["lp_solves"] >= diagnosis["mip_solves"]
+        fixed = api.repair(spec).stats.as_dict()
+        assert fixed["mip_solves"] >= 1
+        assert fixed["lp_solves"] >= fixed["mip_solves"]

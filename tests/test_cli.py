@@ -80,6 +80,13 @@ class TestCheck:
         assert "dfs_nodes=" in out
         assert "bound_patch_solves=" in out
 
+    def test_stats_flag_splits_lp_and_mip_solves(self, d1_file, sigma1_file, capsys):
+        # The root LP relaxation refutes D1/Sigma1: no MIP run at all.
+        assert main(["check", d1_file, sigma1_file, "--stats"]) == 1
+        out = capsys.readouterr().out
+        assert "lp_solves=1" in out
+        assert "mip_solves=0" in out
+
     def test_profile_alias(self, d1_file, sigma1_file, capsys):
         assert main(["check", d1_file, sigma1_file, "--profile"]) == 1
         assert "solver stats:" in capsys.readouterr().out

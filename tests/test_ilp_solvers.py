@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SolverError
@@ -142,9 +142,22 @@ def _brute_force_feasible(system) -> bool:
     return False
 
 
+def _presolve_failure_system():
+    """``3·v0 + 2·v1 + 3·v2 = 1`` over ``0 <= v <= 8``: integer-infeasible
+    with a fractional LP relaxation, and a model on which the vendored
+    HiGHS MIP presolve answers ``kSolveError`` (presolve off decides it)."""
+    system = LinearSystem()
+    system.add_eq({"v0": 3, "v1": 2, "v2": 3}, 1)
+    for name in ("v0", "v1", "v2"):
+        system.ensure_var(name)
+        system.set_upper(name, 8)
+    return system
+
+
 class TestBackendAgreement:
     @settings(max_examples=60, deadline=None)
     @given(system=_random_systems())
+    @example(system=_presolve_failure_system())
     def test_scipy_exact_and_brute_force_agree(self, system):
         expected = _brute_force_feasible(system)
         highs_result = AssembledSystem(system).solve_int({})
@@ -155,6 +168,80 @@ class TestBackendAgreement:
         if expected:
             assert not system.check(highs_result.values)
             assert not system.check(exact_result.values)
+
+
+class TestLpFirstSolveInt:
+    """``solve_int`` decides from the LP relaxation and runs the MIP only
+    on a fractional (or check-failing) vertex."""
+
+    def test_lp_infeasible_never_builds_the_mip_engine(self):
+        system = LinearSystem()
+        system.add_le({"x": 1}, 1)
+        system.add_ge({"x": 1}, 3)
+        assembled = AssembledSystem(system)
+        assert assembled.solve_int({}).status == "infeasible"
+        assert assembled._int_engine is None
+        assert assembled.solve_counts == (1, 0)
+
+    def test_integral_vertex_never_builds_the_mip_engine(self):
+        system = LinearSystem()
+        system.add_ge({"x": 1, "y": 1}, 4)
+        assembled = AssembledSystem(system)
+        result = assembled.solve_int({"y": (None, 1)})
+        assert result.feasible and result.values["x"] + result.values["y"] == 4
+        assert assembled._int_engine is None
+        assert assembled.solve_counts == (1, 0)
+
+    def test_fractional_vertex_runs_the_mip(self):
+        # 2x >= 1: the LP vertex is x = 0.5, which rounds to 0 and fails
+        # the exact check; the MIP answers x = 1.
+        system = LinearSystem()
+        system.add_ge({"x": 2}, 1)
+        assembled = AssembledSystem(system)
+        result = assembled.solve_int({})
+        assert result.status == "feasible"
+        assert result.values == {"x": 1}
+        assert assembled.check_values(result.values, {}, set()) == []
+        assert assembled.solve_counts == (1, 1)
+
+    def test_parity_row_never_feasible(self):
+        # 2x = 1: the LP vertex x = 0.5 rounds to an infeasible point, and
+        # the MIP refutes the row.
+        system = LinearSystem()
+        system.add_eq({"x": 2}, 1)
+        assembled = AssembledSystem(system)
+        assert assembled.solve_int({}).status == "infeasible"
+        assert assembled.solve_counts == (1, 1)
+
+    def test_presolve_failure_is_decided(self):
+        assembled = AssembledSystem(_presolve_failure_system())
+        assert assembled.solve_int({}).status == "infeasible"
+        assert assembled.mip_solves == 1
+        # The retry restores the instance's presolve setting.
+        assert assembled._int_engine._h.getOptionValue("presolve")[1] == "choose"
+
+    def test_cuts_replay_into_the_lazy_mip_engine(self):
+        # 2x + 2y >= 1 is integer-feasible; the cut 2x + 2y <= 1 (as
+        # -2x - 2y >= -1) leaves an LP-feasible, integer-infeasible system.
+        # Both LP vertices are fractional, so every solve reaches the MIP.
+        system = LinearSystem()
+        system.add_ge({"x": 2, "y": 2}, 1)
+        assembled = AssembledSystem(system)
+        assert assembled.lp_probe({})[0] == "feasible"
+        cut = assembled.add_cut({"x": -2, "y": -2}, -1)
+        assert assembled._int_engine is None
+
+        with_cut = system.copy()
+        with_cut.add_ge({"x": -2, "y": -2}, -1)
+        reference = AssembledSystem(with_cut).solve_int({})
+        assert reference.status == "infeasible"
+        for _ in range(2):  # toggle the replayed cut off and on again
+            assert assembled.solve_int({}, {cut}).status == reference.status
+            relaxed = assembled.solve_int({}, set())
+            assert relaxed.status == "feasible"
+            assert system.check(relaxed.values) == []
+        assert assembled._int_engine is not None
+        assert assembled.mip_solves == 4
 
 
 class TestToggleableRows:
