@@ -4,9 +4,9 @@ The diagnostics workloads — the MUS deletion filter and the redundancy
 audit — probe many constraint subsets of *one* specification.  The
 toggled engine (DESIGN.md section 6) assembles ``Psi(D, Sigma ∪ ¬Sigma)``
 once and serves every probe by row-bound flips on persistent solver
-state; the rebuild path (``toggled=False``, the pre-toggle
-implementation) re-encodes and re-assembles per probe through full
-``check_consistency``/``implies`` calls.
+state; the rebuild path (the automatic fallback, forced here by
+:func:`tests.oracles.rebuild_engines`) re-encodes and re-assembles per
+probe through full ``check_consistency``/``implies`` calls.
 
 The headline gate: **>= 3x wall-clock speedup for the toggled redundancy
 audit over the rebuild path** on audit-sized specifications (9+
@@ -18,6 +18,7 @@ answer it times, per the suite's fast-nonsense policy.
 """
 
 import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.analysis.diagnostics import (
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
 from repro.workloads.generators import registrar_mus_family
+from tests.oracles import rebuild_engines
 
 
 def _mixed_dtd(num_types: int) -> DTD:
@@ -95,7 +97,8 @@ def test_toggled_audit(benchmark, n):
 def test_rebuild_audit_ablation(benchmark, n):
     """Rebuild ablation of the same audit, for the comparison table."""
     dtd, sigma, expected = _audit_keys_negkeys(n)
-    redundant = benchmark(redundant_constraints, dtd, sigma, toggled=False)
+    with rebuild_engines():
+        redundant = benchmark(redundant_constraints, dtd, sigma)
     assert len(redundant) == expected
 
 
@@ -123,24 +126,24 @@ def test_diagnose_single_assembly_end_to_end():
         assert report.stats.assemblies == 1
 
 
-def _run_audits(toggled: bool) -> tuple[float, list[list[str]], list[DiagnosticsStats]]:
-    """(best-of-3 seconds, canonical answers, per-call stats)."""
+def _run_audits(engine) -> tuple[float, list[list[str]], list[DiagnosticsStats]]:
+    """(best-of-3 seconds, canonical answers, per-call stats) with the
+    audits run inside the ``engine`` context."""
     best = float("inf")
     answers: list[list[str]] = []
     stats_list: list[DiagnosticsStats] = []
-    for _ in range(3):
-        answers = []
-        stats_list = []
-        start = time.perf_counter()
-        for dtd, sigma, _ in _AUDIT_CASES:
-            stats = DiagnosticsStats()
-            answers.append(
-                _canonical(
-                    redundant_constraints(dtd, sigma, toggled=toggled, stats=stats)
+    with engine():
+        for _ in range(3):
+            answers = []
+            stats_list = []
+            start = time.perf_counter()
+            for dtd, sigma, _ in _AUDIT_CASES:
+                stats = DiagnosticsStats()
+                answers.append(
+                    _canonical(redundant_constraints(dtd, sigma, stats=stats))
                 )
-            )
-            stats_list.append(stats)
-        best = min(best, time.perf_counter() - start)
+                stats_list.append(stats)
+            best = min(best, time.perf_counter() - start)
     return best, answers, stats_list
 
 
@@ -154,8 +157,8 @@ def test_toggled_redundancy_audit_at_least_3x_rebuild():
     expected count per family, and the toggled path performs exactly one
     base assembly per call while probing |Sigma| subsets.
     """
-    toggled_time, toggled_answers, toggled_stats = _run_audits(toggled=True)
-    rebuild_time, rebuild_answers, rebuild_stats = _run_audits(toggled=False)
+    toggled_time, toggled_answers, toggled_stats = _run_audits(nullcontext)
+    rebuild_time, rebuild_answers, rebuild_stats = _run_audits(rebuild_engines)
 
     assert toggled_answers == rebuild_answers
     for (_, sigma, expected), answer in zip(_AUDIT_CASES, toggled_answers):
@@ -182,7 +185,8 @@ def test_toggled_mus_matches_rebuild_and_saves_assemblies():
     for dtd, sigma in _MUS_CASES:
         stats = DiagnosticsStats()
         core = mus(dtd, sigma, method="deletion", stats=stats)
-        oracle = mus(dtd, sigma, method="deletion", toggled=False)
+        with rebuild_engines():
+            oracle = mus(dtd, sigma, method="deletion")
         assert _canonical(core) == _canonical(oracle)
         assert stats.assemblies == 1
         assert stats.probes == len(sigma) + 1

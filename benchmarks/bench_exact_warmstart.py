@@ -4,9 +4,11 @@ The exact backend re-solves one system many times: per support leaf, per
 connectivity-cut round, and per branch-and-bound node.  Warm starts turn
 each re-solve into a handful of dual-simplex pivots on the parent's
 factorized basis; cold starts refactorize from the all-slack basis every
-node.  These benchmarks time the certified pipeline both ways on the
-Theorem-5.1 negation families of ``bench_theorem51_negations.py`` and
-assert the headline claim: **>= 2x node-throughput for warm over cold**.
+node (the :func:`tests.oracles.exact_cold` oracle, which certifies every
+materialized leaf from scratch).  These benchmarks time the certified
+pipeline both ways on the Theorem-5.1 negation families of
+``bench_theorem51_negations.py`` and assert the headline claim: **>= 2x
+node-throughput for warm over cold**.
 
 Runs are fully certified end to end (``lp_prune=False`` keeps the float
 engine out of the loop entirely), so what is measured is exactly the
@@ -15,6 +17,7 @@ asserts the verdicts, per the suite's fast-nonsense policy.
 """
 
 import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -22,13 +25,9 @@ from repro.checkers.config import CheckerConfig
 from repro.checkers.consistency import check_consistency
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
+from tests.oracles import exact_cold
 
-WARM = CheckerConfig(
-    want_witness=False, backend="exact", exact_warm=True, lp_prune=False
-)
-COLD = CheckerConfig(
-    want_witness=False, backend="exact", exact_warm=False, lp_prune=False
-)
+CERTIFIED = CheckerConfig(want_witness=False, backend="exact", lp_prune=False)
 
 
 def _wide_dtd(num_types: int) -> DTD:
@@ -68,14 +67,14 @@ def _throughput_workload():
 @pytest.mark.parametrize("active", [2, 4, 6])
 def test_exact_warm_closed_chain(benchmark, active):
     dtd, sigma = _closed_chain(active)
-    result = benchmark(check_consistency, dtd, sigma, WARM)
+    result = benchmark(check_consistency, dtd, sigma, CERTIFIED)
     assert not result.consistent
 
 
 @pytest.mark.parametrize("scale", [2, 4])
 def test_exact_warm_negated_keys(benchmark, scale):
     dtd, sigma = _negated_keys(scale)
-    result = benchmark(check_consistency, dtd, sigma, WARM)
+    result = benchmark(check_consistency, dtd, sigma, CERTIFIED)
     assert result.consistent
 
 
@@ -83,23 +82,26 @@ def test_exact_warm_negated_keys(benchmark, scale):
 def test_exact_cold_closed_chain(benchmark, active):
     """Cold ablation of the same instances, for the comparison table."""
     dtd, sigma = _closed_chain(active)
-    result = benchmark(check_consistency, dtd, sigma, COLD)
+    with exact_cold():
+        result = benchmark(check_consistency, dtd, sigma, CERTIFIED)
     assert not result.consistent
 
 
-def _run_workload(config) -> tuple[float, int, int]:
-    """(best-of-3 seconds, exact nodes, exact pivots) over the workload."""
+def _run_workload(engine) -> tuple[float, int, int]:
+    """(best-of-3 seconds, exact nodes, exact pivots) over the workload,
+    run inside the ``engine`` context."""
     best = float("inf")
     nodes = pivots = 0
-    for _ in range(3):
-        start = time.perf_counter()
-        nodes = pivots = 0
-        for (dtd, sigma), expected in _throughput_workload():
-            result = check_consistency(dtd, sigma, config)
-            assert result.consistent == expected
-            nodes += result.stats["exact_nodes"]
-            pivots += result.stats["exact_pivots"]
-        best = min(best, time.perf_counter() - start)
+    with engine():
+        for _ in range(3):
+            start = time.perf_counter()
+            nodes = pivots = 0
+            for (dtd, sigma), expected in _throughput_workload():
+                result = check_consistency(dtd, sigma, CERTIFIED)
+                assert result.consistent == expected
+                nodes += result.stats["exact_nodes"]
+                pivots += result.stats["exact_pivots"]
+            best = min(best, time.perf_counter() - start)
     return best, nodes, pivots
 
 
@@ -112,8 +114,8 @@ def test_warm_node_throughput_at_least_2x_cold():
     for a fixed workload) is asserted too, pinning the mechanism and not
     just the clock.
     """
-    warm_time, warm_nodes, warm_pivots = _run_workload(WARM)
-    cold_time, cold_nodes, cold_pivots = _run_workload(COLD)
+    warm_time, warm_nodes, warm_pivots = _run_workload(nullcontext)
+    cold_time, cold_nodes, cold_pivots = _run_workload(exact_cold)
     # The two modes may legitimately explore slightly different trees
     # (alternate optimal LP vertices branch differently), so the gates
     # below are per-node rates, never tree-shape equality.

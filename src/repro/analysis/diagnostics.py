@@ -25,13 +25,13 @@ implication, one negation added).  The default engine therefore assembles
 registered as toggleable (DESIGN.md section 6), and serves each probe by
 row-bound flips on the persistent solver state — one base assembly per
 call (per worker, when parallel) instead of one per subset.
-``toggled=False`` selects the re-encode-per-subset reference path, kept
-as the differential oracle (:mod:`tests.test_diagnostics_differential`)
-and the benchmark baseline (``benchmarks/bench_diagnostics.py``).
 
 Both operate on the decidable unary classes; specifications outside them
-(multi-attribute constraints) automatically fall back to the rebuild path,
-which dispatches through the checkers' own fragment logic.
+(multi-attribute constraints), and unions whose set-representation block
+exceeds ``max_setrep_attrs``, automatically fall back to the rebuild
+path: one full checker call per probed subset, dispatched through the
+checkers' own fragment logic.  The differential tests and the benchmark
+baseline force that fallback through ``tests/oracles.py``.
 
 >>> from repro.dtd.model import DTD
 >>> from repro.constraints.parser import parse_constraints
@@ -179,19 +179,10 @@ class DiagnosticsStats:
         }
 
 
-def _use_toggles(
-    toggled: bool, sigma: list[Constraint], config: CheckerConfig
-) -> bool:
+def _use_toggles(sigma: list[Constraint]) -> bool:
     """Route to the toggled engine?  Requires unary constraints (the only
-    encodable fragment) and the incremental solver core — a workspace is
-    persistent bound-patched state, so ``config.incremental=False`` (the
-    from-scratch ablation) selects the rebuild path, whose checker calls
-    honor the flag."""
-    return (
-        toggled
-        and config.incremental
-        and all(phi.is_unary() for phi in sigma)
-    )
+    encodable fragment)."""
+    return all(phi.is_unary() for phi in sigma)
 
 
 class _ToggleProbe:
@@ -273,7 +264,6 @@ class _ToggleProbe:
             backend=self._config.backend,
             max_support_nodes=self._config.max_support_nodes,
             lp_prune=self._config.lp_prune,
-            exact_warm=self._config.exact_warm,
             active_rows=active_rows,
             workspace=self.workspace,
             inactive_clauses=frozenset(self._toggleable_clauses - active_clauses),
@@ -287,7 +277,7 @@ _MUS_METHODS = ("quickxplain", "deletion")
 
 #: A subset-consistency oracle: ``check(subset) -> True`` iff the DTD plus
 #: exactly those constraints is satisfiable.  Both MUS filters are written
-#: against this shape, so the toggled engine and the rebuild oracle drive
+#: against this shape, so the toggled engine and the rebuild fallback drive
 #: the *same* filter code.
 _SubsetCheck = Callable[[list[Constraint]], bool]
 
@@ -372,7 +362,7 @@ def _probe_check(probe: _ToggleProbe) -> _SubsetCheck:
 def _rebuild_check(
     dtd: DTD, config: CheckerConfig, stats: DiagnosticsStats
 ) -> _SubsetCheck:
-    """Subset oracle over full checker calls (the rebuild reference).
+    """Subset oracle over full checker calls (the rebuild fallback).
 
     Probes run with ``jobs=1``: the subset probe is the intended unit of
     parallelism, and a worker pool per probe would cost more than it
@@ -490,13 +480,11 @@ def mus(
     config: CheckerConfig | None = None,
     *,
     method: str = "quickxplain",
-    toggled: bool = True,
     stats: DiagnosticsStats | None = None,
 ) -> list[Constraint]:
     """A minimal inconsistent subset of ``Sigma`` (a MUS).
 
-    The single MUS entry point: ``method`` and ``toggled`` select the
-    filter and the engine.
+    The single MUS entry point: ``method`` selects the filter.
 
     Requires the full set to be inconsistent with the DTD (raises
     :class:`InvalidConstraintError` otherwise). The result may be empty
@@ -508,10 +496,9 @@ def mus(
     for a core of size ``k`` — while ``"deletion"`` is the classic linear
     filter, exactly ``|Sigma|`` probes.  Both return minimal cores; on
     specifications with several distinct MUSes they may return different
-    (individually minimal) ones.  ``toggled=False`` selects the
-    rebuild-per-subset reference path (one full checker call per probe);
-    the default probes constraint subsets by row toggles on a single
-    assembled system.  ``stats``, when supplied, is filled with the
+    (individually minimal) ones.  Subsets are probed by row toggles on a
+    single assembled system (one full checker call per probe outside the
+    unary fragment).  ``stats``, when supplied, is filled with the
     call's work counters — ``mus_probes`` isolates the filter's probe
     count, the number the QuickXplain benchmark gate compares.
 
@@ -528,7 +515,7 @@ def mus(
     stats = stats if stats is not None else DiagnosticsStats()
     stats.mus_method = method
     current = list(constraints)
-    if _use_toggles(toggled, current, config):
+    if _use_toggles(current):
         try:
             probe = _ToggleProbe(
                 dtd, current, config, with_negations=False, stats=stats
@@ -553,7 +540,7 @@ def _minimal_unsat_core_rebuild(
     stats: DiagnosticsStats,
     method: str = "deletion",
 ) -> list[Constraint]:
-    """Reference path: one full consistency check per probed subset."""
+    """Rebuild fallback: one full consistency check per probed subset."""
     stats.method = "rebuild"
     stats.mus_method = method
     probe = replace(config, want_witness=False, jobs=1)
@@ -574,24 +561,22 @@ def redundant_constraints(
     constraints: Iterable[Constraint],
     config: CheckerConfig | None = None,
     *,
-    toggled: bool = True,
     stats: DiagnosticsStats | None = None,
 ) -> list[Constraint]:
     """Constraints implied by the remaining ones over the DTD.
 
     Note the subtlety: redundancy here is *relative to the whole rest*, so
     two mutually-implied constraints can both be reported (either one may
-    be dropped, not both).  The toggled default decides each implication
-    by activating the rest's rows plus the query's negated rows on the one
-    assembled union system; ``toggled=False`` re-encodes per query.  The
-    per-constraint probes are independent, so ``config.jobs > 1`` fans
-    them across a worker pool (each worker on its own assembly) with
-    identical verdicts.
+    be dropped, not both).  Each implication is decided by activating the
+    rest's rows plus the query's negated rows on the one assembled union
+    system.  The per-constraint probes are independent, so
+    ``config.jobs > 1`` fans them across a worker pool (each worker on its
+    own assembly) with identical verdicts.
     """
     config = config or DEFAULT_CONFIG
     stats = stats if stats is not None else DiagnosticsStats()
     sigma = list(constraints)
-    if _use_toggles(toggled, sigma, config):
+    if _use_toggles(sigma):
         try:
             probe = _ToggleProbe(
                 dtd, sigma, config, with_negations=True, stats=stats
@@ -613,7 +598,7 @@ def _redundant_constraints_rebuild(
     config: CheckerConfig,
     stats: DiagnosticsStats,
 ) -> list[Constraint]:
-    """Reference path: one full implication call per constraint (each
+    """Rebuild fallback: one full implication call per constraint (each
     probe at ``jobs=1`` — a pool per probe would invert the speedup)."""
     stats.method = "rebuild"
     probe = replace(config, want_witness=False, jobs=1)
@@ -660,7 +645,6 @@ def diagnose(
     constraints: Iterable[Constraint],
     config: CheckerConfig | None = None,
     *,
-    toggled: bool = True,
     mus_method: str = "quickxplain",
 ) -> DiagnosticsReport:
     """Full specification health check.
@@ -671,12 +655,11 @@ def diagnose(
     reference filter).  The whole report — the initial consistency
     verdict plus every MUS/redundancy probe — is served from one
     assembled system (``report.stats.assemblies == 1`` on the sequential
-    toggled path); ``toggled=False`` is the re-encode-per-subset
-    reference, which drives the *same* filters through full checker
-    calls.  ``config.jobs > 1`` fans the redundancy audit's independent
-    probes across a worker pool (one assembly per worker); the MUS
-    filter stays sequential — each of its probes depends on the answers
-    before it.
+    toggled path); the rebuild fallback drives the *same* filters through
+    full checker calls.  ``config.jobs > 1`` fans the redundancy audit's
+    independent probes across a worker pool (one assembly per worker);
+    the MUS filter stays sequential — each of its probes depends on the
+    answers before it.
     """
     _require_mus_method(mus_method)
     config = config or DEFAULT_CONFIG
@@ -686,7 +669,7 @@ def diagnose(
         return DiagnosticsReport(
             consistent=False, dtd_satisfiable=False, stats=stats
         )
-    if _use_toggles(toggled, sigma, config):
+    if _use_toggles(sigma):
         try:
             probe = _ToggleProbe(
                 dtd, sigma, config, with_negations=True, stats=stats
@@ -719,7 +702,7 @@ def _diagnose_rebuild(
     stats: DiagnosticsStats,
     mus_method: str = "quickxplain",
 ) -> DiagnosticsReport:
-    """Reference path: full checker calls per subset (each at ``jobs=1``)."""
+    """Rebuild fallback: full checker calls per subset (each at ``jobs=1``)."""
     stats.method = "rebuild"
     probe = replace(config, want_witness=False, jobs=1)
     result = check_consistency(dtd, sigma, probe)

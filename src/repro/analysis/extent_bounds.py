@@ -72,7 +72,6 @@ def _feasible_with(
         backend=config.backend,
         max_support_nodes=config.max_support_nodes,
         lp_prune=config.lp_prune,
-        incremental=config.incremental,
     )
     return result.feasible, (result.values if result.feasible else None)
 

@@ -697,7 +697,6 @@ class _RepairProbe:
             backend=self._config.backend,
             max_support_nodes=self._config.max_support_nodes,
             lp_prune=self._config.lp_prune,
-            exact_warm=self._config.exact_warm,
             active_rows=active_rows,
             workspace=self.workspace,
             inactive_clauses=frozenset(self._toggleable_clauses - active_clauses),
@@ -865,7 +864,6 @@ def minimal_repair(
     *,
     weights: Mapping[RepairAction | str, int] | None = None,
     core_method: str = "quickxplain",
-    toggled: bool = True,
     stats: RepairStats | None = None,
 ) -> Repair:
     """A minimum-weight repair of ``(dtd, Sigma)``.
@@ -875,12 +873,13 @@ def minimal_repair(
     unit weights the result is cardinality-minimal, and ``weights``
     (keyed by action instance or by family name) selects weighted-minimal
     repairs instead.  ``core_method`` picks the core-shrinking filter
-    (``"quickxplain"`` default, ``"deletion"`` reference); ``toggled=False``
-    selects the apply-and-recheck reference engine — one full checker
-    call per probed edit set — kept as the differential oracle.  The
-    returned repair is always applied and re-checked before this function
-    returns; a verification failure raises :class:`SolverError` (it would
-    be an internal probe-exactness bug, never a wrong answer).
+    (``"quickxplain"`` default, ``"deletion"`` reference).  Edit sets are
+    probed by row toggles on one assembled system; outside the unary
+    fragment the apply-and-recheck fallback runs one full checker call
+    per probed edit set.  The returned repair is always applied and
+    re-checked before this function returns; a verification failure
+    raises :class:`SolverError` (it would be an internal probe-exactness
+    bug, never a wrong answer).
     """
     _require_mus_method(core_method)
     config = config or DEFAULT_CONFIG
@@ -893,7 +892,7 @@ def minimal_repair(
     weight_list = _resolve_weights(universe, weights)
 
     feasible = None
-    if _use_toggles(toggled, sigma, config):
+    if _use_toggles(sigma):
         try:
             probe = _RepairProbe(dtd, sigma, config, stats)
         except ComplexityLimitError:

@@ -140,7 +140,6 @@ def diagnose(
     spec: "Spec | DTD | tuple",
     *,
     config: CheckerConfig | None = None,
-    toggled: bool = True,
     mus_method: str = "quickxplain",
 ) -> DiagnosticsReport:
     """Specification health: a minimal conflict when inconsistent, the
@@ -152,7 +151,6 @@ def diagnose(
         resolved.dtd,
         list(resolved.constraints),
         config,
-        toggled=toggled,
         mus_method=mus_method,
     )
 
@@ -162,7 +160,6 @@ def mus(
     *,
     config: CheckerConfig | None = None,
     method: str = "quickxplain",
-    toggled: bool = True,
     stats: DiagnosticsStats | None = None,
 ) -> list[Constraint]:
     """A minimal inconsistent subset of the specification's Sigma."""
@@ -174,7 +171,6 @@ def mus(
         list(resolved.constraints),
         config,
         method=method,
-        toggled=toggled,
         stats=stats,
     )
 
@@ -185,7 +181,6 @@ def repair(
     config: CheckerConfig | None = None,
     weights: Mapping | None = None,
     core_method: str = "quickxplain",
-    toggled: bool = True,
     stats: RepairStats | None = None,
 ) -> Repair:
     """A minimum-weight edit making the specification consistent.
@@ -206,6 +201,5 @@ def repair(
         config,
         weights=weights,
         core_method=core_method,
-        toggled=toggled,
         stats=stats,
     )

@@ -9,6 +9,12 @@ from dataclasses import dataclass
 class CheckerConfig:
     """Tuning knobs shared by the checkers.
 
+    Every solve runs the one production engine: the assemble-once,
+    bound-patched support search with a warm-started certified backend
+    (DESIGN.md sections 4-5).  The from-scratch and cold reference
+    engines it is differentially tested against are test code
+    (``tests/oracles.py``), not configuration.
+
     Attributes
     ----------
     backend:
@@ -33,17 +39,6 @@ class CheckerConfig:
     lp_prune:
         Prune support branches whose LP relaxation is definitely
         infeasible (sound; large speedup on inconsistent instances).
-    incremental:
-        Use the assemble-once/bound-patch solver core (shared connectivity
-        cut pool, persistent solver state). ``False`` selects the
-        from-scratch reference path — one matrix rebuild per search node —
-        kept for differential testing and ablation.
-    exact_warm:
-        Warm-start the certified rational simplex: branch-and-bound
-        children reuse their parent's factorized basis via dual-simplex
-        bound patches, and consecutive leaf solves share one persistent
-        basis. ``False`` refactorizes cold at every node — the reference
-        path the differential fuzz harness checks against.
     jobs:
         Worker processes for the parallel executor (DESIGN.md section 7).
         With ``jobs > 1``, batch checkers (:func:`repro.checkers.
@@ -65,8 +60,6 @@ class CheckerConfig:
     max_setrep_attrs: int = 12
     max_support_nodes: int = 20000
     lp_prune: bool = True
-    incremental: bool = True
-    exact_warm: bool = True
     jobs: int = 1
 
 

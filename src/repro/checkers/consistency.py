@@ -34,7 +34,7 @@ from repro.dtd.analysis import has_valid_tree
 from repro.dtd.model import DTD
 from repro.encoding.combined import build_encoding
 from repro.errors import SolverError, UndecidableProblemError
-from repro.ilp.condsys import solve_conditional_system
+from repro.ilp.condsys import CondSolveStats, solve_conditional_system
 from repro.witness.synthesize import synthesize_witness
 from repro.witness.values import make_all_values_distinct
 from repro.xmltree.validate import conforms
@@ -46,6 +46,35 @@ def dtd_has_valid_tree(dtd: DTD) -> bool:
     Linear time (productivity fixpoint on the associated grammar).
     """
     return has_valid_tree(dtd)
+
+
+def _stat_map(stats: CondSolveStats) -> dict[str, int | bool]:
+    """The solver counters a :class:`ConsistencyResult` reports."""
+    return {
+        "dfs_nodes": stats.dfs_nodes,
+        "leaves": stats.leaves_solved,
+        "cuts": stats.cuts_added,
+        "lp_prunes": stats.lp_prunes,
+        "shortcut": stats.shortcut_hit,
+        "assemblies": stats.assemblies,
+        "bound_patch_solves": stats.bound_patch_solves,
+        "lp_solves": stats.lp_solves,
+        "mip_solves": stats.mip_solves,
+        "cut_pool_hits": stats.cut_pool_hits,
+        "propagation_visits": stats.propagation_visits,
+        "lp_probe_decided": stats.lp_probe_decided,
+        "exact_nodes": stats.exact_nodes,
+        "exact_pivots": stats.exact_pivots,
+        "exact_warm_solves": stats.exact_warm_solves,
+        "workers_spawned": stats.workers_spawned,
+        "parallel_waves": stats.parallel_waves,
+        "cuts_merged": stats.cuts_merged,
+        "cut_merge_duplicates": stats.cut_merge_duplicates,
+        "workers_crashed": stats.workers_crashed,
+        "workers_respawned": stats.workers_respawned,
+        "tasks_requeued": stats.tasks_requeued,
+        "parallel_degraded": stats.parallel_degraded,
+    }
 
 
 def _verify(witness, dtd: DTD, constraints: list[Constraint]) -> None:
@@ -83,8 +112,6 @@ def _keys_only(
         backend=config.backend,
         max_support_nodes=config.max_support_nodes,
         lp_prune=config.lp_prune,
-        incremental=config.incremental,
-        exact_warm=config.exact_warm,
     )
     if not result.feasible:  # pragma: no cover - has_valid_tree said yes
         raise SolverError("encoding disagrees with the emptiness check")
@@ -96,7 +123,7 @@ def _keys_only(
         True,
         witness=witness,
         method="keys-only (Thm 3.5)",
-        stats={"dfs_nodes": stats.dfs_nodes, "leaves": stats.leaves_solved},
+        stats=_stat_map(stats),
     )
 
 
@@ -173,36 +200,10 @@ def check_consistency_encoded(
         backend=config.backend,
         max_support_nodes=config.max_support_nodes,
         lp_prune=config.lp_prune,
-        incremental=config.incremental,
-        exact_warm=config.exact_warm,
         workspace=workspace,
         jobs=config.jobs,
     )
-    stat_map: dict[str, int | bool] = {
-        "dfs_nodes": stats.dfs_nodes,
-        "leaves": stats.leaves_solved,
-        "cuts": stats.cuts_added,
-        "lp_prunes": stats.lp_prunes,
-        "shortcut": stats.shortcut_hit,
-        "assemblies": stats.assemblies,
-        "bound_patch_solves": stats.bound_patch_solves,
-        "lp_solves": stats.lp_solves,
-        "mip_solves": stats.mip_solves,
-        "cut_pool_hits": stats.cut_pool_hits,
-        "propagation_visits": stats.propagation_visits,
-        "lp_probe_decided": stats.lp_probe_decided,
-        "exact_nodes": stats.exact_nodes,
-        "exact_pivots": stats.exact_pivots,
-        "exact_warm_solves": stats.exact_warm_solves,
-        "workers_spawned": stats.workers_spawned,
-        "parallel_waves": stats.parallel_waves,
-        "cuts_merged": stats.cuts_merged,
-        "cut_merge_duplicates": stats.cut_merge_duplicates,
-        "workers_crashed": stats.workers_crashed,
-        "workers_respawned": stats.workers_respawned,
-        "tasks_requeued": stats.tasks_requeued,
-        "parallel_degraded": stats.parallel_degraded,
-    }
+    stat_map = _stat_map(stats)
     method = f"ilp-encoding ({cls.value})"
     if not result.feasible:
         return ConsistencyResult(

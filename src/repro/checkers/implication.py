@@ -92,8 +92,6 @@ def _keys_only_counterexample(
         backend=config.backend,
         max_support_nodes=config.max_support_nodes,
         lp_prune=config.lp_prune,
-        incremental=config.incremental,
-        exact_warm=config.exact_warm,
     )
     if not result.feasible:  # pragma: no cover - can_have_two said yes
         raise SolverError("encoding disagrees with can_have_two")

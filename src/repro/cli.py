@@ -10,8 +10,8 @@ Subcommands (also available as ``python -m repro``):
   With ``--counterexample FILE`` writes a refuting document;
 * ``diagnose DTD CONSTRAINTS`` — minimal inconsistent subset (QuickXplain
   divide-and-conquer) or redundancy report, probed by row toggles on one
-  assembled system (``--stats`` prints the work counters, ``--rebuild``
-  the ablation, ``--jobs N`` fans the audit across worker processes);
+  assembled system (``--stats`` prints the work counters, ``--jobs N``
+  fans the audit across worker processes);
 * ``fix DTD [CONSTRAINTS]`` — minimum-weight repair of an inconsistent
   specification: constraint deletions plus DTD edits (cardinality
   loosenings, attribute-requirement drops), searched by toggle probes
@@ -89,8 +89,6 @@ def _config_overrides(args: argparse.Namespace) -> dict | None:
     overrides: dict = {}
     if getattr(args, "backend", "scipy") != "scipy":
         overrides["backend"] = args.backend
-    if getattr(args, "cold", False):
-        overrides["exact_warm"] = False
     if getattr(args, "jobs", 1) != 1:
         # "auto" rides through as the adaptive marker; the session
         # resolves it to a concrete level per request.
@@ -238,25 +236,21 @@ def _cmd_implies(args: argparse.Namespace) -> int:
 def _repair_payload(args: argparse.Namespace, session=None) -> tuple[dict, str]:
     """One repair answer, via the service or the local session."""
     if args.via:
-        return _via_payload(
-            args,
-            {**_wire_spec(args), "op": "repair", "rebuild": args.rebuild},
-        )
+        return _via_payload(args, {**_wire_spec(args), "op": "repair"})
     session = session if session is not None else _session_for(args)
-    payload = session.repair(_config_overrides(args), rebuild=args.rebuild)
+    payload = session.repair(_config_overrides(args))
     return payload, session.fingerprint
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     if args.via:
         payload, fingerprint = _via_payload(
-            args,
-            {**_wire_spec(args), "op": "diagnose", "rebuild": args.rebuild},
+            args, {**_wire_spec(args), "op": "diagnose"}
         )
         session = None
     else:
         session = _session_for(args)
-        payload = session.diagnose(_config_overrides(args), rebuild=args.rebuild)
+        payload = session.diagnose(_config_overrides(args))
     print(payload["summary"])
     if args.repair and not payload["consistent"]:
         fix, _ = _repair_payload(args, session)
@@ -364,7 +358,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     auto_jobs = args.jobs == "auto"
     config = CheckerConfig(
         backend=args.backend,
-        exact_warm=not args.cold,
         jobs=1 if auto_jobs else args.jobs,
     )
     registry = SessionRegistry(
@@ -489,12 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default) or the certified rational simplex",
         )
         command.add_argument(
-            "--cold",
-            action="store_true",
-            help="disable warm starts in the certified simplex (cold "
-            "per-node refactorization; the differential-testing ablation)",
-        )
-        command.add_argument(
             "--jobs",
             type=_jobs_value,
             default=1,
@@ -561,12 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         "patched re-solves, cut-pool and exact node/pivot counters)",
     )
     p_diagnose.add_argument(
-        "--rebuild",
-        action="store_true",
-        help="force the re-encode-per-subset reference path instead of "
-        "toggling rows on one assembled system (the differential ablation)",
-    )
-    p_diagnose.add_argument(
         "--repair",
         action="store_true",
         help="when the specification is inconsistent, additionally "
@@ -602,13 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="stats",
         help="print repair work counters (probes, cores, hitting sets, "
         "assemblies, verification checks)",
-    )
-    p_fix.add_argument(
-        "--rebuild",
-        action="store_true",
-        help="force the re-encode-per-candidate reference engine instead "
-        "of toggle probes on one assembled system (the differential "
-        "ablation)",
     )
     add_solver_flags(p_fix)
     add_session_flag(p_fix)

@@ -38,9 +38,11 @@ the conditionals and the connectivity check is already a realizable answer.
 The certified backend shares the same shape (DESIGN.md section 5): a
 lazily-built :class:`repro.ilp.exact.ExactAssembledSystem` twin takes the
 identical ``(patches, active)`` pair per leaf and re-solves by dual-simplex
-bound patches on a warm basis, with pool cuts mirrored so indices align;
-``exact_warm=False`` falls back to cold solves of materialized leaves for
-differential testing.
+bound patches on a warm basis, with pool cuts mirrored so indices align.
+The differential oracles the product is tested against (a from-scratch
+rebuild of every support node, cold certified solves of materialized
+leaves) live in ``tests/oracles.py`` and replace these engines at their
+module-level names; nothing in this module selects them.
 
 Toggleable rows (DESIGN.md section 6) extend the bound-patch discipline to
 row *subsets*: a :class:`ConditionalSystem` may register base rows as
@@ -77,7 +79,7 @@ import os
 import queue
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
@@ -175,7 +177,7 @@ class CondSolveStats:
     cuts_added: int = 0
     lp_prunes: int = 0
     shortcut_hit: bool = False
-    #: Full matrix assemblies performed (1 on the incremental path).
+    #: Full matrix assemblies performed (1 per solve without a workspace).
     assemblies: int = 0
     #: Solves served by patching the assembled system's bound arrays.
     bound_patch_solves: int = 0
@@ -239,44 +241,6 @@ class CondSolveStats:
                 setattr(self, name, current or bool(value))
             else:
                 setattr(self, name, current + int(value))
-
-
-def _leaf_rows(
-    cs: ConditionalSystem, assignment: Mapping[str, bool]
-) -> LinearSystem:
-    """The plain ILP once every element type's support is decided.
-
-    This is the from-scratch (``incremental=False``) construction, kept as
-    the reference the bound-patching path is differentially tested against.
-    """
-    leaf = cs.base.copy()
-    for tau, present in assignment.items():
-        ext = cs.ext_var[tau]
-        if present:
-            leaf.add_ge({ext: 1}, 1, label=f"support:{tau}")
-            for var in cs.requires_if_present.get(tau, ()):
-                leaf.add_ge({var: 1}, 1, label=f"attr-total:{tau}")
-        else:
-            leaf.add_eq({ext: 1}, 0, label=f"absent:{tau}")
-    return leaf
-
-
-def _partial_rows(
-    cs: ConditionalSystem, assignment: Mapping[str, bool | None]
-) -> LinearSystem:
-    """Relaxation used for pruning: only decided supports constrained."""
-    partial = cs.base.copy()
-    for tau, decided in assignment.items():
-        if decided is None:
-            continue
-        ext = cs.ext_var[tau]
-        if decided:
-            partial.add_ge({ext: 1}, 1)
-            for var in cs.requires_if_present.get(tau, ()):
-                partial.add_ge({var: 1}, 1)
-        else:
-            partial.add_eq({ext: 1}, 0)
-    return partial
 
 
 def _bound_patches(
@@ -1243,89 +1207,6 @@ def _propagate_indexed(
     return not conflict
 
 
-def _propagate(
-    cs: ConditionalSystem, assignment: dict[str, bool | None]
-) -> bool:
-    """Unit-propagate support clauses; False on conflict.
-
-    Reference implementation (rescan to fixpoint), kept for the
-    ``incremental=False`` path and as the differential oracle for
-    :func:`_propagate_indexed`.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for clause in cs.clauses:
-            if assignment.get(clause.premise) is not True:
-                continue
-            if any(assignment.get(a) is True for a in clause.alternatives):
-                continue
-            open_alts = [
-                a for a in clause.alternatives if assignment.get(a) is None
-            ]
-            if not open_alts:
-                return False
-            if len(open_alts) == 1:
-                assignment[open_alts[0]] = True
-                changed = True
-    return True
-
-
-def _solve_leaf(
-    cs: ConditionalSystem,
-    leaf: LinearSystem,
-    solve: Callable[[LinearSystem], SolveResult],
-    stats: CondSolveStats,
-    max_cut_rounds: int,
-) -> SolveResult:
-    """Solve a from-scratch leaf ILP, iterating connectivity cuts locally.
-
-    Used by the ``incremental=False`` reference path; cuts found here are
-    discarded when the leaf is abandoned.
-    """
-    for _ in range(max_cut_rounds):
-        stats.leaves_solved += 1
-        stats.assemblies += 1
-        result = solve(leaf)
-        if not result.feasible:
-            return result
-        unreachable = _unreachable_positive(cs, result.values)
-        if not unreachable:
-            return result
-        cut = _connectivity_cut(cs, unreachable)
-        if not cut:
-            # No occurrence site can ever feed U from outside: with these
-            # supports fixed positive, no tree exists.
-            return SolveResult(
-                "infeasible",
-                message=f"positive types {sorted(unreachable)} cannot be connected",
-            )
-        stats.cuts_added += 1
-        leaf.add_ge(cut, 1, label=f"connect:{','.join(sorted(unreachable)[:4])}")
-    raise SolverError("connectivity cut loop did not converge")
-
-
-def _solve_leaf_exact_cold(
-    assembled: AssembledSystem,
-    patches: Mapping[VarId, BoundPatch],
-    active: set[int],
-    stats: CondSolveStats,
-    inactive_rows: frozenset[int] = frozenset(),
-) -> SolveResult:
-    """Cold certified solve on a materialized leaf (reference path)."""
-    from repro.ilp.exact import ExactStats, solve_exact
-
-    exact_stats = ExactStats()
-    result = solve_exact(
-        assembled.materialize(patches, active, inactive_rows),
-        warm=False,
-        stats=exact_stats,
-    )
-    stats.exact_nodes += exact_stats.nodes
-    stats.exact_pivots += exact_stats.pivots
-    return result
-
-
 def _solve_leaf_assembled(
     cs: ConditionalSystem,
     assembled: AssembledSystem,
@@ -1336,7 +1217,6 @@ def _solve_leaf_assembled(
     max_cut_rounds: int,
     leaf_id: int,
     exact_twin: _ExactTwin,
-    exact_warm: bool,
     inactive_rows: frozenset[int] = frozenset(),
 ) -> SolveResult:
     """Solve a leaf by patching bounds on the assembled system.
@@ -1345,9 +1225,7 @@ def _solve_leaf_assembled(
     their unreachable set) so later leaves inherit them for free.  Both
     backends take the same ``(patches, active, inactive_rows)`` triple: the
     float engine patches its bound arrays and row bounds, the certified
-    engine dual-simplex-patches a warm basis (``exact_warm=False`` falls
-    back to a cold solve of the materialized leaf, the reference the fuzz
-    harness checks against).
+    engine dual-simplex-patches a warm basis.
     """
     patches = _bound_patches(cs, assignment)
     present = {tau for tau, decided in assignment.items() if decided}
@@ -1356,16 +1234,11 @@ def _solve_leaf_assembled(
     if pool.shared_hits(pool.active_for(present), leaf_id):
         stats.cut_pool_hits += 1
 
-    def certify(active: set[int]) -> SolveResult:
-        if exact_warm:
-            return exact_twin.solve(patches, active, stats, inactive_rows)
-        return _solve_leaf_exact_cold(assembled, patches, active, stats, inactive_rows)
-
     for _ in range(max_cut_rounds):
         stats.leaves_solved += 1
         active = pool.active_for(present)
         if backend == "exact":
-            result = certify(active)
+            result = exact_twin.solve(patches, active, stats, inactive_rows)
         else:
             stats.bound_patch_solves += 1
             before = assembled.solve_counts
@@ -1373,7 +1246,7 @@ def _solve_leaf_assembled(
             stats.book_solves(assembled, before)
             if result.status == "error":
                 # Floating-point trouble: certify with the exact solver.
-                result = certify(active)
+                result = exact_twin.solve(patches, active, stats, inactive_rows)
         if not result.feasible:
             return result
         unreachable = _unreachable_positive(cs, result.values)
@@ -1398,47 +1271,12 @@ def _solve_leaf_assembled(
     raise SolverError("connectivity cut loop did not converge")
 
 
-def _make_solver(
-    backend: str, exact_warm: bool, stats: CondSolveStats
-) -> Callable[[LinearSystem], SolveResult]:
-    """A robust solve function: HiGHS with exact fallback, or exact only.
-
-    The float side assembles each leaf system fresh (one
-    :class:`AssembledSystem` per call) and falls back to the rational
-    simplex when its answer is in doubt.  ``exact_warm`` selects basis
-    reuse *within* each certified solve (the rebuild path constructs a
-    fresh system per leaf, so there is no state to carry across calls);
-    work counters land in ``stats``.
-    """
-    if backend not in ("exact", "scipy"):
-        raise SolverError(f"unknown backend {backend!r}")
-    from repro.ilp.exact import ExactStats, solve_exact
-
-    def solve(system: LinearSystem) -> SolveResult:
-        exact_stats = ExactStats()
-        result = None
-        if backend == "scipy":
-            assembled = AssembledSystem(system)
-            result = assembled.solve_int({})
-            stats.book_solves(assembled)
-        if result is None or result.status == "error":
-            result = solve_exact(system, warm=exact_warm, stats=exact_stats)
-        stats.exact_nodes += exact_stats.nodes
-        stats.exact_pivots += exact_stats.pivots
-        stats.exact_warm_solves += exact_stats.warm_solves
-        return result
-
-    return solve
-
-
 def solve_conditional_system(
     cs: ConditionalSystem,
     backend: str = "scipy",
     max_support_nodes: int = 20000,
     max_cut_rounds: int = 200,
     lp_prune: bool = True,
-    incremental: bool = True,
-    exact_warm: bool = True,
     active_rows: frozenset[int] | None = None,
     workspace: SolveWorkspace | None = None,
     inactive_clauses: frozenset[int] = frozenset(),
@@ -1489,13 +1327,6 @@ def solve_conditional_system(
     index across calls — the diagnostics batch shape: one assembly, many
     row subsets.
 
-    ``incremental=False`` selects the from-scratch reference path (one
-    matrix assembly per solve, no cut sharing; deactivated rows are
-    dropped from the rebuilt systems); ``exact_warm=False`` selects the
-    cold per-node refactorization path of the certified backend.  All
-    exist for differential testing and ablation, and must always agree
-    with the defaults.
-
     >>> sys = LinearSystem()
     >>> blocked = sys.add_eq({("ext", "r"): 1}, 0, label="toggle-me")
     >>> sys.add_ge({("ext", "r"): 1}, 1)
@@ -1535,41 +1366,31 @@ def solve_conditional_system(
         assignment[tau] = False
     assignment[cs.root] = True
 
-    if incremental:
-        try:
-            return _solve_incremental(
-                cs, assignment, backend, max_support_nodes, max_cut_rounds,
-                lp_prune, stats, exact_warm, inactive_rows, workspace,
-                inactive_clauses, jobs,
-            )
-        except WorkerCrashError as crash:
-            # The pool was lost beyond recovery.  Degrade to the
-            # sequential path *from scratch* (partial wave results and
-            # merged cuts are discarded — re-deriving them is the cheap
-            # price of the byte-identical-to-``jobs=1`` guarantee).
-            result, seq_stats = solve_conditional_system(
-                cs,
-                backend=backend,
-                max_support_nodes=max_support_nodes,
-                max_cut_rounds=max_cut_rounds,
-                lp_prune=lp_prune,
-                incremental=incremental,
-                exact_warm=exact_warm,
-                active_rows=active_rows,
-                workspace=workspace,
-                inactive_clauses=inactive_clauses,
-                jobs=1,
-            )
-            seq_stats.parallel_degraded = True
-            seq_stats.workers_crashed += crash.crashes
-            seq_stats.workers_respawned += crash.respawns
-            return result, seq_stats
-    # The from-scratch reference path stays sequential regardless of
-    # ``jobs`` — it exists to be the simplest possible oracle.
-    return _solve_rebuild(
-        cs, assignment, backend, max_support_nodes, max_cut_rounds,
-        lp_prune, stats, exact_warm, inactive_rows, inactive_clauses,
-    )
+    try:
+        return _solve_incremental(
+            cs, assignment, backend, max_support_nodes, max_cut_rounds,
+            lp_prune, stats, inactive_rows, workspace, inactive_clauses, jobs,
+        )
+    except WorkerCrashError as crash:
+        # The pool was lost beyond recovery.  Degrade to the sequential
+        # path *from scratch* (partial wave results and merged cuts are
+        # discarded — re-deriving them is the cheap price of the
+        # byte-identical-to-``jobs=1`` guarantee).
+        result, seq_stats = solve_conditional_system(
+            cs,
+            backend=backend,
+            max_support_nodes=max_support_nodes,
+            max_cut_rounds=max_cut_rounds,
+            lp_prune=lp_prune,
+            active_rows=active_rows,
+            workspace=workspace,
+            inactive_clauses=inactive_clauses,
+            jobs=1,
+        )
+        seq_stats.parallel_degraded = True
+        seq_stats.workers_crashed += crash.crashes
+        seq_stats.workers_respawned += crash.respawns
+        return result, seq_stats
 
 
 def _branching_order(cs: ConditionalSystem) -> list[str]:
@@ -1613,7 +1434,6 @@ def _solve_incremental(
     max_cut_rounds: int,
     lp_prune: bool,
     stats: CondSolveStats,
-    exact_warm: bool,
     inactive_rows: frozenset[int],
     workspace: SolveWorkspace | None,
     inactive_clauses: frozenset[int],
@@ -1737,8 +1557,7 @@ def _solve_incremental(
     if maximal_view is not None:
         result = _solve_leaf_assembled(
             cs, assembled, pool, maximal_view, backend, stats,  # type: ignore[arg-type]
-            max_cut_rounds, next_leaf_id(), exact_twin, exact_warm,
-            inactive_rows,
+            max_cut_rounds, next_leaf_id(), exact_twin, inactive_rows,
         )
         if result.feasible:
             stats.shortcut_hit = True
@@ -1754,8 +1573,8 @@ def _solve_incremental(
         if len(frontier) >= 2:
             result = _solve_parallel(
                 cs, frontier, pool, stats, backend, max_support_nodes,
-                max_cut_rounds, lp_prune, exact_warm, inactive_rows,
-                inactive_clauses, jobs,
+                max_cut_rounds, lp_prune, inactive_rows, inactive_clauses,
+                jobs,
             )
             return result, stats
         # The instance did not split: fall through to the sequential DFS,
@@ -1778,7 +1597,6 @@ def _solve_incremental(
         max_support_nodes=max_support_nodes,
         max_cut_rounds=max_cut_rounds,
         lp_prune=lp_prune,
-        exact_warm=exact_warm,
         inactive_rows=inactive_rows,
         inactive_clauses=inactive_clauses,
         skip_first_lp=skip_first_lp,
@@ -1800,7 +1618,6 @@ def _dfs_search(
     max_support_nodes: int,
     max_cut_rounds: int,
     lp_prune: bool,
-    exact_warm: bool,
     inactive_rows: frozenset[int],
     inactive_clauses: frozenset[int],
     skip_first_lp: bool = False,
@@ -1864,8 +1681,7 @@ def _dfs_search(
         if choice is None:
             result = _solve_leaf_assembled(
                 cs, assembled, pool, current, backend, stats,  # type: ignore[arg-type]
-                max_cut_rounds, next_leaf_id(), exact_twin, exact_warm,
-                inactive_rows,
+                max_cut_rounds, next_leaf_id(), exact_twin, inactive_rows,
             )
             if result.feasible:
                 return result
@@ -1938,7 +1754,6 @@ def _solve_parallel(
     max_support_nodes: int,
     max_cut_rounds: int,
     lp_prune: bool,
-    exact_warm: bool,
     inactive_rows: frozenset[int],
     inactive_clauses: frozenset[int],
     jobs: int,
@@ -1972,7 +1787,6 @@ def _solve_parallel(
         max_support_nodes=max_support_nodes,
         max_cut_rounds=max_cut_rounds,
         lp_prune=lp_prune,
-        exact_warm=exact_warm,
         inactive_rows=inactive_rows,
         inactive_clauses=inactive_clauses,
     )
@@ -2012,91 +1826,3 @@ def _solve_parallel(
         kind, message = pending_error
         raise _RAISABLE.get(kind, SolverError)(message)
     return SolveResult("infeasible", message="support search exhausted")
-
-
-def _solve_rebuild(
-    cs: ConditionalSystem,
-    assignment: dict[str, bool | None],
-    backend: str,
-    max_support_nodes: int,
-    max_cut_rounds: int,
-    lp_prune: bool,
-    stats: CondSolveStats,
-    exact_warm: bool,
-    inactive_rows: frozenset[int] = frozenset(),
-    inactive_clauses: frozenset[int] = frozenset(),
-) -> tuple[SolveResult, CondSolveStats]:
-    """From-scratch reference path: rebuild a LinearSystem per node."""
-    if inactive_rows or inactive_clauses:
-        # Deactivated rows and clauses are simply absent from every
-        # rebuilt system — the rebuild twin of the toggles on the hot path.
-        cs = replace(
-            cs,
-            base=cs.base.copy(drop_rows=inactive_rows),
-            clauses=tuple(
-                clause
-                for i, clause in enumerate(cs.clauses)
-                if i not in inactive_clauses
-            ),
-        )
-    solve = _make_solver(backend, exact_warm, stats)
-
-    if not _propagate(cs, assignment):
-        return SolveResult("infeasible", message="support propagation conflict"), stats
-
-    # Shortcut: the maximal support (everything not forced out present) is
-    # often feasible and found in one leaf solve.
-    maximal = dict(assignment)
-    for tau in cs.element_types:
-        if maximal[tau] is None:
-            maximal[tau] = True
-    if _propagate(cs, maximal) and all(v is not None for v in maximal.values()):
-        result = _solve_leaf(
-            cs, _leaf_rows(cs, maximal), solve, stats, max_cut_rounds  # type: ignore[arg-type]
-        )
-        if result.feasible:
-            stats.shortcut_hit = True
-            return result, stats
-
-    order = _branching_order(cs)
-
-    def undecided(current: Mapping[str, bool | None]) -> str | None:
-        for tau in order:
-            if current[tau] is None:
-                return tau
-        return None
-
-    stack: list[dict[str, bool | None]] = [assignment]
-    while stack:
-        current = stack.pop()
-        stats.dfs_nodes += 1
-        if stats.dfs_nodes > max_support_nodes:
-            raise ComplexityLimitError(
-                f"support search exceeded {max_support_nodes} nodes"
-            )
-        check_deadline()
-        if not _propagate(cs, current):
-            continue
-        if lp_prune:
-            stats.assemblies += 1
-            probe = AssembledSystem(_partial_rows(cs, current))
-            status = probe.lp_probe({}, want_values=False)[0]
-            stats.book_solves(probe)
-            if status == "infeasible":
-                stats.lp_prunes += 1
-                continue
-        choice = undecided(current)
-        if choice is None:
-            result = _solve_leaf(
-                cs, _leaf_rows(cs, current), solve, stats, max_cut_rounds  # type: ignore[arg-type]
-            )
-            if result.feasible:
-                return result, stats
-            continue
-        with_false = dict(current)
-        with_false[choice] = False
-        with_true = dict(current)
-        with_true[choice] = True
-        stack.append(with_false)
-        stack.append(with_true)
-    return SolveResult("infeasible", message="support search exhausted"), stats

@@ -17,7 +17,8 @@ branch-and-bound child re-solves by a handful of dual-simplex pivots
 warm-started from its parent's factorized basis instead of a fresh
 two-phase solve.  ``warm=False`` refactorizes from the all-slack basis at
 every node — the cold reference path the differential fuzz harness
-(:mod:`tests.test_differential_fuzz`) cross-checks against.
+(:mod:`tests.test_differential_fuzz`) cross-checks against, through the
+``exact_cold`` oracle of ``tests/oracles.py``.
 
 Termination of branch and bound is guaranteed by bounding every variable
 with the Papadimitriou small-solution bound (see :mod:`repro.ilp.bounds`):

@@ -163,7 +163,7 @@ class LinearSystem:
     def copy(self, drop_rows: "frozenset[int] | set[int]" = frozenset()) -> "LinearSystem":
         """Independent copy (rows are immutable and shared).
 
-        ``drop_rows`` omits the rows with those indices — the rebuild-path
+        ``drop_rows`` omits the rows with those indices — the materialized
         twin of deactivating toggleable rows on an assembled system.  All
         variables stay registered either way, so column indices are stable.
         """

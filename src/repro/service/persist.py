@@ -50,7 +50,7 @@ __all__ = [
 
 #: Bump on any change to the payload shape; a mismatched snapshot is
 #: silently treated as absent (cold start), never migrated in place.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 # -- value packing -----------------------------------------------------------

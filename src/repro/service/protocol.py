@@ -20,15 +20,19 @@ error::
 Operations: ``open`` (admit/refresh a session, returns its identity
 card), ``check``, ``implies`` (one ``phi``), ``implies_all`` (a ``phis``
 list, answered as one coalesced batch), ``diagnose``, ``repair`` (a
-minimum-weight consistency-restoring edit; optional ``core_method``,
-``rebuild`` and a ``weights`` object mapping action family to a
-positive integer cost), ``validate`` (a
-``document``), ``export_cuts`` / ``adopt_cuts`` (the fleet's
+minimum-weight consistency-restoring edit; optional ``core_method`` and
+a ``weights`` object mapping action family to a positive integer cost),
+``validate`` (a ``document``), ``export_cuts`` / ``adopt_cuts`` (the fleet's
 wave-boundary cut sync: portable connectivity-cut records out of and
 into the session pool), ``stats`` (registry + server counters) and
 ``shutdown``.
 Responses may arrive out of request order when requests from one
 connection overlap — the ``id`` is the correlation key.
+
+Any session operation may carry a ``config`` object of
+:class:`~repro.checkers.config.CheckerConfig` overrides, each value of
+its field's type (``"jobs"`` may also be ``"auto"``, and may not exceed
+the larger of 2, the cores available and the server's own ``jobs``).
 
 Any session operation may carry ``"deadline": <seconds>`` — a
 wall-clock budget for that request.  Work that outlives its budget is
@@ -44,6 +48,7 @@ from __future__ import annotations
 import json
 
 from repro.errors import ReproError
+from repro.ilp.condsys import effective_parallelism
 from repro.service.registry import SessionRegistry
 from repro.service.session import SpecSession, _error_payload
 
@@ -103,10 +108,31 @@ def resolve_session(registry: SessionRegistry, request: dict) -> SpecSession:
     )
 
 
+def check_jobs_cap(session: SpecSession, config: object) -> None:
+    """Refuse a ``jobs`` override above what this server would fork.
+
+    A batch forks ``min(jobs, len(phis))`` workers, so an unbounded
+    override lets one request start as many processes as it lists
+    queries.  The cap is the larger of 2, the cores available and the
+    server's own configured ``jobs``.  :func:`perform` applies it to
+    every op; the server's coalesced ``implies`` batches, which bypass
+    :func:`perform`, apply it themselves.
+    """
+    jobs = config.get("jobs") if isinstance(config, dict) else None
+    if not isinstance(jobs, int) or isinstance(jobs, bool):
+        return  # absent, "auto", or a type merge_config rejects
+    cap = max(2, effective_parallelism(), session.config.jobs)
+    if jobs > cap:
+        raise ProtocolError(
+            f"config override 'jobs' = {jobs} exceeds this server's cap of {cap}"
+        )
+
+
 def perform(session: SpecSession, request: dict) -> dict:
     """Run one session operation; returns the result payload."""
     op = request["op"]
     config = request.get("config")
+    check_jobs_cap(session, config)
     if op == "open":
         return session.describe()
     if op == "check":
@@ -122,9 +148,7 @@ def perform(session: SpecSession, request: dict) -> dict:
         return {"results": session.implies_batch(phis, config)}
     if op == "diagnose":
         return session.diagnose(
-            config,
-            rebuild=bool(request.get("rebuild", False)),
-            mus_method=request.get("mus_method", "quickxplain"),
+            config, mus_method=request.get("mus_method", "quickxplain")
         )
     if op == "repair":
         weights = request.get("weights")
@@ -133,7 +157,6 @@ def perform(session: SpecSession, request: dict) -> dict:
         return session.repair(
             config,
             core_method=request.get("core_method", "quickxplain"),
-            rebuild=bool(request.get("rebuild", False)),
             weights=weights,
         )
     if op == "validate":

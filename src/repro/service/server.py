@@ -202,6 +202,7 @@ class _SessionQueue:
     def _run_batch(
         self, phis: list, config: dict | None, deadline: Deadline | None
     ) -> list[dict]:
+        protocol.check_jobs_cap(self.session, config)
         with deadline_scope(deadline):
             return self.session.implies_batch(phis, config)
 

@@ -78,6 +78,9 @@ MODES = ("replay", "warm")
 #: CheckerConfig fields a request may override per call.
 _CONFIG_FIELDS = frozenset(f.name for f in fields(CheckerConfig))
 
+#: The solver backends a ``backend`` override may name.
+_BACKENDS = ("scipy", "exact")
+
 
 @dataclass
 class SessionStats:
@@ -103,19 +106,53 @@ class SessionStats:
         }
 
 
+def _overrides_object(overrides: object) -> dict:
+    """A request's ``config`` as a dict (``None`` means no overrides)."""
+    if overrides is None:
+        return {}
+    if not isinstance(overrides, dict):
+        raise ReproError(
+            f"config must be an object of overrides, got {type(overrides).__name__}"
+        )
+    return overrides
+
+
+def _check_override(name: str, value: object) -> None:
+    """Reject an override whose value does not fit its field's type."""
+    default = getattr(DEFAULT_CONFIG, name)
+    if name == "backend":
+        ok, expected = value in _BACKENDS, f"one of {list(_BACKENDS)}"
+    elif isinstance(default, bool):
+        ok, expected = isinstance(value, bool), "a boolean"
+    else:
+        floor = 0 if name == "max_setrep_attrs" else 1
+        ok = isinstance(value, int) and not isinstance(value, bool) and value >= floor
+        expected = f"an integer >= {floor}"
+    if not ok:
+        raise ReproError(f"config override {name!r} must be {expected}, got {value!r}")
+
+
 def merge_config(base: CheckerConfig, overrides: dict | None) -> CheckerConfig:
     """``base`` with a request's config overrides applied.
 
-    Unknown keys raise :class:`ReproError` (a client typo must not be
+    ``overrides`` must be an object; unknown keys and values of the
+    wrong type raise :class:`ReproError` (a client typo must not be
     silently ignored — it would change which answer the client thinks
-    it asked for).
+    it asked for, and a response cached under a malformed key would
+    never be asked for again).  Booleans must be booleans, counts must
+    be integers (never booleans) of at least 1 — 0 for
+    ``max_setrep_attrs`` — and ``backend`` must name a backend.
+    ``"jobs": "auto"`` is resolved by the session before this runs.
     """
+    overrides = _overrides_object(overrides)
     if not overrides:
         return base
     unknown = set(overrides) - _CONFIG_FIELDS
     if unknown:
         names = ", ".join(sorted(unknown))
         raise ReproError(f"unknown config override(s): {names}")
+    for name, value in overrides.items():
+        _check_override(name, value)
     return replace(base, **overrides)
 
 
@@ -261,11 +298,12 @@ class SpecSession:
         cache key derived from it) only ever holds plain ints and the
         fixed-jobs path is untouched.
         """
-        auto = bool(overrides) and overrides.get("jobs") == "auto"
+        overrides = _overrides_object(overrides)
+        auto = overrides.get("jobs") == "auto"
         if auto:
             overrides = dict(overrides)
-        elif self.auto_jobs and not (overrides and "jobs" in overrides):
-            overrides = dict(overrides or {})
+        elif self.auto_jobs and "jobs" not in overrides:
+            overrides = dict(overrides)
             auto = True
         if auto:
             overrides["jobs"] = self.jobs_controller.current()
@@ -442,14 +480,13 @@ class SpecSession:
     def diagnose(
         self,
         config: dict | None = None,
-        rebuild: bool = False,
         mus_method: str = "quickxplain",
     ) -> dict:
         """Specification health report (MUS / redundancy audit)."""
         with self._lock:
             self.stats.requests += 1
             effective = self._effective_config(config)
-            key = ("diagnose", bool(rebuild), mus_method, effective)
+            key = ("diagnose", mus_method, effective)
             cached = self._recall(key)
             if cached is not None:
                 return cached
@@ -457,7 +494,6 @@ class SpecSession:
                 report = api.diagnose(
                     self.spec,
                     config=effective,
-                    toggled=not rebuild,
                     mus_method=mus_method,
                 )
             payload = {
@@ -474,7 +510,6 @@ class SpecSession:
         self,
         config: dict | None = None,
         core_method: str = "quickxplain",
-        rebuild: bool = False,
         weights: dict | None = None,
     ) -> dict:
         """A minimum-weight repair of the session's specification.
@@ -482,14 +517,14 @@ class SpecSession:
         ``weights`` is the wire form of the engine's weight mapping:
         action-family name (``"delete"`` / ``"loosen"`` / ``"drop"``)
         to a positive integer.  Responses are cached like every other
-        op — the key covers the filter, the engine, the weights and the
+        op — the key covers the filter, the weights and the
         effective config, so a repeat is a byte replay.
         """
         with self._lock:
             self.stats.requests += 1
             effective = self._effective_config(config)
             weight_key = tuple(sorted((weights or {}).items()))
-            key = ("repair", core_method, bool(rebuild), weight_key, effective)
+            key = ("repair", core_method, weight_key, effective)
             cached = self._recall(key)
             if cached is not None:
                 return cached
@@ -500,7 +535,6 @@ class SpecSession:
                         config=effective,
                         weights=weights,
                         core_method=core_method,
-                        toggled=not rebuild,
                     )
             except ValueError as exc:
                 # A bad weights mapping is a client error, not a crash:

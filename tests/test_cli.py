@@ -80,12 +80,20 @@ class TestCheck:
         assert "dfs_nodes=" in out
         assert "bound_patch_solves=" in out
 
-    def test_stats_flag_splits_lp_and_mip_solves(self, d1_file, sigma1_file, capsys):
+    def test_stats_flag_splits_lp_and_mip_solves(
+        self, d1_file, sigma1_file, keys_file, capsys
+    ):
         # The root LP relaxation refutes D1/Sigma1: no MIP run at all.
         assert main(["check", d1_file, sigma1_file, "--stats"]) == 1
         out = capsys.readouterr().out
         assert "lp_solves=1" in out
         assert "mip_solves=0" in out
+        # A keys-only spec (Theorem 3.5) solves the empty-Sigma encoding
+        # for its witness and reports the same counter map.
+        assert main(["check", d1_file, keys_file, "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "lp_solves=" in out
+        assert "mip_solves=" in out
 
     def test_profile_alias(self, d1_file, sigma1_file, capsys):
         assert main(["check", d1_file, sigma1_file, "--profile"]) == 1
@@ -104,12 +112,17 @@ class TestCheck:
         assert "consistent: False" in out
         assert "exact_pivots=" in out
 
-    def test_exact_cold_ablation_agrees(self, d1_file, sigma1_file, capsys):
-        warm = main(["check", d1_file, sigma1_file, "--backend", "exact"])
-        cold = main(
-            ["check", d1_file, sigma1_file, "--backend", "exact", "--cold"]
-        )
-        assert warm == cold == 1
+    @pytest.mark.parametrize(
+        "command, flag", [("check", "--cold"), ("diagnose", "--rebuild")]
+    )
+    def test_reference_engine_flags_are_gone(
+        self, d1_file, sigma1_file, command, flag
+    ):
+        # The reference engines are test oracles now (tests/oracles.py):
+        # their old flags are usage errors.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, d1_file, sigma1_file, flag])
+        assert exit_info.value.code == 2
 
 
 class TestValidate:

@@ -2,9 +2,9 @@
 
 The incremental path (assembled system, shared connectivity-cut pool, root
 LP probe, indexed propagation) must return exactly the same feasibility
-answers — with valid witnesses — as the from-scratch rebuild path across
-the workload generators.  These tests are the contract that keeps the two
-paths interchangeable.
+answers — with valid witnesses — as the from-scratch rebuild oracle
+(:func:`tests.oracles.legacy_rebuild`) across the workload generators.
+These tests are the contract that keeps the two interchangeable.
 """
 
 import pytest
@@ -24,7 +24,6 @@ from repro.ilp.condsys import (
     _ClauseIndex,
     _CutPool,
     _ExactTwin,
-    _propagate,
     _propagate_indexed,
     CondSolveStats,
     solve_conditional_system,
@@ -38,20 +37,19 @@ from repro.workloads.generators import (
     star_schema_family,
     teachers_family,
 )
+from tests.oracles import _propagate, legacy_rebuild, solve_rebuild
 
-INCREMENTAL = CheckerConfig(want_witness=True, verify_witness=True)
-REBUILD = CheckerConfig(want_witness=True, verify_witness=True, incremental=False)
-INCREMENTAL_FAST = CheckerConfig(want_witness=False)
-REBUILD_FAST = CheckerConfig(want_witness=False, incremental=False)
+VERIFYING = CheckerConfig(want_witness=True, verify_witness=True)
+FAST = CheckerConfig(want_witness=False)
 
 
 def _agree(dtd, sigma, want_witness=True):
     """Both paths must agree; witnesses are synthesized and re-verified
     (verify_witness raises on any invalid tree), proving realizability."""
-    inc = INCREMENTAL if want_witness else INCREMENTAL_FAST
-    reb = REBUILD if want_witness else REBUILD_FAST
-    a = check_consistency(dtd, sigma, inc)
-    b = check_consistency(dtd, sigma, reb)
+    config = VERIFYING if want_witness else FAST
+    a = check_consistency(dtd, sigma, config)
+    with legacy_rebuild():
+        b = check_consistency(dtd, sigma, config)
     assert a.consistent == b.consistent, (
         f"incremental={a.consistent} rebuild={b.consistent}: {a.message!r} "
         f"vs {b.message!r}"
@@ -102,7 +100,7 @@ class TestDifferentialAcrossWorkloads:
     @pytest.mark.parametrize("dims", [1, 2])
     def test_exact_backend_agrees_with_incremental_scipy(self, dims):
         dtd, sigma = star_schema_family(dims, consistent=True)
-        scipy_result = check_consistency(dtd, sigma, INCREMENTAL_FAST)
+        scipy_result = check_consistency(dtd, sigma, FAST)
         exact_result = check_consistency(
             dtd, sigma, CheckerConfig(want_witness=False, backend="exact")
         )
@@ -154,10 +152,8 @@ class TestCutFixpoint:
 
     def test_cut_fixpoint_agrees_with_rebuild(self):
         cs = _recursive_cut_system()
-        inc, _ = solve_conditional_system(cs, incremental=True)
-        reb, _ = solve_conditional_system(
-            _recursive_cut_system(), incremental=False
-        )
+        inc, _ = solve_conditional_system(cs)
+        reb, _ = solve_rebuild(_recursive_cut_system())
         assert inc.feasible == reb.feasible
 
     def test_cut_rounds_budget_raises(self):

@@ -2,10 +2,11 @@
 
 The toggled engine (one assembled ``Psi(D, Sigma ∪ ¬Sigma)``, row-bound
 flips per subset; DESIGN.md section 6) must return *identical* MUS and
-redundancy answers to the rebuild-per-subset oracle — the pre-toggle
-implementation kept behind ``toggled=False``, which decides every probe
-with a full ``check_consistency``/``implies`` call.  Random instances
-come from the same generator family as :mod:`tests.test_differential_fuzz`.
+redundancy answers to the rebuild-per-subset oracle — the automatic
+rebuild fallback, forced by :func:`tests.oracles.rebuild_engines`, which
+decides every probe with a full ``check_consistency``/``implies`` call.
+Random instances come from the same generator family as
+:mod:`tests.test_differential_fuzz`.
 
 Alongside the oracle agreement, the acceptance invariant is asserted on
 every toggled call: **exactly one base assembly**, no matter how many
@@ -31,6 +32,7 @@ from repro.workloads.generators import (
     random_unary_constraints,
     registrar_mus_family,
 )
+from tests.oracles import rebuild_engines
 
 #: Seeded sweep size, chunked for readable failure granularity.
 NUM_SEEDS = 60
@@ -63,8 +65,9 @@ def test_diagnose_matches_rebuild_oracle(start):
     for seed in range(start, start + CHUNK):
         dtd, sigma = _instance(seed)
         try:
-            toggled = diagnose(dtd, sigma, toggled=True)
-            rebuild = diagnose(dtd, sigma, toggled=False)
+            toggled = diagnose(dtd, sigma)
+            with rebuild_engines():
+                rebuild = diagnose(dtd, sigma)
         except (InvalidConstraintError, ComplexityLimitError):
             continue  # outside the decidable/capped fragment: skip uniformly
         checked += 1
@@ -94,7 +97,8 @@ def test_mus_single_assembly_and_oracle_agreement():
     )
     stats = DiagnosticsStats()
     core = mus(dtd, sigma, method="deletion", stats=stats)
-    oracle = mus(dtd, sigma, method="deletion", toggled=False)
+    with rebuild_engines():
+        oracle = mus(dtd, sigma, method="deletion")
     assert _canonical(core) == _canonical(oracle) == ["a.x !-> a", "a.x -> a"]
     assert stats.assemblies == 1
     assert stats.probes == len(sigma) + 1  # full set + one deletion probe each
@@ -108,7 +112,8 @@ def test_redundancy_single_assembly_and_oracle_agreement():
     sigma = parse_constraints("a.x <= b.x\nb.x <= c.x\na.x <= c.x")
     stats = DiagnosticsStats()
     redundant = redundant_constraints(dtd, sigma, stats=stats)
-    oracle = redundant_constraints(dtd, sigma, toggled=False)
+    with rebuild_engines():
+        oracle = redundant_constraints(dtd, sigma)
     assert _canonical(redundant) == _canonical(oracle) == ["a.x <= c.x"]
     assert stats.assemblies == 1
     assert stats.probes == len(sigma)  # one implication probe per constraint
@@ -125,7 +130,8 @@ def test_foreign_key_redundancy_probes_both_components():
     # implied by its own inclusion component being restated.
     sigma = parse_constraints("f.ref => d.id\nf.ref <= d.id\nd.id -> d")
     toggled = redundant_constraints(dtd, sigma)
-    oracle = redundant_constraints(dtd, sigma, toggled=False)
+    with rebuild_engines():
+        oracle = redundant_constraints(dtd, sigma)
     assert _canonical(toggled) == _canonical(oracle)
     assert "f.ref => d.id" in _canonical(toggled)
 
@@ -147,17 +153,6 @@ def test_exact_backend_probes_match_scipy():
             exact_report.redundant
         )
         assert exact_report.stats.assemblies <= 1
-
-
-def test_incremental_ablation_routes_to_rebuild():
-    """``CheckerConfig(incremental=False)`` — the from-scratch solver
-    ablation — must reach the checkers, so diagnostics routes it to the
-    rebuild path (a toggle workspace is inherently incremental state)."""
-    dtd, sigma = _instance(3)
-    config = CheckerConfig(want_witness=False, incremental=False)
-    report = diagnose(dtd, sigma, config)
-    assert report.stats.method == "rebuild"
-    assert diagnose(dtd, sigma).consistent == report.consistent
 
 
 def test_multi_attribute_specs_fall_back_to_rebuild():
@@ -244,7 +239,8 @@ def test_quickxplain_toggled_matches_rebuild_oracle():
         if report.consistent or not report.dtd_satisfiable:
             continue
         toggled = mus(dtd, sigma)
-        rebuild = mus(dtd, sigma, toggled=False)
+        with rebuild_engines():
+            rebuild = mus(dtd, sigma)
         assert _canonical(toggled) == _canonical(rebuild), f"seed {seed}"
         checked += 1
     assert checked > 0

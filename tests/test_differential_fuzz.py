@@ -1,16 +1,17 @@
-"""Differential fuzzing of the four solver configurations.
+"""Differential fuzzing of four deciders: two product paths, two oracles.
 
 Random DTD/constraint instances from :mod:`repro.workloads.generators`
-are decided by every solver configuration the checkers can run:
+are decided four ways:
 
 * ``exact-warm``   — certified revised simplex, parent-basis warm starts,
-  incremental condsys (the new hot path of the exact backend);
-* ``exact-cold``   — same simplex, cold refactorization at every
-  branch-and-bound node (the reference the warm path must match);
+  on the assembled system (the product's exact backend);
+* ``exact-cold``   — same simplex, cold refactorization of every
+  materialized leaf at every branch-and-bound node (the
+  :func:`tests.oracles.exact_cold` oracle the warm path must match);
 * ``highs-inc``    — HiGHS float solves on the assembled system with
   exact re-verification (the default production path);
-* ``legacy-reb``   — from-scratch rebuild per support node (PR-1's
-  reference path).
+* ``legacy-reb``   — from-scratch rebuild per support node (the
+  :func:`tests.oracles.legacy_rebuild` oracle).
 
 Every instance must get the *same* sat/unsat verdict from all four, and
 each "consistent" answer is backed by a synthesized witness re-verified
@@ -26,6 +27,8 @@ parameters recorded at capture time, independent of the sweep below.
 """
 
 import json
+from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,22 +38,26 @@ from repro.checkers.consistency import check_consistency
 from repro.errors import InvalidConstraintError
 from repro.ilp.condsys import parallel_sweep_allowed
 from repro.workloads.generators import random_dtd, random_unary_constraints
+from tests.oracles import exact_cold, legacy_rebuild
 
-#: The four configurations under differential test.  Witnesses are
-#: synthesized and re-verified on one exact and one float path; the
-#: other two run verdict-only so 200+ instances fit the tier-1 budget.
-CONFIGS = {
-    "exact-warm": CheckerConfig(
-        want_witness=True, verify_witness=True, backend="exact", exact_warm=True
+#: The four deciders under differential test: a checker configuration
+#: and the oracle context it runs in (``nullcontext`` = the product as
+#: shipped).  Witnesses are synthesized and re-verified on one exact and
+#: one float path; the other two run verdict-only so 200+ instances fit
+#: the tier-1 budget.
+DECIDERS = {
+    "exact-warm": (
+        CheckerConfig(want_witness=True, verify_witness=True, backend="exact"),
+        nullcontext,
     ),
-    "exact-cold": CheckerConfig(
-        want_witness=False, backend="exact", exact_warm=False
+    "exact-cold": (CheckerConfig(want_witness=False, backend="exact"), exact_cold),
+    "highs-inc": (
+        CheckerConfig(want_witness=True, verify_witness=True, backend="scipy"),
+        nullcontext,
     ),
-    "highs-inc": CheckerConfig(
-        want_witness=True, verify_witness=True, backend="scipy", incremental=True
-    ),
-    "legacy-reb": CheckerConfig(
-        want_witness=False, backend="scipy", incremental=False
+    "legacy-reb": (
+        CheckerConfig(want_witness=False, backend="scipy"),
+        legacy_rebuild,
     ),
 }
 
@@ -78,12 +85,13 @@ def _instance(seed: int, num_types: int | None = None, **params):
 def _cross_check(seed: int, dtd, sigma) -> str:
     """All four verdicts must agree; returns the agreed verdict."""
     verdicts = {}
-    for name, config in CONFIGS.items():
-        result = check_consistency(dtd, sigma, config)
+    for name, (config, oracle) in DECIDERS.items():
+        with oracle():
+            result = check_consistency(dtd, sigma, config)
         verdicts[name] = result.consistent
     if len(set(verdicts.values())) != 1:
         raise AssertionError(
-            f"seed {seed}: solver configurations diverge: {verdicts} "
+            f"seed {seed}: deciders diverge: {verdicts} "
             f"(record this seed in {CORPUS_PATH.name})"
         )
     return "sat" if next(iter(verdicts.values())) else "unsat"
@@ -91,8 +99,8 @@ def _cross_check(seed: int, dtd, sigma) -> str:
 
 @pytest.mark.parametrize("start", range(0, NUM_SEEDS, CHUNK))
 def test_differential_sweep(start):
-    """Seeds ``[start, start+CHUNK)``: identical verdicts on all four
-    configurations, witnesses verified where synthesized."""
+    """Seeds ``[start, start+CHUNK)``: identical verdicts from all four
+    deciders, witnesses verified where synthesized."""
     checked = 0
     for seed in range(start, start + CHUNK):
         dtd, sigma = _instance(seed)
@@ -129,13 +137,23 @@ def test_corpus_replays_clean():
 
 
 def test_configs_cover_the_advertised_matrix():
-    """The harness really drives warm/cold x incremental/rebuild."""
-    assert CONFIGS["exact-warm"].backend == "exact"
-    assert CONFIGS["exact-warm"].exact_warm
-    assert CONFIGS["exact-cold"].backend == "exact"
-    assert not CONFIGS["exact-cold"].exact_warm
-    assert CONFIGS["highs-inc"].incremental
-    assert not CONFIGS["legacy-reb"].incremental
+    """The harness really drives warm/cold x incremental/rebuild: each
+    oracle leaves its mark in the work counters of a branchy instance
+    (LP pruning off, so the support search really visits leaves)."""
+    dtd, sigma = _branchy_cases()[0]
+    stats = {}
+    for name, (config, oracle) in DECIDERS.items():
+        with oracle():
+            stats[name] = check_consistency(
+                dtd, sigma, replace(config, lp_prune=False)
+            ).stats
+    assert DECIDERS["exact-warm"][0].backend == "exact"
+    assert DECIDERS["exact-cold"][0].backend == "exact"
+    assert stats["exact-warm"]["exact_warm_solves"] > 0
+    assert stats["exact-cold"]["exact_nodes"] > 0
+    assert stats["exact-cold"]["exact_warm_solves"] == 0
+    assert stats["highs-inc"]["assemblies"] == 1
+    assert stats["legacy-reb"]["assemblies"] > 1
 
 
 # ---------------------------------------------------------------------------

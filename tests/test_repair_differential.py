@@ -2,7 +2,8 @@
 
 The toggled repair search (one assembled ``Psi`` with per-site shadow
 rows, probed by row-bound flips; DESIGN.md section 12) must agree with
-the rebuild oracle — ``toggled=False``, which applies every candidate
+the rebuild oracle — the apply-and-recheck fallback, forced by
+:func:`tests.oracles.rebuild_engines`, which applies every candidate
 edit set structurally and re-runs the full checker — and, on small
 universes, with brute-force subset enumeration (the minimality oracle).
 Every repair the engine reports is re-applied here and re-checked
@@ -35,6 +36,7 @@ from repro.dtd.serializer import dtd_to_string
 from repro.errors import ComplexityLimitError, InvalidConstraintError
 from repro.workloads.examples import teachers_dtd_d1
 from repro.workloads.generators import random_dtd, random_unary_constraints
+from tests.oracles import rebuild_engines
 
 #: The big consistency-restoration sweep (engine vs the checker itself).
 NUM_SEEDS = 200
@@ -120,7 +122,8 @@ def test_repair_matches_rebuild_oracle(start):
         dtd, sigma = _instance(seed)
         try:
             toggled = minimal_repair(dtd, sigma)
-            rebuild = minimal_repair(dtd, sigma, toggled=False)
+            with rebuild_engines():
+                rebuild = minimal_repair(dtd, sigma)
         except (InvalidConstraintError, ComplexityLimitError):
             continue
         checked += 1

@@ -18,6 +18,7 @@ import time
 from repro.dtd.serializer import dtd_to_string
 from repro.service.persist import (
     SNAPSHOT_VERSION,
+    _checksum,
     load_snapshot,
     save_snapshot,
 )
@@ -127,15 +128,41 @@ def test_checksum_mismatch_restores_nothing(tmp_path):
     assert load_snapshot(registry, state) == 0
 
 
+def _with_version1_configs(value):
+    """Give every packed config the two fields version-1 snapshots carried."""
+    if isinstance(value, list):
+        if len(value) == 2 and value[0] == "config" and isinstance(value[1], dict):
+            return ["config", {**value[1], "incremental": True, "exact_warm": True}]
+        return [_with_version1_configs(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _with_version1_configs(item) for key, item in value.items()}
+    return value
+
+
 def test_version_skew_restores_nothing(tmp_path):
     state = str(tmp_path / "sessions.json")
     _serve_and_collect(state, _request_suite())
-    envelope = json.loads(open(state, encoding="utf-8").read())
-    envelope["version"] = SNAPSHOT_VERSION + 1
+    written = json.loads(open(state, encoding="utf-8").read())
+    envelope = dict(written, version=SNAPSHOT_VERSION + 1)
     with open(state, "w", encoding="utf-8") as handle:
         json.dump(envelope, handle)
     registry = SessionRegistry()
     assert load_snapshot(registry, state) == 0
+
+    # A version-1 snapshot, written before the reference-engine switches
+    # left CheckerConfig: its configs name fields that no longer exist.
+    # It is a clean cold start, and the registry answers as if there had
+    # never been a file.
+    payload = _with_version1_configs(written["payload"])
+    assert "exact_warm" in json.dumps(payload)
+    envelope = {"version": 1, "checksum": _checksum(payload), "payload": payload}
+    with open(state, "w", encoding="utf-8") as handle:
+        json.dump(envelope, handle)
+    registry = SessionRegistry()
+    assert load_snapshot(registry, state) == 0
+    session = registry.session_for(dtd_to_string(teachers_dtd_d1()), KEYS)
+    assert session.check()["consistent"] is True
+    assert session.stats.cache_hits == 0
 
 
 def test_missing_snapshot_is_a_cold_start(tmp_path):

@@ -81,6 +81,77 @@ class TestResponseCache:
     def test_merge_config_rejects_unknown_keys(self):
         with pytest.raises(ReproError, match="unknown config override"):
             merge_config(CheckerConfig(), {"no_such_knob": 1})
+        # The reference-engine switches are test oracles now, not config.
+        for name in ("incremental", "exact_warm"):
+            with pytest.raises(ReproError, match="unknown config override"):
+                merge_config(CheckerConfig(), {name: False})
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (5, "config must be an object"),
+            (["jobs", 2], "config must be an object"),
+            ({"max_setrep_attrs": "3"}, "'max_setrep_attrs' must be an integer >= 0"),
+            ({"max_setrep_attrs": -1}, "'max_setrep_attrs' must be an integer >= 0"),
+            ({"jobs": "2"}, "'jobs' must be an integer >= 1"),
+            ({"jobs": 0}, "'jobs' must be an integer >= 1"),
+            ({"jobs": True}, "'jobs' must be an integer >= 1"),
+            ({"max_support_nodes": "x"}, "'max_support_nodes' must be an integer"),
+            ({"want_witness": "no"}, "'want_witness' must be a boolean"),
+            ({"lp_prune": 1}, "'lp_prune' must be a boolean"),
+            ({"backend": "gurobi"}, "'backend' must be one of"),
+        ],
+    )
+    def test_merge_config_rejects_mistyped_values(self, overrides, match):
+        with pytest.raises(ReproError, match=match):
+            merge_config(CheckerConfig(), overrides)
+
+    def test_merge_config_accepts_well_typed_values(self):
+        merged = merge_config(
+            CheckerConfig(),
+            {"max_setrep_attrs": 0, "jobs": 3, "backend": "exact", "lp_prune": False},
+        )
+        assert (merged.max_setrep_attrs, merged.jobs) == (0, 3)
+        assert (merged.backend, merged.lp_prune) == ("exact", False)
+
+    def test_session_rejects_a_non_object_config(self):
+        session = SpecSession(*_spec())
+        with pytest.raises(ReproError, match="config must be an object"):
+            session.check(5)
+        with pytest.raises(ReproError, match="'jobs' must be an integer"):
+            session.implies_batch(["a.id -> a"], {"jobs": "2"})
+        # The adaptive marker is still a valid jobs value.
+        assert session.check({"jobs": "auto"})["consistent"] is True
+
+    def test_perform_caps_jobs_without_forking(self, monkeypatch):
+        import repro.checkers.implication as implication
+        import repro.ilp.condsys as condsys
+        from repro.service.protocol import ProtocolError, perform
+
+        class _NoPool(condsys.WorkerPool):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a worker pool was built")
+
+        monkeypatch.setattr(condsys, "WorkerPool", _NoPool)
+        monkeypatch.setattr(implication, "WorkerPool", _NoPool)
+        session = SpecSession(*_spec())
+        cap = max(2, effective_parallelism(), session.config.jobs)
+        request = {
+            "op": "implies_all",
+            "phis": ["a.id -> a"] * (cap + 8),
+            "config": {"jobs": cap + 1},
+        }
+        with pytest.raises(ProtocolError, match=f"cap of {cap}"):
+            perform(session, request)
+        request["config"] = {"jobs": 1}
+        results = perform(session, request)["results"]
+        assert all(result["implied"] for result in results)
+        # Coalesced `implies` batches skip perform; they apply the cap too.
+        from repro.service.server import CheckingServer, _SessionQueue
+
+        queue = _SessionQueue(CheckingServer(SessionRegistry()), session)
+        with pytest.raises(ProtocolError, match=f"cap of {cap}"):
+            queue._run_batch(["a.id -> a"] * 3, {"jobs": cap + 1}, None)
 
     def test_unknown_mode_rejected(self):
         dtd, sigma = _spec()
