@@ -126,25 +126,38 @@ def test_diagnose_single_assembly_end_to_end():
         assert report.stats.assemblies == 1
 
 
-def _run_audits(engine) -> tuple[float, list[list[str]], list[DiagnosticsStats]]:
-    """(best-of-3 seconds, canonical answers, per-call stats) with the
-    audits run inside the ``engine`` context."""
-    best = float("inf")
+def _audit_round(engine) -> tuple[float, list[list[str]], list[DiagnosticsStats]]:
+    """(seconds, canonical answers, per-call stats) of one pass over the
+    audit cases inside the ``engine`` context."""
     answers: list[list[str]] = []
     stats_list: list[DiagnosticsStats] = []
     with engine():
-        for _ in range(3):
-            answers = []
-            stats_list = []
-            start = time.perf_counter()
-            for dtd, sigma, _ in _AUDIT_CASES:
-                stats = DiagnosticsStats()
-                answers.append(
-                    _canonical(redundant_constraints(dtd, sigma, stats=stats))
-                )
-                stats_list.append(stats)
-            best = min(best, time.perf_counter() - start)
-    return best, answers, stats_list
+        start = time.perf_counter()
+        for dtd, sigma, _ in _AUDIT_CASES:
+            stats = DiagnosticsStats()
+            answers.append(_canonical(redundant_constraints(dtd, sigma, stats=stats)))
+            stats_list.append(stats)
+        elapsed = time.perf_counter() - start
+    return elapsed, answers, stats_list
+
+
+def _run_audits(engines, rounds: int = 3) -> list[tuple]:
+    """Best-of-``rounds`` seconds, answers and per-call stats per engine.
+
+    The rounds are interleaved (first engine, second engine, first
+    engine, ...), so a drift in host speed lands on every side alike
+    instead of on whichever side happened to run last.
+    """
+    results = [(float("inf"), [], []) for _ in engines]
+    for _ in range(rounds):
+        for index, engine in enumerate(engines):
+            seconds, answers, stats_list = _audit_round(engine)
+            results[index] = (
+                min(results[index][0], seconds),
+                answers,
+                stats_list,
+            )
+    return results
 
 
 def test_toggled_redundancy_audit_at_least_3x_rebuild():
@@ -157,8 +170,9 @@ def test_toggled_redundancy_audit_at_least_3x_rebuild():
     expected count per family, and the toggled path performs exactly one
     base assembly per call while probing |Sigma| subsets.
     """
-    toggled_time, toggled_answers, toggled_stats = _run_audits(nullcontext)
-    rebuild_time, rebuild_answers, rebuild_stats = _run_audits(rebuild_engines)
+    toggled, rebuild = _run_audits((nullcontext, rebuild_engines))
+    toggled_time, toggled_answers, toggled_stats = toggled
+    rebuild_time, rebuild_answers, rebuild_stats = rebuild
 
     assert toggled_answers == rebuild_answers
     for (_, sigma, expected), answer in zip(_AUDIT_CASES, toggled_answers):

@@ -2,14 +2,15 @@
 
 Two claims of the long-lived checking service are gated here:
 
-1. **Warm sessions beat cold one-shots.**  On the registrar workload, a
-   warm-session ``implies`` (p50, full re-solve on the session's warm
-   workspaces — the response cache is cleared between repeats, so this
-   is *not* the trivial cached-repeat case) is at least 5x faster than a
-   cold one-shot CLI invocation (fresh interpreter, fresh parse, fresh
-   encode and assembly — what every request paid before the service
-   existed).  In practice the gap is orders of magnitude; 5x leaves room
-   for slow CI containers.
+1. **Resident sessions beat cold one-shots.**  On the registrar
+   workload, a resident session's ``implies`` (p50, a full re-solve —
+   the response cache is cleared between repeats, so this is *not* the
+   trivial cached-repeat case; the parsed spec and the per-DTD encoding
+   block stay resident) is at least 5x faster than a cold one-shot CLI
+   invocation (fresh interpreter, fresh parse, fresh encode and
+   assembly — what every request paid before the service existed).  In
+   practice the gap is two orders of magnitude; 5x leaves room for slow
+   CI containers.
 2. **Coalescing beats sequential one-shots.**  A stream of 32 requests
    (eight distinct queries re-asked by 32 concurrent clients) answered
    through the server's per-session batcher achieves at least 2x the
@@ -61,7 +62,7 @@ from repro.service.server import CheckingServer
 from repro.service.session import SpecSession
 from repro.workloads.generators import registrar_mus_family, wide_flat_dtd
 
-#: The warm-vs-cold speedup the service must clear (measured: >> 20x).
+#: The resident-vs-cold speedup the service must clear (measured: >> 20x).
 _WARM_GATE = 5.0
 
 #: Aggregate-throughput factor for the coalesced 32-client batch.
@@ -77,9 +78,9 @@ def _registrar_spec():
     return dtd, sigma, phis
 
 
-def test_warm_session_implies_p50_vs_cold_cli(tmp_path):
-    """Gate 1: warm-session ``implies`` p50 >= 5x faster than the cold
-    one-shot CLI on the registrar workload."""
+def test_resident_session_implies_p50_vs_cold_cli(tmp_path):
+    """Gate 1: a resident session's re-solved ``implies`` p50 >= 5x
+    faster than the cold one-shot CLI on the registrar workload."""
     dtd, sigma, phis = _registrar_spec()
     dtd_path = tmp_path / "registrar.dtd"
     sigma_path = tmp_path / "registrar.sig"
@@ -113,13 +114,13 @@ def test_warm_session_implies_p50_vs_cold_cli(tmp_path):
 
     cold_p50 = statistics.median(cold_once() for _ in range(5))
 
-    session = SpecSession(dtd, sigma, mode="warm")
-    assert session.implies(phis[0])["implied"] is True  # build the workspace
+    session = SpecSession(dtd, sigma)
+    assert session.implies(phis[0])["implied"] is True  # warm the DTD block
 
     def warm_once() -> float:
-        # Clear only the response cache: the repeat must re-solve on the
-        # warm workspace (bound patches on the persistent assembly), not
-        # just replay a recorded answer.
+        # Clear only the response cache: the repeat must re-solve (the
+        # resident spec and encoding block are reused), not just replay
+        # a recorded answer.
         session._responses.clear()
         session._response_bytes = 0
         start = time.perf_counter()
@@ -129,11 +130,11 @@ def test_warm_session_implies_p50_vs_cold_cli(tmp_path):
         return elapsed
 
     warm_p50 = statistics.median(warm_once() for _ in range(9))
-    assert session.stats.workspaces_reused >= 9
+    assert session.stats.cache_hits == 0
 
     speedup = cold_p50 / warm_p50
     assert speedup >= _WARM_GATE, (
-        f"cold one-shot CLI p50 {cold_p50 * 1000:.1f}ms vs warm-session "
+        f"cold one-shot CLI p50 {cold_p50 * 1000:.1f}ms vs resident-session "
         f"implies p50 {warm_p50 * 1000:.1f}ms: {speedup:.1f}x < {_WARM_GATE}x"
     )
 

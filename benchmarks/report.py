@@ -542,9 +542,9 @@ def _solver_workloads() -> dict[str, Callable[[], list]]:
             assert response["ok"], response
         return [_ServiceResult(response["result"]) for response in responses]
 
-    # Fleet case (ISSUE 9): the routed serving path — eight disjoint
-    # sessions sharded over two live backends plus one fanned
-    # ``implies_all`` batch (wave dispatch, chunk merge, cut sync).
+    # Fleet case: the routed serving path — eight disjoint sessions
+    # sharded over two live backends plus one fanned ``implies_all``
+    # batch (wave dispatch, chunk merge).
     # Search counters stay deterministic (the ring split is a pure
     # function of the fingerprints), so this entry isolates the
     # router's wire overhead: a routing regression shows up as wall

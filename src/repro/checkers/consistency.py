@@ -168,39 +168,11 @@ def check_consistency(
     encoding = build_encoding(
         dtd, constraints, max_setrep_attrs=config.max_setrep_attrs
     )
-    return check_consistency_encoded(encoding, config)
-
-
-def check_consistency_encoded(
-    encoding,
-    config: CheckerConfig | None = None,
-    workspace=None,
-) -> ConsistencyResult:
-    """The ILP branch of :func:`check_consistency` on a prebuilt encoding.
-
-    The session-layer hot path (:mod:`repro.service`): callers that hold
-    a cached :class:`~repro.encoding.combined.ConsistencyEncoding` — and
-    optionally a warm :class:`~repro.ilp.condsys.SolveWorkspace` over its
-    base system — skip validation, classification and re-encoding and go
-    straight to the solve.  With ``workspace=None`` this is *exactly* the
-    code path :func:`check_consistency` takes after building the
-    encoding, so results and stats are identical to the one-shot call;
-    with a warm workspace, assembly is skipped and pooled cuts carry
-    over, so the verdict (and any witness's validity) is unchanged but
-    the work counters reflect the warm state.
-
-    The caller is responsible for having validated ``encoding``'s
-    constraints against its DTD (``build_encoding`` already does).
-    """
-    config = config or DEFAULT_CONFIG
-    constraints = encoding.constraints
-    cls = classify(constraints)
     result, stats = solve_conditional_system(
         encoding.condsys,
         backend=config.backend,
         max_support_nodes=config.max_support_nodes,
         lp_prune=config.lp_prune,
-        workspace=workspace,
         jobs=config.jobs,
     )
     stat_map = _stat_map(stats)
@@ -213,7 +185,7 @@ def check_consistency_encoded(
         return ConsistencyResult(True, method=method, stats=stat_map)
     witness = synthesize_witness(encoding, result.values)
     if config.verify_witness:
-        _verify(witness, encoding.dtd, constraints)
+        _verify(witness, dtd, constraints)
     return ConsistencyResult(
         True, witness=witness, method=method, stats=stat_map
     )

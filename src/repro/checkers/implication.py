@@ -53,10 +53,8 @@ from repro.xmltree.validate import conforms
 
 
 def negate_constraint(phi: Constraint) -> Constraint:
-    """The constraint asserting ``not phi`` (unary forms only).
-
-    Public because the session layer (:mod:`repro.service`) keys its warm
-    per-query solver state by the negated constraint this produces.
+    """The constraint asserting ``not phi`` (unary forms only): the
+    extra member of the negation-consistency probe ``Sigma ∪ {not phi}``.
     """
     if isinstance(phi, Key):
         return NegKey(phi.element_type, phi.attrs[0])
@@ -133,18 +131,8 @@ def implies_validated(
     sigma: list[Constraint],
     phi: Constraint,
     config: CheckerConfig,
-    consistency=None,
 ) -> ImplicationResult:
-    """:func:`implies` after ``validate_constraints`` has already run.
-
-    ``consistency`` swaps the negation-consistency probe's solver: it is
-    called as ``consistency(dtd, constraints, config)`` in place of
-    :func:`check_consistency` and must return a
-    :class:`~repro.checkers.results.ConsistencyResult`.  The session
-    layer passes a closure that serves the probe from cached encodings
-    and warm workspaces; the default (``None``) is the ordinary one-shot
-    checker, so every other caller is unchanged.
-    """
+    """:func:`implies` after ``validate_constraints`` has already run."""
 
     # Keys-only fragment: linear time (Theorem 3.5(3)).
     if isinstance(phi, Key) and all(isinstance(psi, Key) for psi in sigma):
@@ -172,7 +160,7 @@ def implies_validated(
                 "implication for multi-attribute foreign keys is undecidable "
                 "(Corollary 3.4)"
             )
-        part = implies_validated(dtd, sigma, phi.inclusion, config, consistency)
+        part = implies_validated(dtd, sigma, phi.inclusion, config)
         if not part.implied:
             return ImplicationResult(
                 False,
@@ -180,7 +168,7 @@ def implies_validated(
                 method="foreign key = inclusion AND key",
                 message="inclusion component not implied",
             )
-        part = implies_validated(dtd, sigma, phi.key, config, consistency)
+        part = implies_validated(dtd, sigma, phi.key, config)
         if not part.implied:
             return ImplicationResult(
                 False,
@@ -198,8 +186,7 @@ def implies_validated(
         )
 
     negated = negate_constraint(phi)
-    probe = consistency or check_consistency
-    result = probe(dtd, [*sigma, negated], config)
+    result = check_consistency(dtd, [*sigma, negated], config)
     method = f"negation-consistency via {result.method}"
     if result.consistent:
         return ImplicationResult(

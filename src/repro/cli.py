@@ -154,8 +154,8 @@ def _print_session(session: SpecSession) -> None:
     """The ``--session`` line: fingerprint plus cross-request counters."""
     stats = session.stats
     print(
-        f"session: {session.fingerprint}  [mode={session.mode} "
-        f"requests={stats.requests} cache_hits={stats.cache_hits}]"
+        f"session: {session.fingerprint}  "
+        f"[requests={stats.requests} cache_hits={stats.cache_hits}]"
     )
 
 
@@ -363,7 +363,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     registry = SessionRegistry(
         max_sessions=args.max_sessions,
         max_bytes=args.max_bytes,
-        mode=args.mode,
         config=config,
         auto_jobs=auto_jobs,
     )
@@ -397,7 +396,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             processes, spawned = spawn_backends(
                 args.spawn,
                 host=args.host,
-                mode=args.mode,
                 extra_args=tuple(extra),
             )
             backends += spawned
@@ -643,16 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 256 MiB)",
     )
     p_serve.add_argument(
-        "--mode",
-        choices=["replay", "warm"],
-        default="replay",
-        help="session reuse mode: 'replay' answers repeats from the "
-        "response cache with byte-identical results (default); 'warm' "
-        "additionally keeps per-query solver workspaces and carries "
-        "the connectivity-cut pool across requests (same verdicts, "
-        "warm work counters)",
-    )
-    p_serve.add_argument(
         "--max-inflight",
         type=int,
         default=256,
@@ -777,15 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         metavar="N",
         help="phis per chunk when fanning an implies_all batch across "
-        "the fleet in waves, with cut pools merged over the wire at "
-        "wave boundaries (default: 4)",
-    )
-    p_fleet.add_argument(
-        "--mode",
-        choices=["replay", "warm"],
-        default="replay",
-        help="session reuse mode passed to --spawn backends "
-        "(default: replay)",
+        "the fleet in waves (default: 4)",
     )
     p_fleet.add_argument(
         "--jobs",

@@ -44,9 +44,8 @@ An :class:`AssembledSystem` — like the persistent HiGHS instances it
 drives — is **single-owner state**: it is never shared across processes
 or threads.  The parallel executor (DESIGN.md section 7) gives every
 worker its own instance (each fork worker assembles its own from the
-pickled base system; ``SolveWorkspace.clone()`` is the same ownership
-rule for same-process callers) and moves only cut *records* between
-owners under the pool's dedup/merge policy.
+pickled base system) and moves only cut *records* between owners under
+the pool's dedup/merge policy.
 
 >>> from repro.ilp.model import LinearSystem
 >>> sys = LinearSystem()

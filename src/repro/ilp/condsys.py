@@ -58,11 +58,9 @@ root of the search into a frontier of propagated subproblems and fans
 them across a fork-based :class:`WorkerPool`.  Neither the persistent
 HiGHS instances nor the live exact factorization are shareable across
 workers, so each worker owns a full workspace — its own
-:class:`SolveWorkspace` built worker-side over the pickled base (the
-equivalent of :meth:`SolveWorkspace.clone` for state that cannot cross
-the process boundary), with its own :class:`AssembledSystem`,
-lazily-built :class:`ExactAssembledSystem` twin and *local* cut pool;
-pools are
+:class:`SolveWorkspace` built worker-side over the pickled base, with
+its own :class:`AssembledSystem`, lazily-built
+:class:`ExactAssembledSystem` twin and *local* cut pool; pools are
 reconciled at wave boundaries by :meth:`_CutPool.merge` — a guarded
 dedup keyed on the canonical coefficient form and the guard set — so a
 cut learned on one branch prunes sibling branches dispatched in later
@@ -509,7 +507,6 @@ class SolveWorkspace:
         self.leaf_counter = 0
         self.solve_calls = 0
         self._assembly_charged = False
-        self._checked_out = False
         # Both caches key by the clause tuple *value* (SupportClause is
         # hashable): batch callers keep one tuple object alive across
         # probes, so the hash is computed over an interned object, and a
@@ -581,112 +578,6 @@ class SolveWorkspace:
             return 0
         self._assembly_charged = True
         return self.assembled.assemblies
-
-    def clone(self) -> "SolveWorkspace":
-        """An independent workspace over the same base system.
-
-        The in-process form of the parallel executor's ownership rule
-        (DESIGN.md section 7): persistent HiGHS instances and the live
-        exact factorization are single-owner state, so concurrent use
-        requires a full clone — its own assembly, its own lazily-built
-        certified twin, its own cut pool — never a shared handle.  The
-        clone starts with a *copy* of this pool's cuts (imported through
-        the merge policy, so they count as foreign knowledge) and
-        afterwards evolves independently; reconciliation is explicit,
-        via ``parent.pool.merge(clone.pool.export())``.  Fork workers
-        cannot receive a clone object (live solver state does not cross
-        the process boundary), so they re-derive the equivalent state
-        worker-side — a fresh workspace over the pickled base, seeded
-        with the parent pool's exported cut records; ``clone()`` is the
-        same operation for same-process callers.
-
-        The clone pays its own base assembly: cloning is how a batch
-        *chooses* to trade one assembly per worker for parallel progress.
-
-        >>> base = LinearSystem()
-        >>> _ = base.add_ge({("ext", "r"): 1}, 1)
-        >>> parent = SolveWorkspace(base)
-        >>> worker = parent.clone()
-        >>> worker.assembled is parent.assembled
-        False
-        >>> worker.assembled.system is parent.assembled.system
-        True
-        """
-        clone = SolveWorkspace(self.assembled.system)
-        clone.pool.merge(self.pool.export())
-        return clone
-
-    def export_cuts(self) -> tuple[CutRecord, ...]:
-        """Every pooled connectivity cut as a transferable record.
-
-        The cross-*request* face of the two-level cut pool (DESIGN.md
-        sections 7-8): a long-lived session exports a workspace's cuts
-        after each solve and re-seeds future workspaces over the same
-        DTD skeleton with them.  A connectivity cut's justification is
-        purely structural — any tree with a member of its guard present
-        must enter the guard set from outside — so the records stay
-        valid for *every* constraint set encoded over the same DTD.
-        """
-        return self.pool.export()
-
-    def adopt_cuts(self, records: Iterable[CutRecord]) -> tuple[int, int]:
-        """Seed this workspace with previously exported cut records.
-
-        Returns ``(accepted, duplicates)`` under the standard merge
-        policy (dedup on canonical coefficients + guard).  Records whose
-        variables do not exist in this workspace's base system are
-        skipped rather than imported: a cut can only mention columns the
-        assembled matrix actually has (cuts over one DTD's skeleton all
-        share those columns; foreign records from other DTDs never
-        transfer).
-        """
-        known = set(self.assembled.system.variables)
-        portable = [
-            record
-            for record in records
-            if all(var in known for var, _ in record.coeffs)
-        ]
-        return self.pool.merge(portable)
-
-    def checkout(self) -> "_WorkspaceLease":
-        """Claim exclusive use of this workspace for one solve sequence.
-
-        Persistent HiGHS instances and the live exact factorization are
-        single-owner state; a long-lived service holding workspaces
-        across requests must never let two requests patch the same
-        instance concurrently.  ``checkout()`` returns a context manager
-        that marks the workspace busy for its duration and raises
-        :class:`SolverError` on overlapping claims — turning a silent
-        data race into a hard error at the boundary where request
-        scheduling went wrong.
-
-        >>> base = LinearSystem()
-        >>> _ = base.add_ge({("ext", "r"): 1}, 1)
-        >>> ws = SolveWorkspace(base)
-        >>> with ws.checkout():
-        ...     with ws.checkout():
-        ...         pass
-        Traceback (most recent call last):
-            ...
-        repro.errors.SolverError: workspace is already checked out
-        """
-        return _WorkspaceLease(self)
-
-
-class _WorkspaceLease:
-    """Context manager enforcing single-owner workspace checkout."""
-
-    def __init__(self, workspace: SolveWorkspace):
-        self._workspace = workspace
-
-    def __enter__(self) -> SolveWorkspace:
-        if self._workspace._checked_out:
-            raise SolverError("workspace is already checked out")
-        self._workspace._checked_out = True
-        return self._workspace
-
-    def __exit__(self, *exc_info) -> None:
-        self._workspace._checked_out = False
 
 
 def _pool_worker(

@@ -6,9 +6,8 @@ change rarely.  This package turns the pipeline into a resident engine
 (DESIGN.md section 8):
 
 * :class:`~repro.service.session.SpecSession` — one specification's
-  cached state: the parsed spec, its canonical fingerprint, a response
-  cache, and (in ``"warm"`` mode) per-query solver workspaces plus the
-  session-level connectivity-cut pool;
+  cached state: the parsed spec, its canonical fingerprint and a
+  byte-identical response cache;
 * :class:`~repro.service.registry.SessionRegistry` — the cross-request
   cache: sessions keyed by ``(DTD, Sigma)`` fingerprint with LRU +
   byte-budget eviction;

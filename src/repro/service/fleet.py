@@ -18,10 +18,9 @@ Three responsibilities live here (DESIGN.md section 11):
 * **wave fan-out** — a multi-``phi`` ``implies_all`` batch is split into
   chunks dispatched across the live backends like the in-process
   :class:`~repro.ilp.condsys.WorkerPool` fans support branches across
-  forked workers, with the connectivity-cut pools merged over the wire
-  (``export_cuts`` / ``adopt_cuts``) at wave boundaries.  If any chunk
-  answers an error, the router falls back to forwarding the whole batch
-  to the ring owner: one authoritative, byte-identical answer;
+  forked workers.  If any chunk answers an error, the router falls back
+  to forwarding the whole batch to the ring owner: one authoritative,
+  byte-identical answer;
 * **fault tolerance** — a dead backend (connect refused, connection
   dropped repeatedly) is removed from the ring; its in-flight requests —
   idempotent by construction: every operation is a pure function of the
@@ -89,8 +88,6 @@ class RouterStats:
     reroutes: int = 0
     waves: int = 0
     wave_chunks: int = 0
-    cut_syncs: int = 0
-    cuts_synced: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {field.name: getattr(self, field.name) for field in fields(self)}
@@ -360,9 +357,8 @@ class FleetRouter(RequestServer):
         """Answer one multi-phi ``implies_all`` as waves across the fleet.
 
         Chunks of ``wave_chunk`` phis are dispatched concurrently, one
-        wave of ``len(live)`` chunks at a time; between waves the
-        backends' cut pools are merged over the wire, mirroring the
-        in-process pool's wave-boundary cut merge.  Any chunk-level
+        wave of ``len(live)`` chunks at a time, so a backend lost
+        mid-batch only shrinks the next wave.  Any chunk-level
         error triggers the authoritative fallback: the whole original
         batch is forwarded to the ring owner, whose answer is
         byte-identical to a single-backend serve.
@@ -401,8 +397,6 @@ class FleetRouter(RequestServer):
                 if fingerprint is None:
                     fingerprint = response.get("service", {}).get("session")
                 merged.extend(response["result"]["results"])
-            if cursor < len(chunks):
-                await self._sync_cuts(base)
         return {
             "id": request.get("id"),
             "ok": True,
@@ -425,56 +419,6 @@ class FleetRouter(RequestServer):
                 continue
             self.stats.routed += 1
             return response
-
-    async def _sync_cuts(self, base: dict) -> None:
-        """Merge the fleet's cut pools at a wave boundary (best effort).
-
-        Exports from every live backend are deduplicated (portable
-        packed form) and re-adopted everywhere, so cuts learned by one
-        shard prune the next wave's work on all of them — the wire
-        analogue of ``_CutPool.merge`` at the in-process pool's wave
-        edges.  Sync failures are absorbed: cuts are an accelerator,
-        never a correctness dependency.
-        """
-        spec = {
-            k: base[k] for k in ("session", "dtd", "constraints", "root") if k in base
-        }
-        live = self.ring.backends()
-        if len(live) < 2:
-            return
-        self.stats.cut_syncs += 1
-        exports = await asyncio.gather(
-            *(
-                self._links[backend].call({**spec, "op": "export_cuts"})
-                for backend in live
-            ),
-            return_exceptions=True,
-        )
-        packed: list = []
-        seen: set[str] = set()
-        for response in exports:
-            if isinstance(response, BaseException) or not response.get("ok", False):
-                continue
-            for record in response["result"]["cuts"]:
-                token = json.dumps(record, sort_keys=True)
-                if token not in seen:
-                    seen.add(token)
-                    packed.append(record)
-        if not packed:
-            return
-        adopts = await asyncio.gather(
-            *(
-                self._links[backend].call(
-                    {**spec, "op": "adopt_cuts", "cuts": packed}
-                )
-                for backend in live
-            ),
-            return_exceptions=True,
-        )
-        for response in adopts:
-            if isinstance(response, BaseException) or not response.get("ok", False):
-                continue
-            self.stats.cuts_synced += response["result"]["adopted"]
 
     def _lose_backend(self, backend: str) -> None:
         if backend in self.ring:
@@ -554,7 +498,6 @@ def spawn_backends(
     count: int,
     *,
     host: str = "127.0.0.1",
-    mode: str = "replay",
     extra_args: tuple[str, ...] = (),
     env: dict[str, str] | None = None,
     startup_timeout: float = 30.0,
@@ -588,8 +531,6 @@ def spawn_backends(
         host,
         "--port",
         "0",
-        "--mode",
-        mode,
         *extra_args,
     ]
     processes: list[subprocess.Popen] = []

@@ -154,10 +154,6 @@ METRICS: dict[str, MetricSpec] = {
         # -- session.*: aggregated across live AND retired sessions ----
         _spec("session.requests", COUNTER, "Session-level operations served."),
         _spec("session.cache_hits", COUNTER, "Response-cache hits (byte replays)."),
-        _spec("session.workspaces_built", COUNTER, "Warm workspaces assembled."),
-        _spec("session.workspaces_reused", COUNTER, "Warm workspace reuses."),
-        _spec("session.workspaces_dropped", COUNTER, "Warm workspaces evicted."),
-        _spec("session.cuts_carried", COUNTER, "Cuts carried across requests."),
         _spec(
             "session.batch_requests",
             COUNTER,
@@ -231,16 +227,6 @@ METRICS: dict[str, MetricSpec] = {
             "router.wave_chunks",
             COUNTER,
             "Chunks dispatched across all fan-out waves.",
-        ),
-        _spec(
-            "router.cut_syncs",
-            COUNTER,
-            "Wave-boundary cut-pool sync rounds.",
-        ),
-        _spec(
-            "router.cuts_synced",
-            COUNTER,
-            "Cut records adopted fleet-wide at wave boundaries.",
         ),
         _spec("router.backends", GAUGE, "Live backends on the ring."),
         _spec("router.inflight", GAUGE, "Requests admitted by the router."),

@@ -1,9 +1,8 @@
 """Crash-safe session snapshots: the service's state that survives restarts.
 
 A long-lived ``repro serve`` process accumulates value that is expensive
-to lose: per-spec response caches (the byte-identity store behind the
-warm-service speedups) and the connectivity-cut records a warm session
-has learned.  This module persists exactly that — and nothing live —
+to lose: per-spec response caches, the byte-identity store behind the
+served speedups.  This module persists exactly that — and nothing live —
 to one JSON snapshot file:
 
 * **atomic writes** — the snapshot is rendered to a sibling temp file
@@ -14,12 +13,10 @@ to one JSON snapshot file:
   checksum mismatch, truncation, or plain junk makes :func:`load_snapshot`
   return *zero sessions restored*, never raise — a corrupt snapshot is a
   cold start, not an outage (DESIGN.md section 9);
-* **portable contents only** — rendered response strings (replayed
+* **portable contents only** — rendered response strings, replayed
   verbatim, so restored answers are byte-identical to the pre-restart
-  session's) and :class:`~repro.ilp.condsys.CutRecord`\\ s (plain data,
-  re-adopted into fresh workspaces).  Live solver handles (HiGHS
-  instances, exact factorizations) are rebuilt on demand, exactly as a
-  cold session would.
+  session's.  Everything else is rebuilt on demand, exactly as a cold
+  session would.
 
 The ``persist.corrupt`` fault point (:mod:`repro.service.faults`)
 deliberately garbles the file *after* the atomic rename, so the chaos
@@ -37,29 +34,22 @@ from dataclasses import asdict
 from repro.checkers.config import CheckerConfig
 from repro.dtd.serializer import dtd_to_string
 from repro.errors import ReproError
-from repro.ilp.condsys import CutRecord
 from repro.service.faults import fault_active
 
-__all__ = [
-    "SNAPSHOT_VERSION",
-    "save_snapshot",
-    "load_snapshot",
-    "pack_value",
-    "unpack_value",
-]
+__all__ = ["SNAPSHOT_VERSION", "save_snapshot", "load_snapshot"]
 
 #: Bump on any change to the payload shape; a mismatched snapshot is
 #: silently treated as absent (cold start), never migrated in place.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 # -- value packing -----------------------------------------------------------
 #
 # Response-cache keys are tuples mixing strings, bools, ints and
-# CheckerConfig instances; cut records carry nested tuples and frozensets.
-# JSON has none of those, so every value travels as a ``[tag, ...]`` pair
-# and is rebuilt exactly (tuple identity matters: the restored keys must
-# compare equal to the keys live requests build).
+# CheckerConfig instances.  JSON has neither tuples nor configs, so every
+# value travels as a ``[tag, ...]`` pair and is rebuilt exactly (tuple
+# identity matters: the restored keys must compare equal to the keys live
+# requests build).
 
 
 def _pack(value) -> list:
@@ -73,19 +63,8 @@ def _pack(value) -> list:
         return ["s", value]
     if isinstance(value, tuple):
         return ["t", [_pack(item) for item in value]]
-    if isinstance(value, frozenset):
-        packed = [_pack(item) for item in value]
-        packed.sort(key=lambda item: json.dumps(item, sort_keys=True))
-        return ["f", packed]
     if isinstance(value, CheckerConfig):
         return ["config", asdict(value)]
-    if isinstance(value, CutRecord):
-        return [
-            "cut",
-            _pack(value.coeffs),
-            _pack(value.guard),
-            value.label,
-        ]
     raise ReproError(f"cannot persist value of type {type(value).__name__}")
 
 
@@ -95,32 +74,9 @@ def _unpack(encoded: list):
         return rest[0]
     if tag == "t":
         return tuple(_unpack(item) for item in rest[0])
-    if tag == "f":
-        return frozenset(_unpack(item) for item in rest[0])
     if tag == "config":
         return CheckerConfig(**rest[0])
-    if tag == "cut":
-        coeffs, guard, label = rest
-        return CutRecord(coeffs=_unpack(coeffs), guard=_unpack(guard), label=label)
     raise ReproError(f"unknown persisted value tag {tag!r}")
-
-
-def pack_value(value) -> list:
-    """One value in the snapshot's portable ``[tag, ...]`` form.
-
-    The same encoding the snapshot file uses also carries
-    :class:`~repro.ilp.condsys.CutRecord`\\ s over the fleet's wire
-    (the ``export_cuts`` / ``adopt_cuts`` protocol ops): packed values
-    are JSON-ready and rebuild exactly on the other side.
-    """
-    return _pack(value)
-
-
-def unpack_value(encoded: list):
-    """Rebuild a value from its portable form; raises on junk."""
-    if not isinstance(encoded, list) or not encoded:
-        raise ReproError("packed value must be a non-empty list")
-    return _unpack(encoded)
 
 
 # -- snapshot assembly -------------------------------------------------------
@@ -133,7 +89,7 @@ def snapshot_payload(registry) -> dict:
         session = registry.get(fingerprint)
         if session is None:  # evicted between the two calls
             continue
-        responses, cuts = session.export_persistent()
+        responses = session.export_persistent()
         sessions.append(
             {
                 "fingerprint": session.fingerprint,
@@ -141,10 +97,9 @@ def snapshot_payload(registry) -> dict:
                 "root": session.dtd.root,
                 "constraints": [str(phi) for phi in session.sigma],
                 "responses": [[_pack(key), rendered] for key, rendered in responses],
-                "cuts": [_pack(record) for record in cuts],
             }
         )
-    return {"mode": registry.mode, "sessions": sessions}
+    return {"sessions": sessions}
 
 
 def _checksum(payload: dict) -> str:
@@ -223,8 +178,7 @@ def load_snapshot(registry, path: str) -> int:
             responses = [
                 (_unpack(key), rendered) for key, rendered in entry["responses"]
             ]
-            cuts = [_unpack(record) for record in entry["cuts"]]
-            session.restore_persistent(responses, cuts)
+            session.restore_persistent(responses)
             restored += 1
         except Exception:  # noqa: BLE001 - one bad entry must not spread
             continue

@@ -22,9 +22,7 @@ card), ``check``, ``implies`` (one ``phi``), ``implies_all`` (a ``phis``
 list, answered as one coalesced batch), ``diagnose``, ``repair`` (a
 minimum-weight consistency-restoring edit; optional ``core_method`` and
 a ``weights`` object mapping action family to a positive integer cost),
-``validate`` (a ``document``), ``export_cuts`` / ``adopt_cuts`` (the fleet's
-wave-boundary cut sync: portable connectivity-cut records out of and
-into the session pool), ``stats`` (registry + server counters) and
+``validate`` (a ``document``), ``stats`` (registry + server counters) and
 ``shutdown``.
 Responses may arrive out of request order when requests from one
 connection overlap — the ``id`` is the correlation key.
@@ -62,8 +60,6 @@ SESSION_OPS = frozenset(
         "diagnose",
         "repair",
         "validate",
-        "export_cuts",
-        "adopt_cuts",
     }
 )
 
@@ -163,13 +159,6 @@ def perform(session: SpecSession, request: dict) -> dict:
         if "document" not in request:
             raise ProtocolError("op 'validate' needs a 'document'")
         return session.validate(request["document"])
-    if op == "export_cuts":
-        return session.export_cuts_wire()
-    if op == "adopt_cuts":
-        packed = request.get("cuts")
-        if not isinstance(packed, list):
-            raise ProtocolError("op 'adopt_cuts' needs a 'cuts' list")
-        return session.adopt_cuts_wire(packed)
     raise ProtocolError(f"op {op!r} is not a session operation")
 
 

@@ -26,7 +26,7 @@ from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
 from repro.encoding.combined import spec_fingerprint
 from repro.errors import ReproError
-from repro.service.session import MODES, SpecSession
+from repro.service.session import SpecSession
 
 
 #: Lazily-created process-wide registry (the CLI's thin-client backing).
@@ -86,7 +86,7 @@ class SessionRegistry:
     >>> first = registry.session_for(d, [])
     >>> registry.session_for(d, []) is first      # same spec: cache hit
     True
-    >>> registry.stats()["session_hits"]
+    >>> registry.core_stats()["session_hits"]
     1
     """
 
@@ -94,24 +94,18 @@ class SessionRegistry:
         self,
         max_sessions: int = 32,
         max_bytes: int = 256 * 1024 * 1024,
-        mode: str = "replay",
         config: CheckerConfig | None = None,
         max_cached_responses: int = 512,
-        max_workspaces: int = 32,
         auto_jobs: bool = False,
     ):
-        if mode not in MODES:
-            raise ReproError(f"unknown session mode {mode!r} (use one of {MODES})")
         if max_sessions < 1:
             raise ReproError("the registry needs room for at least one session")
         self.max_sessions = max_sessions
         self.max_bytes = max_bytes
-        self.mode = mode
         self.config = config
         self.auto_jobs = auto_jobs
         self.collector = None
         self._max_cached_responses = max_cached_responses
-        self._max_workspaces = max_workspaces
         self._lock = threading.Lock()
         self._sessions: "OrderedDict[str, SpecSession]" = OrderedDict()
         self._hits = 0
@@ -119,7 +113,7 @@ class SessionRegistry:
         self._evicted = 0
         #: Folded counters of evicted sessions, so the ``session.*``
         #: aggregates (:meth:`session_counters`) stay monotone when the
-        #: LRU sheds a resident session (ISSUE 8).
+        #: LRU sheds a resident session.
         self._retired: dict[str, int] = {}
 
     # -- resolution ---------------------------------------------------------
@@ -152,9 +146,7 @@ class SessionRegistry:
                 dtd,
                 sigma,
                 config=self.config,
-                mode=self.mode,
                 max_cached_responses=self._max_cached_responses,
-                max_workspaces=self._max_workspaces,
                 auto_jobs=self.auto_jobs,
                 collector=self.collector,
             )
@@ -229,34 +221,9 @@ class SessionRegistry:
         with self._lock:
             return list(self._sessions)
 
-    def stats(self) -> dict[str, int]:
-        """Registry counters plus aggregate session counters."""
-        with self._lock:
-            payload = {
-                "sessions": len(self._sessions),
-                "sessions_opened": self._opened,
-                "session_hits": self._hits,
-                "sessions_evicted": self._evicted,
-                "approx_bytes": self.approx_bytes(),
-                "max_sessions": self.max_sessions,
-                "max_bytes": self.max_bytes,
-            }
-            payload["session_requests"] = sum(
-                session.stats.requests for session in self._sessions.values()
-            )
-            payload["response_cache_hits"] = sum(
-                session.stats.cache_hits for session in self._sessions.values()
-            )
-            return payload
-
     def core_stats(self) -> dict[str, int]:
-        """Registry-only counters (no session aggregates mixed in).
-
-        The legacy :meth:`stats` payload merges session aggregates into
-        the same flat dict — the key-shadowing hazard ISSUE 8 fixes; the
-        namespaced wire surface (``registry.*``) is built from this
-        instead.
-        """
+        """Registry-only counters; the session aggregates live in
+        :meth:`session_counters`."""
         with self._lock:
             return {
                 "sessions": len(self._sessions),
@@ -279,15 +246,7 @@ class SessionRegistry:
                 for key, value in session.stats.as_dict().items():
                     totals[key] = totals.get(key, 0) + value
                 cached += len(session._responses)  # single-read, GIL-atomic
-            for key in (
-                "requests",
-                "cache_hits",
-                "workspaces_built",
-                "workspaces_reused",
-                "workspaces_dropped",
-                "cuts_carried",
-                "batch_requests",
-            ):
+            for key in ("requests", "cache_hits", "batch_requests"):
                 totals.setdefault(key, 0)
             totals["cached_responses"] = cached
             return totals

@@ -8,7 +8,7 @@ scheduling rules:
 
 * **per-session serialization** — every session has at most one
   operation in flight at a time (a single drainer task per session
-  feeds the executor), so single-owner workspace state never races;
+  feeds the executor), so a session's response cache never races;
 * **batch coalescing** — while a session is busy, newly arrived
   ``implies`` requests with the same config (and deadline) pile up in
   its queue; the drainer pops them *together* and answers them with one
@@ -773,10 +773,11 @@ class CheckingServer(RequestServer):
     def stats_payload(self) -> dict:
         """Registry, server and per-session counters (the ``stats`` op).
 
-        The nested sections are the original wire shape; ``counters`` is
-        the ISSUE-8 namespaced flat view (``server.*``, ``registry.*``,
-        ``session.*``, ``pool.*``) in which no key can shadow another —
-        the same dict a ``/metrics`` scrape renders.
+        The nested sections are the original wire shape; ``registry``
+        holds registry counters only, and the session aggregates live in
+        ``counters``, the namespaced flat view (``server.*``,
+        ``registry.*``, ``session.*``, ``pool.*``) in which no key can
+        shadow another — the same dict a ``/metrics`` scrape renders.
         """
         sessions = {}
         for fingerprint in self.registry.fingerprints():
@@ -789,7 +790,7 @@ class CheckingServer(RequestServer):
         server_stats["batch_limit"] = self.batch_limit()
         server_stats["accepting"] = self._accepting
         return {
-            "registry": self.registry.stats(),
+            "registry": self.registry.core_stats(),
             "server": server_stats,
             "sessions": sessions,
             "counters": self.metrics_snapshot(),

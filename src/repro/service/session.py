@@ -8,30 +8,18 @@ requests against it, dispatching each solve through the
 ``repro serve``), so a session *is* the service engine; the asyncio
 layer only schedules calls into it.
 
-Two reuse modes:
-
-* ``"replay"`` (default) — deterministic cross-request caching only:
-  the parsed spec, its validation, the per-DTD ``Psi_DN`` encoding
-  block, and a bounded response cache keyed by the full request.  A
-  novel request runs the *exact* one-shot checker path, so every
-  response is byte-identical to the direct
-  :class:`~repro.checkers.config.CheckerConfig` call — repeats are
-  served from the cache, stats included.
-* ``"warm"`` — additionally keeps per-query
-  :class:`~repro.ilp.condsys.SolveWorkspace`\\ s (assembled HiGHS
-  matrix + lazily-built exact twin) in a bounded LRU, and carries the
-  session-level connectivity-cut pool into every new workspace.  A
-  repeated ``implies`` that misses the response cache re-solves by
-  bound patches on the warm assembly; novel queries start from the
-  accumulated cuts.  Verdicts and witnesses stay correct (cuts are
-  structurally valid for every constraint set over the same DTD, and
-  all witnesses are re-verified), but the solver *work counters* then
-  reflect the warm state rather than a cold start.
+The session keeps deterministic cross-request state only: the parsed
+spec, its validation, the per-DTD ``Psi_DN`` encoding block, and a
+bounded response cache keyed by the full request.  A novel request runs
+the *exact* one-shot checker path, so every response is byte-identical
+to the direct :class:`~repro.checkers.config.CheckerConfig` call —
+repeats are served from the cache, stats included.  The paper reduces
+every question to integer feasibility of ``Psi(D, Sigma)`` (Lemma 4.5,
+Theorem 5.1), so an answer is a pure function of the request and a
+replay is always correct.
 
 Sessions are single-owner: a :class:`threading.RLock` serializes
-requests, and warm workspaces are claimed through
-:meth:`~repro.ilp.condsys.SolveWorkspace.checkout` so an ownership bug
-raises instead of racing.
+requests.
 """
 
 from __future__ import annotations
@@ -46,34 +34,21 @@ from typing import TYPE_CHECKING
 
 from repro import api
 from repro.checkers.config import DEFAULT_CONFIG, CheckerConfig
-from repro.checkers.consistency import check_consistency, check_consistency_encoded
 from repro.checkers.implication import implies_all, implies_validated
-from repro.checkers.results import ConsistencyResult
 from repro.constraints.ast import Constraint
-from repro.constraints.classes import (
-    ConstraintClass,
-    classify,
-    validate_constraints,
-)
+from repro.constraints.classes import validate_constraints
 from repro.constraints.parser import parse_constraint
 from repro.constraints.satisfaction import violations
 from repro.dtd.model import DTD
-from repro.encoding.combined import (
-    build_encoding,
-    canonical_spec,
-    spec_fingerprint,
-)
+from repro.encoding.combined import canonical_spec, spec_fingerprint
 from repro.errors import ReproError
-from repro.ilp.condsys import SolveWorkspace, wave_observer_scope
+from repro.ilp.condsys import wave_observer_scope
 from repro.xmltree.parse import parse_xml
 from repro.xmltree.serialize import tree_to_string
 from repro.xmltree.validate import conforms
 
 if TYPE_CHECKING:  # a server attaches these; a one-shot call never does
     from repro.service.metrics import AdaptiveJobsController, StatsCollector
-
-#: The reuse modes a session can run in.
-MODES = ("replay", "warm")
 
 #: CheckerConfig fields a request may override per call.
 _CONFIG_FIELDS = frozenset(f.name for f in fields(CheckerConfig))
@@ -88,20 +63,12 @@ class SessionStats:
 
     requests: int = 0
     cache_hits: int = 0
-    workspaces_built: int = 0
-    workspaces_reused: int = 0
-    workspaces_dropped: int = 0
-    cuts_carried: int = 0
     batch_requests: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
             "requests": self.requests,
             "cache_hits": self.cache_hits,
-            "workspaces_built": self.workspaces_built,
-            "workspaces_reused": self.workspaces_reused,
-            "workspaces_dropped": self.workspaces_dropped,
-            "cuts_carried": self.cuts_carried,
             "batch_requests": self.batch_requests,
         }
 
@@ -200,24 +167,19 @@ class SpecSession:
         dtd: DTD,
         constraints: list[Constraint] | tuple[Constraint, ...] = (),
         config: CheckerConfig | None = None,
-        mode: str = "replay",
         max_cached_responses: int = 512,
-        max_workspaces: int = 32,
         max_response_bytes: int = 64 * 1024 * 1024,
         auto_jobs: bool = False,
         collector: StatsCollector | None = None,
     ):
-        if mode not in MODES:
-            raise ReproError(f"unknown session mode {mode!r} (use one of {MODES})")
         self.dtd = dtd
         self.sigma = list(constraints)
         #: The facade value the session dispatches through: every
-        #: non-warm solve goes `session -> repro.api -> engine`, the
+        #: solve goes `session -> repro.api -> engine`, the
         #: same path a library caller takes.
         self.spec = api.Spec(dtd=dtd, constraints=tuple(constraints))
         validate_constraints(dtd, self.sigma)
         self.config = config or DEFAULT_CONFIG
-        self.mode = mode
         self.fingerprint = spec_fingerprint(dtd, self.sigma)
         self.stats = SessionStats()
         #: ``--jobs auto``: requests without an explicit jobs override
@@ -231,7 +193,6 @@ class SpecSession:
         self._jobs_controller: AdaptiveJobsController | None = None
         self._spec_bytes = len(canonical_spec(dtd, self.sigma).encode("utf-8"))
         self._max_cached_responses = max_cached_responses
-        self._max_workspaces = max_workspaces
         #: Per-session cap on the response cache's resident bytes (keys
         #: included), so one session cannot grow unboundedly between the
         #: registry's admission-time budget scans.
@@ -240,40 +201,27 @@ class SpecSession:
         #: request key -> rendered response JSON (the byte-identity store).
         self._responses: "OrderedDict[tuple, str]" = OrderedDict()
         self._response_bytes = 0
-        #: warm mode: workspace key -> (encoding, SolveWorkspace).
-        self._workspaces: "OrderedDict[tuple, tuple]" = OrderedDict()
-        #: warm mode: session-level cut pool, keyed for dedup.
-        self._cut_records: dict[tuple, object] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
     def approx_bytes(self) -> int:
         """Rough resident size, the registry's eviction currency.
 
-        Sums the canonical spec text, the cached responses (keys
-        included — a ``validate`` key retains the whole document text),
-        and a per-workspace estimate from the base system's shape (rows
-        and columns of the assembled matrix plus pooled cuts).  An
-        estimate is enough: eviction needs relative weight, not
+        The canonical spec text plus the cached responses (keys
+        included — a ``validate`` key retains the whole document text).
+        An estimate is enough: eviction needs relative weight, not
         accounting.  Takes the session lock: callers (the registry's
         eviction scan, the ``stats`` op) run on other threads than the
-        executor thread mutating the warm-workspace LRU.
+        executor thread mutating the response cache.
         """
         with self._lock:
-            total = self._spec_bytes + self._response_bytes
-            for encoding, workspace in self._workspaces.values():
-                base = encoding.condsys.base
-                total += 48 * base.num_rows + 24 * base.num_vars
-                total += 64 * len(workspace.pool)
-            return total
+            return self._spec_bytes + self._response_bytes
 
     def service_stats(self) -> dict[str, int]:
         """The session's cross-request counters plus cache occupancy."""
         with self._lock:
             payload = self.stats.as_dict()
             payload["cached_responses"] = len(self._responses)
-            payload["warm_workspaces"] = len(self._workspaces)
-            payload["cut_records"] = len(self._cut_records)
             payload["approx_bytes"] = self.approx_bytes()
             if self._jobs_controller is not None:
                 payload["effective_jobs"] = self._jobs_controller.current()
@@ -384,12 +332,7 @@ class SpecSession:
             if cached is not None:
                 return cached
             with self._solve_scope():
-                if self.mode == "warm":
-                    result = self._warm_consistency(
-                        self.dtd, self.sigma, effective, workspace_key=("check",)
-                    )
-                else:
-                    result = api.check(self.spec, config=effective)
+                result = api.check(self.spec, config=effective)
             payload = {
                 "consistent": result.consistent,
                 "method": result.method,
@@ -435,7 +378,7 @@ class SpecSession:
                 if cached is None:
                     misses.append((len(responses), parsed))
                 responses.append(cached)  # placeholder when None
-            if len(misses) > 1 and self.mode != "warm":
+            if len(misses) > 1:
                 # The coalesced path: one ``implies_all`` call over the
                 # batch's *distinct* missed queries — it validates once,
                 # shares the per-DTD encoding block, and fans over the
@@ -572,96 +515,29 @@ class SpecSession:
             "root": self.dtd.root,
             "element_types": len(self.dtd.element_types),
             "constraints": len(self.sigma),
-            "mode": self.mode,
         }
 
     # -- persistence (repro.service.persist) --------------------------------
 
-    def export_persistent(self) -> tuple[list[tuple[tuple, str]], list]:
-        """The session state worth surviving a restart, in insertion order.
+    def export_persistent(self) -> list[tuple[tuple, str]]:
+        """The rendered response cache, in insertion order.
 
-        Two pieces: the rendered response cache (the byte-identity store
-        — replaying a rendered string is what makes a restored session's
-        answers byte-identical) and the portable cut records (so a warm
-        session's accumulated connectivity cuts keep pruning after the
-        restart).  Warm workspaces are deliberately *not* exported: they
-        hold live solver handles (HiGHS instances, exact factorizations)
-        that cannot meaningfully cross a process boundary, and rebuilding
-        one from the restored cut records is exactly the cold-start path
-        the differential suite pins.
+        The byte-identity store is the session state worth surviving a
+        restart: replaying a rendered string is what makes a restored
+        session's answers byte-identical.
         """
         with self._lock:
-            return (
-                list(self._responses.items()),
-                list(self._cut_records.values()),
-            )
+            return list(self._responses.items())
 
-    def restore_persistent(
-        self, responses: list[tuple[tuple, str]], cuts: list
-    ) -> None:
-        """Adopt a snapshot's response cache and cut records (cold caches
-        only — never called on a session that has already answered)."""
+    def restore_persistent(self, responses: list[tuple[tuple, str]]) -> None:
+        """Adopt a snapshot's response cache (cold caches only — never
+        called on a session that has already answered)."""
         with self._lock:
             for key, rendered in responses:
                 if key in self._responses:
                     continue
                 self._responses[key] = rendered
                 self._response_bytes += self._entry_bytes(key, rendered)
-            for record in cuts:
-                self._cut_records.setdefault(record.key, record)
-
-    # -- fleet cut transport (repro.service.fleet) ---------------------------
-
-    def export_cuts_wire(self) -> dict:
-        """The session's cut pool in portable form (the ``export_cuts`` op).
-
-        The fleet router pulls these at wave boundaries and pushes the
-        union back through :meth:`adopt_cuts_wire`, so shards solving
-        chunks of one ``implies_all`` share connectivity cuts exactly as
-        the in-process worker pool merges them between waves.  Packed
-        with the snapshot encoding
-        (:func:`~repro.service.persist.pack_value`), and never cached:
-        the pool grows between calls.
-        """
-        from repro.service import persist
-
-        with self._lock:
-            self.stats.requests += 1
-            return {
-                "cuts": [
-                    persist.pack_value(record)
-                    for record in self._cut_records.values()
-                ]
-            }
-
-    def adopt_cuts_wire(self, packed: list) -> dict:
-        """Merge foreign packed cut records (the ``adopt_cuts`` op).
-
-        Set-union under the canonical record key, like
-        :meth:`~repro.ilp.condsys._CutPool.merge`: duplicates are
-        counted, never re-adopted, so the sync is idempotent and
-        order-independent.  Adopted records seed the next warm
-        workspace; replay-mode sessions accept them too (their pools
-        simply stay unused until a warm restart restores them).
-        """
-        from repro.ilp.condsys import CutRecord
-        from repro.service import persist
-
-        adopted = duplicates = 0
-        with self._lock:
-            self.stats.requests += 1
-            for item in packed:
-                record = persist.unpack_value(item)
-                if not isinstance(record, CutRecord):
-                    raise ReproError(
-                        "adopt_cuts entries must be packed cut records"
-                    )
-                if record.key in self._cut_records:
-                    duplicates += 1
-                else:
-                    self._cut_records[record.key] = record
-                    adopted += 1
-        return {"adopted": adopted, "duplicates": duplicates}
 
     # -- internals ----------------------------------------------------------
 
@@ -688,60 +564,6 @@ class SpecSession:
         if cached is not None:
             return cached
         validate_constraints(self.dtd, [*self.sigma, parsed])
-        consistency = self._warm_probe if self.mode == "warm" else None
         with self._solve_scope():
-            result = implies_validated(
-                self.dtd, self.sigma, parsed, effective, consistency
-            )
+            result = implies_validated(self.dtd, self.sigma, parsed, effective)
         return self._absorb(self._remember(key, self._implication_payload(result)))
-
-    def _warm_probe(
-        self, dtd: DTD, constraints: list[Constraint], config: CheckerConfig
-    ) -> ConsistencyResult:
-        """Negation-consistency probe served from warm per-query state.
-
-        Keyed by the probe's final constraint (the negated query — the
-        rest is always the session's Sigma), so a repeated query lands
-        on its own warm workspace and re-solves by bound patches.
-        """
-        marker = str(constraints[-1]) if constraints else ""
-        return self._warm_consistency(
-            dtd, constraints, config, workspace_key=("implies", marker)
-        )
-
-    def _warm_consistency(
-        self,
-        dtd: DTD,
-        constraints: list[Constraint],
-        config: CheckerConfig,
-        workspace_key: tuple,
-    ) -> ConsistencyResult:
-        """Consistency with per-query workspace + session cut carry-over."""
-        cls = classify(constraints)
-        if cls in (ConstraintClass.EMPTY, ConstraintClass.K, ConstraintClass.K_FK):
-            # Linear-time fragments and the undecidable refusal: nothing
-            # for a workspace to amortize — take the one-shot path.
-            return check_consistency(dtd, constraints, config)
-        key = (*workspace_key, config.max_setrep_attrs)
-        entry = self._workspaces.get(key)
-        if entry is None:
-            encoding = build_encoding(
-                dtd, constraints, max_setrep_attrs=config.max_setrep_attrs
-            )
-            workspace = SolveWorkspace(encoding.condsys.base)
-            accepted, _ = workspace.adopt_cuts(self._cut_records.values())
-            self.stats.cuts_carried += accepted
-            self.stats.workspaces_built += 1
-            self._workspaces[key] = entry = (encoding, workspace)
-            while len(self._workspaces) > self._max_workspaces:
-                self._workspaces.popitem(last=False)
-                self.stats.workspaces_dropped += 1
-        else:
-            self._workspaces.move_to_end(key)
-            self.stats.workspaces_reused += 1
-        encoding, workspace = entry
-        with workspace.checkout():
-            result = check_consistency_encoded(encoding, config, workspace)
-        for record in workspace.export_cuts():
-            self._cut_records.setdefault(record.key, record)
-        return result

@@ -124,6 +124,70 @@ class TestCheck:
             main([command, d1_file, sigma1_file, flag])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["serve", "fleet"])
+    def test_session_mode_flag_is_gone(self, command):
+        # Sessions have one mode (replay); `--mode` is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--mode", "warm"])
+        assert exit_info.value.code == 2
+
+    def test_cut_transport_ops_are_gone(self):
+        from repro.service.client import ServiceClient
+        from repro.service.registry import SessionRegistry
+        from repro.service.server import CheckingServer
+
+        server = CheckingServer(SessionRegistry())
+        host, port = server.start_background()
+        try:
+            with ServiceClient(host, port) as client:
+                for op in ("export_cuts", "adopt_cuts"):
+                    response = client.call(
+                        {"op": op, "dtd": dtd_to_string(teachers_dtd_d1())}
+                    )
+                    assert response["ok"] is False
+                    assert response["error"]["type"] == "ProtocolError"
+                    assert f"unknown op {op!r}" in response["error"]["message"]
+        finally:
+            server.close()
+
+
+class TestVia:
+    """`--via HOST:PORT` sends the command's solver flags over the wire."""
+
+    @pytest.fixture
+    def server_address(self):
+        from repro.service.registry import SessionRegistry
+        from repro.service.server import CheckingServer
+
+        server = CheckingServer(SessionRegistry())
+        host, port = server.start_background()
+        yield f"{host}:{port}"
+        server.close()
+
+    def test_jobs_reaches_the_server_cap(
+        self, d1_file, sigma1_file, server_address, capsys
+    ):
+        code = main(
+            ["check", d1_file, sigma1_file, "--via", server_address,
+             "--jobs", "100000"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "service answered ProtocolError" in err
+        assert "config override 'jobs' = 100000 exceeds" in err
+
+    def test_backend_reaches_the_server(
+        self, d1_file, sigma1_file, server_address, capsys
+    ):
+        args = ["check", d1_file, sigma1_file, "--via", server_address, "--stats"]
+        assert main([*args, "--backend", "exact"]) == 1
+        out = capsys.readouterr().out
+        assert "consistent: False" in out
+        assert "exact_nodes=1" in out
+        # The default backend never runs the exact engine.
+        assert main(args) == 1
+        assert "exact_nodes=0" in capsys.readouterr().out
+
 
 class TestValidate:
     def test_valid_document(self, d1_file, keys_file, tmp_path, capsys):

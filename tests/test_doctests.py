@@ -56,15 +56,14 @@ def _surface_examples(obj) -> int:
 
 def test_parallel_surface_keeps_examples():
     """The section-7 public surface documents itself with runnable
-    examples: the ``jobs`` entry point, the per-worker workspace clone,
-    and the QuickXplain MUS.  The module sweep above executes them; this
-    guard keeps them from being silently dropped."""
+    examples: the ``jobs`` entry point and the QuickXplain MUS.  The
+    module sweep above executes them; this guard keeps them from being
+    silently dropped."""
     from repro.analysis.diagnostics import mus
-    from repro.ilp.condsys import SolveWorkspace, solve_conditional_system
+    from repro.ilp.condsys import solve_conditional_system
 
     for obj, needle in (
         (solve_conditional_system, "jobs"),
-        (SolveWorkspace.clone, "clone"),
         (mus, "quickxplain"),
     ):
         assert _surface_examples(obj) > 0, f"{obj.__qualname__} lost its example"

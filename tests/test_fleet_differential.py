@@ -18,8 +18,6 @@ import math
 import pytest
 
 from repro.dtd.serializer import dtd_to_string
-from repro.ilp.condsys import CutRecord
-from repro.service import persist
 from repro.service.fleet import FleetRouter
 from repro.service.http import HTTPFrontend
 from repro.service.registry import SessionRegistry, fingerprint_for
@@ -108,13 +106,11 @@ def _line_exchange(address, requests) -> list:
 class _Fleet:
     """N in-process backends plus a router, all on background threads."""
 
-    def __init__(
-        self, n: int, mode: str = "replay", start: bool = True, **router_kwargs
-    ):
+    def __init__(self, n: int, start: bool = True, **router_kwargs):
         self.backends = []
         specs = []
         for _ in range(n):
-            backend = CheckingServer(SessionRegistry(mode=mode))
+            backend = CheckingServer(SessionRegistry())
             host, port = backend.start_background()
             self.backends.append(backend)
             specs.append(f"{host}:{port}")
@@ -158,9 +154,8 @@ def test_fleet_line_protocol_is_byte_identical_to_single_serve(n):
 
 
 def test_multi_wave_fan_out_stays_byte_identical():
-    """wave_chunk=1 over 3 backends forces multiple waves (with cut
-    syncs between them) for one batch; the merged answer must still be
-    the single server's exact bytes."""
+    """wave_chunk=1 over 3 backends forces multiple waves for one batch;
+    the merged answer must still be the single server's exact bytes."""
     dtd_text, sigma_text = _specs()["chain"]
     request = {
         "id": "batch",
@@ -177,7 +172,6 @@ def test_multi_wave_fan_out_stays_byte_identical():
             [theirs] = _line_exchange(reference.address, [request])
             assert ours == theirs
             assert fleet.router.stats.waves >= 2
-            assert fleet.router.stats.cut_syncs >= 1
     finally:
         reference.close()
 
@@ -193,11 +187,11 @@ def test_fleet_shard_affinity_reuses_backend_sessions():
         second = _line_exchange(fleet.address, [{"id": 1, **request}])
         assert first == second
         opened = [
-            backend.registry.stats()["sessions_opened"]
+            backend.registry.core_stats()["sessions_opened"]
             for backend in fleet.backends
         ]
         hits = [
-            backend.registry.stats()["session_hits"]
+            backend.registry.core_stats()["session_hits"]
             for backend in fleet.backends
         ]
         assert sum(opened) == 1, opened
@@ -333,95 +327,6 @@ def test_fleet_http_budget_exceeded_answers_504():
                 front.close()
     finally:
         reference_front.close()
-
-
-# ---------------------------------------------------------------------------
-# Warm mode: wire-level cut transport
-# ---------------------------------------------------------------------------
-
-
-def test_export_adopt_cuts_round_trip_real_records():
-    """A warm backend's cut pool exports in portable packed form and
-    adopts into a *different* backend's pool with exact dedup counts.
-
-    The donor's pool is seeded with records in the exact shape the
-    solver's ``_CutPool.export()`` produces (canonical coefficient
-    tuples plus a guard), so the wire transport is exercised on genuine
-    record structure regardless of whether this spec's solve happens to
-    learn connectivity cuts organically."""
-    dtd_text, sigma_text = _specs()["chain"]
-    spec = {"dtd": dtd_text, "constraints": sigma_text}
-    donor = CheckingServer(SessionRegistry(mode="warm"))
-    recipient = CheckingServer(SessionRegistry(mode="warm"))
-    donor.start_background()
-    recipient.start_background()
-    try:
-        session = donor.registry.session_for(dtd_text, sigma_text)
-        seeded = [
-            CutRecord(((1, 1), (2, -1)), frozenset({"t0", "t1"}), "conn"),
-            CutRecord(((3, 1),), frozenset({"t2"}), ""),
-        ]
-        for record in seeded:
-            session._cut_records[record.key] = record
-        [raw] = _line_exchange(
-            donor.address, [{"id": "x", "op": "export_cuts", **spec}]
-        )
-        exported = json.loads(raw)
-        assert exported["ok"]
-        cuts = exported["result"]["cuts"]
-        assert len(cuts) == len(seeded)
-        unpacked = [persist.unpack_value(packed) for packed in cuts]
-        for record in unpacked:
-            assert isinstance(record, CutRecord)
-        assert {record.key for record in unpacked} == {
-            record.key for record in seeded
-        }
-        [raw] = _line_exchange(
-            recipient.address,
-            [{"id": "y", "op": "adopt_cuts", **spec, "cuts": cuts}],
-        )
-        adopted = json.loads(raw)
-        assert adopted["ok"]
-        assert adopted["result"]["adopted"] == len(cuts)
-        assert adopted["result"]["duplicates"] == 0
-        # Re-adopting is pure dedup.
-        [raw] = _line_exchange(
-            recipient.address,
-            [{"id": "z", "op": "adopt_cuts", **spec, "cuts": cuts}],
-        )
-        again = json.loads(raw)
-        assert again["result"]["adopted"] == 0
-        assert again["result"]["duplicates"] == len(cuts)
-    finally:
-        donor.close()
-        recipient.close()
-
-
-def test_warm_fleet_fan_out_matches_single_warm_verdicts():
-    """Warm mode trades byte-identity of stats for workspace reuse (the
-    repo-wide convention); through the fleet the *verdicts* of a fanned
-    batch must still match a single warm server, and the wave-boundary
-    cut sync must have run."""
-    dtd_text, sigma_text = _specs()["chain"]
-    request = {
-        "id": "warm",
-        "op": "implies_all",
-        "dtd": dtd_text,
-        "constraints": sigma_text,
-        "phis": CHAIN_PHIS,
-    }
-    reference = CheckingServer(SessionRegistry(mode="warm"))
-    reference.start_background()
-    try:
-        with _Fleet(2, mode="warm", wave_chunk=1) as fleet:
-            [ours] = _line_exchange(fleet.address, [request])
-            [theirs] = _line_exchange(reference.address, [request])
-            mine = json.loads(ours)["result"]["results"]
-            ref = json.loads(theirs)["result"]["results"]
-            assert [r["implied"] for r in mine] == [r["implied"] for r in ref]
-            assert fleet.router.stats.cut_syncs >= 1
-    finally:
-        reference.close()
 
 
 # ---------------------------------------------------------------------------

@@ -202,12 +202,11 @@ def test_readme_fleet_knobs_parse_in_cli():
     parser = build_parser()
     args = parser.parse_args(
         ["fleet", "--backends", "127.0.0.1:7801,127.0.0.1:7802",
-         "--port", "7800", "--http", "8080", "--mode", "warm"]
+         "--port", "7800", "--http", "8080"]
     )
     assert args.backends == "127.0.0.1:7801,127.0.0.1:7802"
     assert args.port == 7800
     assert args.http == 8080
-    assert args.mode == "warm"
     assert parser.parse_args(["fleet", "--spawn", "4"]).spawn == 4
     via = parser.parse_args(
         ["implies", "d.dtd", "s.txt", "a.k -> a", "--via", "127.0.0.1:7800"]

@@ -194,7 +194,7 @@ def test_byte_identity_survives_eviction_and_readmission():
     ):
         assert response["ok"], response
         assert _canon(response["result"]) == _canon(expected), request["op"]
-    stats = server.registry.stats()
+    stats = server.registry.core_stats()
     assert stats["sessions"] == 1
     # Three specs rotate through a one-slot registry twice: every
     # admission beyond the first evicted the previous resident.

@@ -164,6 +164,23 @@ def test_version_skew_restores_nothing(tmp_path):
     assert session.check()["consistent"] is True
     assert session.stats.cache_hits == 0
 
+    # A version-2 snapshot, written while sessions still had a reuse mode
+    # and a cut pool: the payload names the mode and each session carries
+    # packed cut records.  It cold-starts the same way.
+    payload = dict(written["payload"], mode="warm")
+    payload["sessions"] = [
+        dict(entry, cuts=[["cut", ["t", []], ["f", [["s", "a"]]], "conn"]])
+        for entry in payload["sessions"]
+    ]
+    envelope = {"version": 2, "checksum": _checksum(payload), "payload": payload}
+    with open(state, "w", encoding="utf-8") as handle:
+        json.dump(envelope, handle)
+    registry = SessionRegistry()
+    assert load_snapshot(registry, state) == 0
+    session = registry.session_for(dtd_to_string(teachers_dtd_d1()), KEYS)
+    assert session.check()["consistent"] is True
+    assert session.stats.cache_hits == 0
+
 
 def test_missing_snapshot_is_a_cold_start(tmp_path):
     state = str(tmp_path / "never-written.json")

@@ -11,9 +11,8 @@ from repro.checkers.config import CheckerConfig
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
 from repro.encoding.combined import spec_fingerprint
-from repro.errors import ReproError, SolverError
-from repro.ilp.condsys import SolveWorkspace, effective_parallelism
-from repro.ilp.model import LinearSystem
+from repro.errors import ReproError
+from repro.ilp.condsys import effective_parallelism
 from repro.service.registry import SessionRegistry, default_registry
 from repro.service.session import SpecSession, merge_config
 from repro.workloads.generators import wide_flat_dtd
@@ -153,11 +152,6 @@ class TestResponseCache:
         with pytest.raises(ProtocolError, match=f"cap of {cap}"):
             queue._run_batch(["a.id -> a"] * 3, {"jobs": cap + 1}, None)
 
-    def test_unknown_mode_rejected(self):
-        dtd, sigma = _spec()
-        with pytest.raises(ReproError, match="unknown session mode"):
-            SpecSession(dtd, sigma, mode="turbo")
-
 
 class TestBatch:
     def test_batch_equals_singles_and_caches(self):
@@ -183,47 +177,13 @@ class TestBatch:
         assert batch[2]["error"]["type"] == "ParseError"
 
 
-class TestWarmMode:
-    def test_warm_reuses_workspaces_and_matches_verdicts(self):
-        dtd = wide_flat_dtd(5)
-        sigma = parse_constraints(
-            "\n".join(f"t{i}.x <= t{i + 1}.x" for i in range(3))
-        )
-        phis = [
-            f"t{i}.x <= t{j}.x" for i in range(3) for j in range(4) if i != j
-        ]
-        warm = SpecSession(dtd, sigma, mode="warm")
-        replay = SpecSession(dtd, sigma)
-        for phi in phis:
-            assert warm.implies(phi)["implied"] == replay.implies(phi)["implied"]
-        assert warm.stats.workspaces_built == len(phis)
-        # Force re-solves on the warm workspaces (drop only responses).
-        warm._responses.clear()
-        warm._response_bytes = 0
-        for phi in phis:
-            assert warm.implies(phi)["implied"] == replay.implies(phi)["implied"]
-        assert warm.stats.workspaces_reused == len(phis)
-        assert warm.stats.workspaces_built == len(phis)
-
-    def test_workspace_checkout_is_single_owner(self):
-        base = LinearSystem()
-        base.add_ge({("ext", "r"): 1}, 1)
-        workspace = SolveWorkspace(base)
-        with workspace.checkout():
-            with pytest.raises(SolverError, match="already checked out"):
-                with workspace.checkout():
-                    pass  # pragma: no cover - the claim must raise
-        with workspace.checkout():
-            pass  # released after exit
-
-
 class TestRegistry:
     def test_lru_eviction_by_count(self):
         registry = SessionRegistry(max_sessions=2)
         sessions = [
             registry.session_for(*_spec(tag)) for tag in ("a", "b", "c")
         ]
-        stats = registry.stats()
+        stats = registry.core_stats()
         assert stats["sessions"] == 2
         assert stats["sessions_evicted"] == 1
         assert registry.get(sessions[0].fingerprint) is None
@@ -236,13 +196,13 @@ class TestRegistry:
         assert registry.session_for(*_spec("a")) is first  # refresh LRU
         registry.session_for(*_spec("c"))  # evicts b, not a
         assert registry.get(first.fingerprint) is first
-        assert registry.stats()["session_hits"] >= 2
+        assert registry.core_stats()["session_hits"] >= 2
 
     def test_byte_budget_eviction(self):
         registry = SessionRegistry(max_sessions=8, max_bytes=1)
         registry.session_for(*_spec("a"))
         registry.session_for(*_spec("b"))
-        stats = registry.stats()
+        stats = registry.core_stats()
         # Over budget: everything but the newest admission is evicted.
         assert stats["sessions"] == 1
         assert stats["sessions_evicted"] == 1
