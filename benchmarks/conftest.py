@@ -6,9 +6,10 @@ silently producing fast nonsense. Run with:
 
     pytest benchmarks/ --benchmark-only
 
-``--jobs N`` threads the parallel executor (DESIGN.md section 7) through
-every figure benchmark that takes the shared checker-config fixtures, so
-any of them can be timed with worker-pool fan-out:
+``--jobs N`` threads the worker count (DESIGN.md section 7) through the
+shared checker-config fixtures; it changes the timing of the figure
+benches that run an ``implies_all`` batch (a single solve is sequential
+at any ``jobs``):
 
     pytest benchmarks/ --benchmark-only --jobs 4
 
@@ -64,9 +65,9 @@ def pytest_addoption(parser):
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the parallel executor; the shared "
-        "checker-config fixtures pass this through, so every figure "
-        "bench can be run parallel (verdicts are jobs-independent)",
+        help="worker processes for implies_all batches; the shared "
+        "checker-config fixtures pass this through (answers are "
+        "jobs-independent)",
     )
 
 

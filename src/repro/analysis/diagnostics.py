@@ -362,12 +362,8 @@ def _probe_check(probe: _ToggleProbe) -> _SubsetCheck:
 def _rebuild_check(
     dtd: DTD, config: CheckerConfig, stats: DiagnosticsStats
 ) -> _SubsetCheck:
-    """Subset oracle over full checker calls (the rebuild fallback).
-
-    Probes run with ``jobs=1``: the subset probe is the intended unit of
-    parallelism, and a worker pool per probe would cost more than it
-    saves."""
-    probe_config = replace(config, want_witness=False, jobs=1)
+    """Subset oracle over full checker calls (the rebuild fallback)."""
+    probe_config = replace(config, want_witness=False)
 
     def check(subset: list[Constraint]) -> bool:
         stats.mus_probes += 1
@@ -451,7 +447,6 @@ def _redundancy_filter_parallel(
     if jobs < 2 or not WorkerPool.available():
         return _redundancy_filter(probe, sigma)
     chunks = [tuple(range(start, len(sigma), jobs)) for start in range(jobs)]
-    worker_config = replace(config, jobs=1)
     stats.workers_spawned += jobs
     try:
         results = fanout_map(
@@ -459,7 +454,7 @@ def _redundancy_filter_parallel(
             chunks,
             jobs,
             _init_diagnostics_worker,
-            (dtd, sigma, worker_config),
+            (dtd, sigma, config),
         )
     except WorkerCrashError:
         # Pool lost beyond recovery: the parent's probe answers the
@@ -543,7 +538,7 @@ def _minimal_unsat_core_rebuild(
     """Rebuild fallback: one full consistency check per probed subset."""
     stats.method = "rebuild"
     stats.mus_method = method
-    probe = replace(config, want_witness=False, jobs=1)
+    probe = replace(config, want_witness=False)
     result = check_consistency(dtd, current, probe)
     stats.merge_checker(result.stats)
     if result.consistent:
@@ -598,10 +593,9 @@ def _redundant_constraints_rebuild(
     config: CheckerConfig,
     stats: DiagnosticsStats,
 ) -> list[Constraint]:
-    """Rebuild fallback: one full implication call per constraint (each
-    probe at ``jobs=1`` — a pool per probe would invert the speedup)."""
+    """Rebuild fallback: one full implication call per constraint."""
     stats.method = "rebuild"
-    probe = replace(config, want_witness=False, jobs=1)
+    probe = replace(config, want_witness=False)
     redundant: list[Constraint] = []
     for index, phi in enumerate(sigma):
         rest = sigma[:index] + sigma[index + 1:]
@@ -702,9 +696,9 @@ def _diagnose_rebuild(
     stats: DiagnosticsStats,
     mus_method: str = "quickxplain",
 ) -> DiagnosticsReport:
-    """Rebuild fallback: full checker calls per subset (each at ``jobs=1``)."""
+    """Rebuild fallback: full checker calls per subset."""
     stats.method = "rebuild"
-    probe = replace(config, want_witness=False, jobs=1)
+    probe = replace(config, want_witness=False)
     result = check_consistency(dtd, sigma, probe)
     stats.merge_checker(result.stats)
     if result.consistent:

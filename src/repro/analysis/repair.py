@@ -929,7 +929,7 @@ def minimal_repair(
 
     if feasible is None:
         stats.method = "rebuild"
-        probe_config = replace(config, want_witness=False, jobs=1)
+        probe_config = replace(config, want_witness=False)
         rebuild_cache: dict[frozenset[int], bool] = {}
 
         def feasible(applied: frozenset[int]) -> bool:
@@ -1024,7 +1024,7 @@ def minimal_repair(
     cost = sum(weight_list[index] for index in chosen)
     new_dtd, new_sigma = apply_repair(dtd, sigma, actions)
     stats.verify_checks += 1
-    verify_config = replace(config, want_witness=False, jobs=1)
+    verify_config = replace(config, want_witness=False)
     verdict = check_consistency(new_dtd, new_sigma, verify_config)
     if not verdict.consistent:
         raise SolverError(

@@ -2,10 +2,9 @@
 
 A :class:`Deadline` is an absolute ``time.monotonic()`` expiry.  The
 service front end opens a :func:`deadline_scope` around each request's
-solver work; deep loops — the support-branch DFS and the parallel wave
-dispatcher — call :func:`check_deadline` at their node boundaries and
-raise :class:`~repro.errors.BudgetExceededError` once the budget is
-spent.  The scope travels through a
+solver work; the support-branch DFS calls :func:`check_deadline` at
+every node and raises :class:`~repro.errors.BudgetExceededError` once
+the budget is spent.  The scope travels through a
 :class:`contextvars.ContextVar`, so it needs no parameter threading, is
 per-thread (each executor thread serves one request at a time), and is
 inherited by fork-based solver workers (``CLOCK_MONOTONIC`` is

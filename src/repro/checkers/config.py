@@ -40,18 +40,15 @@ class CheckerConfig:
         Prune support branches whose LP relaxation is definitely
         infeasible (sound; large speedup on inconsistent instances).
     jobs:
-        Worker processes for the parallel executor (DESIGN.md section 7).
-        With ``jobs > 1``, batch checkers (:func:`repro.checkers.
-        implication.implies_all`, the diagnostics audit) fan independent
-        queries across a fork-based worker pool, and a single consistency
-        solve fans independent support branches across per-worker
-        workspace clones with a mergeable cut pool.  Completed verdicts
-        are always identical to ``jobs=1``; only wall-clock and the
-        work-schedule counters change (``max_support_nodes`` bounds each
-        worker's subtree individually, so near the budget a parallel run
-        may finish a search the sequential run aborts).  ``1`` (the
-        default) is fully sequential, and platforms without ``fork``
-        degrade to it silently.
+        Worker processes for the batch fan-outs (DESIGN.md section 7):
+        with ``jobs > 1``, :func:`repro.checkers.implication.implies_all`
+        fans its queries, and the diagnostics redundancy audit its
+        probes, across a fork-based worker pool.  Each worker runs the
+        ordinary sequential solve, so results and per-query stats are
+        identical to ``jobs=1``.  A single consistency or implication
+        solve is always one sequential search and ignores ``jobs``.
+        ``1`` (the default) is fully sequential, and platforms without
+        ``fork`` degrade to it silently.
     """
 
     backend: str = "scipy"

@@ -66,14 +66,6 @@ def _stat_map(stats: CondSolveStats) -> dict[str, int | bool]:
         "exact_nodes": stats.exact_nodes,
         "exact_pivots": stats.exact_pivots,
         "exact_warm_solves": stats.exact_warm_solves,
-        "workers_spawned": stats.workers_spawned,
-        "parallel_waves": stats.parallel_waves,
-        "cuts_merged": stats.cuts_merged,
-        "cut_merge_duplicates": stats.cut_merge_duplicates,
-        "workers_crashed": stats.workers_crashed,
-        "workers_respawned": stats.workers_respawned,
-        "tasks_requeued": stats.tasks_requeued,
-        "parallel_degraded": stats.parallel_degraded,
     }
 
 
@@ -173,7 +165,6 @@ def check_consistency(
         backend=config.backend,
         max_support_nodes=config.max_support_nodes,
         lp_prune=config.lp_prune,
-        jobs=config.jobs,
     )
     stat_map = _stat_map(stats)
     method = f"ilp-encoding ({cls.value})"

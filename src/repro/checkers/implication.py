@@ -26,7 +26,6 @@ original query order.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import replace
 
 from repro.constraints.ast import (
     Constraint,
@@ -239,10 +238,10 @@ def implies_all(
     the negated query) are re-encoded per ``phi``.
 
     With ``config.jobs > 1`` the queries fan across a fork-based worker
-    pool; each worker runs the identical sequential per-query code (its
-    own solves stay at ``jobs=1`` — no nested parallelism), so the
-    returned results, their order, and every per-query stats counter
-    match the sequential run exactly.
+    pool (the one ``jobs`` entry point of the checkers); each worker runs
+    the identical sequential per-query code, so the returned results,
+    their order, and every per-query stats counter match the sequential
+    run exactly.
 
     >>> from repro.dtd.model import DTD
     >>> from repro.constraints.parser import parse_constraints
@@ -256,17 +255,16 @@ def implies_all(
     phis = list(phis)
     validate_constraints(dtd, [*sigma, *phis])
     if config.jobs > 1 and len(phis) > 1 and WorkerPool.available():
-        worker_config = replace(config, jobs=1)
         try:
             return fanout_map(
                 _implication_task,
                 list(range(len(phis))),
                 config.jobs,
                 _init_implication_worker,
-                (dtd, sigma, phis, worker_config),
+                (dtd, sigma, phis, config),
             )
         except WorkerCrashError:
             # Pool lost beyond recovery: fall through to the sequential
             # loop, whose results the fan-out is pinned to anyway.
-            config = replace(config, jobs=1)
+            pass
     return [implies_validated(dtd, sigma, phi, config) for phi in phis]

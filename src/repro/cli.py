@@ -11,7 +11,7 @@ Subcommands (also available as ``python -m repro``):
 * ``diagnose DTD CONSTRAINTS`` — minimal inconsistent subset (QuickXplain
   divide-and-conquer) or redundancy report, probed by row toggles on one
   assembled system (``--stats`` prints the work counters, ``--jobs N``
-  fans the audit across worker processes);
+  fans the redundancy audit across worker processes);
 * ``fix DTD [CONSTRAINTS]`` — minimum-weight repair of an inconsistent
   specification: constraint deletions plus DTD edits (cardinality
   loosenings, attribute-requirement drops), searched by toggle probes
@@ -479,16 +479,18 @@ def build_parser() -> argparse.ArgumentParser:
             help="ILP backend: HiGHS floats with exact re-verification "
             "(default) or the certified rational simplex",
         )
+
+    def add_jobs_flag(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--jobs",
             type=_jobs_value,
             default=1,
             metavar="N",
-            help="worker processes for the parallel executor (independent "
-            "support branches and diagnostics probes fan across N "
-            "fork-based workers; verdicts are identical to --jobs 1), "
-            "or 'auto' to grow/shrink the level from observed solve "
-            "and wave latency (never beyond the effective CPU count)",
+            help="worker processes for the batch fan-outs (implies_all "
+            "queries and redundancy-audit probes fan across N fork-based "
+            "workers; answers are identical to --jobs 1), or 'auto' to "
+            "grow/shrink the level from observed solve latency (never "
+            "beyond the effective CPU count)",
         )
 
     p_check = sub.add_parser("check", help="consistency of (DTD, constraints)")
@@ -553,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         "edits) — the `repro fix` engine riding on the health report",
     )
     add_solver_flags(p_diagnose)
+    add_jobs_flag(p_diagnose)
     add_session_flag(p_diagnose)
     add_via_flag(p_diagnose)
     p_diagnose.set_defaults(func=_cmd_diagnose)
@@ -692,6 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --state-file; default: only at shutdown)",
     )
     add_solver_flags(p_serve)
+    add_jobs_flag(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_fleet = sub.add_parser(

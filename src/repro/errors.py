@@ -116,13 +116,13 @@ class OverloadedError(ReproError):
 
 
 class WorkerCrashError(SolverError):
-    """Raised when the parallel worker pool is lost beyond recovery.
+    """Raised when the batch worker pool is lost beyond recovery.
 
     The pool detects dead workers by exitcode, requeues their in-flight
     tasks and respawns replacements; only when crashes exhaust the
     respawn budget *and* no live worker remains does this escape — and
-    then callers degrade to the sequential ``jobs=1`` path, whose
-    verdicts the parallel path is differentially pinned to.
+    then ``implies_all`` and the redundancy audit fall back to their
+    sequential loops, whose results the fan-out is pinned to.
     """
 
     def __init__(self, message: str, crashes: int = 0, respawns: int = 0):

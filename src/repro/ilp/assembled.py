@@ -42,10 +42,9 @@ one assembled system instead of re-encoding it per subset.
 
 An :class:`AssembledSystem` — like the persistent HiGHS instances it
 drives — is **single-owner state**: it is never shared across processes
-or threads.  The parallel executor (DESIGN.md section 7) gives every
-worker its own instance (each fork worker assembles its own from the
-pickled base system) and moves only cut *records* between owners under
-the pool's dedup/merge policy.
+or threads.  Every batch worker (DESIGN.md section 7) assembles its own
+instance, and connectivity cuts never leave the process that learned
+them.
 
 >>> from repro.ilp.model import LinearSystem
 >>> sys = LinearSystem()

@@ -52,42 +52,24 @@ assembled system, the certified twin and the cut pool across calls.  This
 is the diagnostics workload: one assembly of ``Psi(D, Sigma ∪ ¬Sigma)``,
 then one patched re-solve per probed constraint subset.
 
-Parallel support-branch solving (DESIGN.md section 7): support branches
-are independent, so ``solve_conditional_system(..., jobs=N)`` expands the
-root of the search into a frontier of propagated subproblems and fans
-them across a fork-based :class:`WorkerPool`.  Neither the persistent
-HiGHS instances nor the live exact factorization are shareable across
-workers, so each worker owns a full workspace — its own
-:class:`SolveWorkspace` built worker-side over the pickled base, with
-its own :class:`AssembledSystem`, lazily-built
-:class:`ExactAssembledSystem` twin and *local* cut pool; pools are
-reconciled at wave boundaries by :meth:`_CutPool.merge` — a guarded
-dedup keyed on the canonical coefficient form and the guard set — so a
-cut learned on one branch prunes sibling branches dispatched in later
-waves.  Verdicts are schedule-independent: the frontier partitions the
-support completions exactly, merged cuts are valid under every subset
-(their justification is structural), and a feasible answer from any
-worker is exact-checked like every other leaf.
+Every solve runs this one sequential search.  :class:`WorkerPool` and
+:func:`fanout_map` are the executor of the batch callers (DESIGN.md
+section 7): independent ``implies_all`` queries and redundancy-audit
+probes fan across fork-based workers, each of which runs ordinary
+sequential solves on state it owns.
 """
 
 from __future__ import annotations
 
-import contextvars
 import os
 import queue
 import time
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.budget import check_deadline
-from repro.errors import (
-    BudgetExceededError,
-    ComplexityLimitError,
-    SolverError,
-    WorkerCrashError,
-)
+from repro.errors import ComplexityLimitError, SolverError, WorkerCrashError
 from repro.service.faults import fault_active, fault_seconds
 from repro.ilp.assembled import AssembledSystem
 from repro.ilp.model import (
@@ -95,7 +77,6 @@ from repro.ilp.model import (
     LinearSystem,
     SolveResult,
     VarId,
-    canonical_coeffs,
 )
 
 if TYPE_CHECKING:  # the rational simplex loads on its first solve
@@ -195,27 +176,6 @@ class CondSolveStats:
     exact_pivots: int = 0
     #: Exact LP re-solves served warm from a carried-over basis.
     exact_warm_solves: int = 0
-    #: Worker processes this solve fanned subproblems across (0 when the
-    #: search ran sequentially — including jobs>1 calls decided before any
-    #: branching happened).
-    workers_spawned: int = 0
-    #: Frontier dispatch rounds; cut pools are reconciled between waves.
-    parallel_waves: int = 0
-    #: Worker-discovered cuts accepted into the shared pool by the merge
-    #: policy (post-dedup).
-    cuts_merged: int = 0
-    #: Worker-discovered cuts dropped as duplicates during merges.
-    cut_merge_duplicates: int = 0
-    #: Worker processes that died mid-solve (detected by exitcode).
-    workers_crashed: int = 0
-    #: Replacement workers forked after a crash (bounded by the pool's
-    #: respawn budget).
-    workers_respawned: int = 0
-    #: Tasks requeued because the worker running them died.
-    tasks_requeued: int = 0
-    #: The pool was lost beyond recovery and the solve re-ran on the
-    #: sequential ``jobs=1`` path (verdict byte-identical by construction).
-    parallel_degraded: bool = False
 
     def book_solves(
         self, assembled: AssembledSystem, before: tuple[int, int] = (0, 0)
@@ -224,21 +184,6 @@ class CondSolveStats:
         lp, mip = assembled.solve_counts
         self.lp_solves += lp - before[0]
         self.mip_solves += mip - before[1]
-
-    def absorb(self, worker: "CondSolveStats | Mapping[str, int | bool]") -> None:
-        """Fold a worker's counters into this (parent) stats object.
-
-        Integer counters add; boolean flags OR.  Used when reconciling the
-        per-worker :class:`CondSolveStats` of a parallel solve, so the
-        parent's totals account for all work done anywhere.
-        """
-        values = worker if isinstance(worker, Mapping) else asdict(worker)
-        for name, value in values.items():
-            current = getattr(self, name)
-            if isinstance(current, bool):
-                setattr(self, name, current or bool(value))
-            else:
-                setattr(self, name, current + int(value))
 
 
 def _bound_patches(
@@ -371,34 +316,6 @@ class _ExactTwin:
         return result
 
 
-@dataclass(frozen=True)
-class CutRecord:
-    """One connectivity cut in transferable form (DESIGN.md section 7).
-
-    The currency of the two-level cut pool: workers
-    :meth:`~_CutPool.export` their locally-discovered cuts as records, the
-    parent :meth:`~_CutPool.merge`\\ s them into the shared pool, and the
-    next dispatch wave seeds sibling workers with the merged set.  The
-    right-hand side is always 1 (``sum(occ entering U) >= 1``), so a
-    record is fully determined by its coefficients, guard and label.
-    """
-
-    coeffs: tuple[tuple[VarId, int], ...]
-    guard: frozenset[str]
-    label: str = ""
-
-    @property
-    def key(self) -> tuple:
-        """Dedup key: canonical coefficient form plus the guard set."""
-        return (self.coeffs, self.guard)
-
-
-#: Origin marker for cuts that arrived via :meth:`_CutPool.merge` rather
-#: than local discovery — distinct from every real leaf id (those are
-#: >= 1), so merged cuts always count as shared-pool hits.
-_MERGED_ORIGIN = -1
-
-
 class _CutPool:
     """Connectivity cuts shared across leaves, with presence guards.
 
@@ -409,17 +326,8 @@ class _CutPool:
     absent (totality zeroes every entering edge).  Each entry therefore
     carries its guard and is only activated for nodes whose decided-present
     set intersects it.  Entries are mirrored into the certified exact twin
-    (when built) so both backends agree on cut indices.
-
-    Pools are single-owner (they drive a single-owner
-    :class:`AssembledSystem`), but their *contents* move between owners:
-    :meth:`export` renders every entry as a :class:`CutRecord` and
-    :meth:`merge` imports foreign records under the dedup policy —
-    a record is accepted iff no entry with the same canonical
-    coefficients *and* guard exists.  Merging never reorders or removes
-    existing entries, so cut indices already handed to the engines stay
-    valid, and the merge result is independent of the order in which
-    worker pools are reconciled (set union under a canonical key).
+    (when built) so both backends agree on cut indices.  A pool drives one
+    :class:`AssembledSystem` and never leaves its process.
     """
 
     def __init__(self, assembled: AssembledSystem, exact_twin: "_ExactTwin | None" = None):
@@ -427,8 +335,6 @@ class _CutPool:
         self._exact_twin = exact_twin
         self._guards: list[frozenset[str]] = []
         self._origin: list[int] = []
-        self._records: list[CutRecord] = []
-        self._keys: set[tuple] = set()
 
     def __len__(self) -> int:
         return len(self._guards)
@@ -442,35 +348,6 @@ class _CutPool:
             self._exact_twin.notify_cut(coeffs, 1, label)
         self._guards.append(guard)
         self._origin.append(origin_leaf)
-        record = CutRecord(canonical_coeffs(coeffs), guard, label)
-        self._records.append(record)
-        self._keys.add(record.key)
-
-    def export(self) -> tuple[CutRecord, ...]:
-        """Every pool entry as a transferable :class:`CutRecord`."""
-        return tuple(self._records)
-
-    def merge(self, records: Iterable[CutRecord]) -> tuple[int, int]:
-        """Import foreign cut records; returns ``(accepted, duplicates)``.
-
-        The dedup policy keys on ``(canonical coefficients, guard)``: two
-        workers that hit the same unreachable set independently learn
-        byte-identical cuts, and exactly one survives.  Accepted records
-        append to the assembled system (and the exact twin) like locally
-        learned cuts, but carry the :data:`_MERGED_ORIGIN` marker so
-        ``shared_hits`` counts them as foreign knowledge.
-        """
-        accepted = duplicates = 0
-        for record in records:
-            if record.key in self._keys:
-                duplicates += 1
-                continue
-            self.add(
-                dict(record.coeffs), record.guard, _MERGED_ORIGIN,
-                label=record.label,
-            )
-            accepted += 1
-        return accepted, duplicates
 
     def active_for(self, present: set[str]) -> set[int]:
         return {
@@ -590,7 +467,8 @@ def _pool_worker(
     parent-side (the parent records what it assigned to whom before the
     worker ever sees it), so a worker that dies without answering leaves
     no ambiguity about which task it took down — even when it dies too
-    abruptly to flush any message (``os._exit``, SIGKILL, segfault).
+    abruptly to flush any message (``os._exit``, SIGKILL, segfault).  The
+    ``worker.kill`` fault point dies exactly that way, holding a task.
     """
     try:
         initializer(payload)
@@ -604,6 +482,8 @@ def _pool_worker(
         if item is None:
             return
         index, fn, task = item
+        if fault_active("worker.kill"):
+            os._exit(113)
         try:
             value = fn(task)
         except BaseException as exc:  # noqa: BLE001 - shipped to the parent
@@ -654,9 +534,9 @@ class WorkerPool:
 
     * every worker is initialized exactly once with a pickled payload
       (``initializer(payload)``) and builds its own single-owner solver
-      state there — per-worker :class:`SolveWorkspace` clones, never
-      shared handles, because neither the persistent HiGHS instances nor
-      the live exact factorization are safe to share across processes;
+      state there, never shared handles, because neither the persistent
+      HiGHS instances nor the live exact factorization are safe to share
+      across processes;
     * tasks are dispatched with :meth:`map`, which preserves task order
       in its results, so callers get deterministic result alignment
       regardless of which worker ran which task;
@@ -851,47 +731,6 @@ def effective_parallelism() -> int:
     return os.cpu_count() or 1
 
 
-#: The ambient per-wave latency observer (None = nobody watching).  Set
-#: by the service layer around a solve so the parallel dispatcher can
-#: report wave timings without the solver depending on the metrics
-#: module; travels through a ContextVar for the same reason the request
-#: deadline does (per-executor-thread, no parameter threading).
-_WAVE_OBSERVER: contextvars.ContextVar[Callable[[float, int], None] | None] = (
-    contextvars.ContextVar("repro_wave_observer", default=None)
-)
-
-
-@contextmanager
-def wave_observer_scope(observer: Callable[[float, int], None] | None):
-    """Run a block with ``observer(elapsed_seconds, wave_width)`` called
-    after every parallel wave dispatched inside it.
-
-    The hook feeds the service's :class:`~repro.service.metrics.StatsCollector`
-    (wave-latency histogram) and the ``--jobs auto`` controller; it is
-    observational only — observer exceptions are swallowed, and solver
-    results and :class:`CondSolveStats` are byte-identical with or
-    without a scope open.
-    """
-    if observer is None:
-        yield
-        return
-    token = _WAVE_OBSERVER.set(observer)
-    try:
-        yield
-    finally:
-        _WAVE_OBSERVER.reset(token)
-
-
-def _notify_wave(elapsed: float, width: int) -> None:
-    observer = _WAVE_OBSERVER.get()
-    if observer is None:
-        return
-    try:
-        observer(elapsed, width)
-    except Exception:  # pragma: no cover - observers must not break solves
-        pass
-
-
 def parallel_sweep_allowed(jobs: int) -> bool:
     """Should a correctness sweep run a ``jobs``-worker configuration here?
 
@@ -928,82 +767,6 @@ def fanout_map(
         raise SolverError("fanout_map needs >= 2 workers and >= 2 tasks")
     with WorkerPool(workers, initializer, payload) as pool:
         return pool.map(fn, tasks)
-
-
-#: Per-process state of a branch worker, set by :func:`_init_branch_worker`
-#: (runs once per worker under the fork context) and read by every
-#: :func:`_branch_task` the worker executes.
-_BRANCH_WORKER: dict = {}
-
-
-def _init_branch_worker(payload: tuple) -> None:
-    """Worker initializer: adopt the instance and build owned solver state."""
-    cs, params = payload
-    _BRANCH_WORKER["cs"] = cs
-    _BRANCH_WORKER["params"] = params
-    _BRANCH_WORKER["workspace"] = SolveWorkspace(cs.base)
-
-
-#: Exception classes a worker may legitimately raise, shipped back by
-#: name so the parent can decide *after* the wave whether a sibling's
-#: feasible verdict makes the error moot (a feasible answer is sound
-#: regardless of what happened on other branches).
-_RAISABLE = {
-    "ComplexityLimitError": ComplexityLimitError,
-    "SolverError": SolverError,
-    "BudgetExceededError": BudgetExceededError,
-}
-
-
-def _branch_task(task: tuple) -> tuple:
-    """Solve one frontier subproblem inside a worker process.
-
-    ``task`` is ``(assignment_items, seed_cuts)``: a propagated partial
-    support assignment plus the shared pool's current cut records.  The
-    worker merges the seeds into its local pool (dedup makes re-seeding
-    across waves free), runs the ordinary sequential subtree search on
-    its own workspace, and ships back the verdict, its work counters and
-    the cuts it *discovered* (everything past the seed watermark).
-
-    Expected solver exceptions (complexity budget, cut-loop divergence)
-    are returned as ``("raised", ..., kind)`` rather than raised: the
-    parent must see the whole wave before deciding, because a sibling's
-    exact-checked feasible answer outranks this subtree's failure.
-    """
-    if fault_active("worker.kill"):
-        os._exit(113)
-    cs = _BRANCH_WORKER["cs"]
-    params = _BRANCH_WORKER["params"]
-    workspace = _BRANCH_WORKER["workspace"]
-    assignment_items, seed_cuts = task
-    workspace.pool.merge(seed_cuts)
-    watermark = len(workspace.pool)
-    stats = CondSolveStats()
-    stats.assemblies = workspace.take_assembly_charge()
-
-    def next_leaf_id() -> int:
-        workspace.leaf_counter += 1
-        return workspace.leaf_counter
-
-    try:
-        result = _dfs_search(
-            cs,
-            [(dict(assignment_items), None)],
-            clause_index=workspace.clause_index(cs.clauses),
-            assembled=workspace.assembled,
-            pool=workspace.pool,
-            exact_twin=workspace.exact_twin,
-            next_leaf_id=next_leaf_id,
-            stats=stats,
-            **params,
-        )
-        status, values, message = result.status, result.values, result.message
-        kind = ""
-    except (ComplexityLimitError, SolverError, BudgetExceededError) as exc:
-        status, values, message = "raised", {}, str(exc)
-        kind = type(exc).__name__
-    discovered = workspace.pool.export()[watermark:]
-    return status, values, message, asdict(stats), discovered, kind
 
 
 class _ClauseIndex:
@@ -1171,40 +934,12 @@ def solve_conditional_system(
     active_rows: frozenset[int] | None = None,
     workspace: SolveWorkspace | None = None,
     inactive_clauses: frozenset[int] = frozenset(),
-    jobs: int = 1,
 ) -> tuple[SolveResult, CondSolveStats]:
     """Decide the conditional system; return a realizable solution if any.
 
     The returned solution (when feasible) satisfies the active base rows,
     all conditionals, and the connectivity side condition — i.e. it is
     realizable as an XML tree by :mod:`repro.witness`.
-
-    ``jobs`` fans independent support branches across a fork-based
-    :class:`WorkerPool` of that many processes (DESIGN.md section 7).
-    The *verdict* is identical to ``jobs=1`` — the frontier partitions
-    the support completions exactly and every worker runs the same
-    sequential subtree search — but work counters reflect the schedule
-    (``workers_spawned``, ``parallel_waves``, ``cuts_merged``), and a
-    feasible instance may return a different — equally valid, still
-    exact-checked — witness.  The one carve-out is the resource budget:
-    ``max_support_nodes`` bounds each worker's subtree individually, so
-    near the budget a parallel run may complete a search the sequential
-    run aborts with :class:`ComplexityLimitError` (it never flips a
-    completed verdict).  Parallelism engages only when the search
-    actually branches: instances decided by the root LP probe or the
-    maximal-support shortcut, callers holding a ``workspace`` (single-
-    owner state), and platforms without ``fork`` all take the sequential
-    path unchanged.
-
-    >>> trivial = LinearSystem()
-    >>> _ = trivial.add_ge({("ext", "r"): 1}, 1)
-    >>> cs_jobs = ConditionalSystem(
-    ...     base=trivial, ext_var={"r": ("ext", "r")}, root="r",
-    ...     element_types=("r",), edges=(),
-    ... )
-    >>> result, stats = solve_conditional_system(cs_jobs, jobs=4)
-    >>> (result.status, stats.workers_spawned)   # decided pre-branching
-    ('feasible', 0)
 
     ``active_rows`` selects the subset of ``cs.toggleable_rows`` to keep
     active for this call (``None`` = all of them; rows never registered as
@@ -1257,31 +992,10 @@ def solve_conditional_system(
         assignment[tau] = False
     assignment[cs.root] = True
 
-    try:
-        return _solve_incremental(
-            cs, assignment, backend, max_support_nodes, max_cut_rounds,
-            lp_prune, stats, inactive_rows, workspace, inactive_clauses, jobs,
-        )
-    except WorkerCrashError as crash:
-        # The pool was lost beyond recovery.  Degrade to the sequential
-        # path *from scratch* (partial wave results and merged cuts are
-        # discarded — re-deriving them is the cheap price of the
-        # byte-identical-to-``jobs=1`` guarantee).
-        result, seq_stats = solve_conditional_system(
-            cs,
-            backend=backend,
-            max_support_nodes=max_support_nodes,
-            max_cut_rounds=max_cut_rounds,
-            lp_prune=lp_prune,
-            active_rows=active_rows,
-            workspace=workspace,
-            inactive_clauses=inactive_clauses,
-            jobs=1,
-        )
-        seq_stats.parallel_degraded = True
-        seq_stats.workers_crashed += crash.crashes
-        seq_stats.workers_respawned += crash.respawns
-        return result, seq_stats
+    return _solve_incremental(
+        cs, assignment, backend, max_support_nodes, max_cut_rounds,
+        lp_prune, stats, inactive_rows, workspace, inactive_clauses,
+    )
 
 
 def _branching_order(cs: ConditionalSystem) -> list[str]:
@@ -1328,10 +1042,8 @@ def _solve_incremental(
     inactive_rows: frozenset[int],
     workspace: SolveWorkspace | None,
     inactive_clauses: frozenset[int],
-    jobs: int = 1,
 ) -> tuple[SolveResult, CondSolveStats]:
-    """Assemble-once/bound-patch support search (DESIGN.md section 4);
-    with ``jobs > 1`` the branching phase fans out per section 7."""
+    """Assemble-once/bound-patch support search (DESIGN.md section 4)."""
     clause_index = (
         workspace.clause_index(cs.clauses)
         if workspace is not None
@@ -1454,30 +1166,9 @@ def _solve_incremental(
             stats.shortcut_hit = True
             return result, stats
 
-    stack = [(assignment, None)]
-    skip_first_lp = root_probed
-    if jobs > 1 and workspace is None and WorkerPool.available():
-        frontier = _frontier(
-            cs, assignment, clause_index, stats, inactive_clauses,
-            target=2 * jobs,
-        )
-        if len(frontier) >= 2:
-            result = _solve_parallel(
-                cs, frontier, pool, stats, backend, max_support_nodes,
-                max_cut_rounds, lp_prune, inactive_rows, inactive_clauses,
-                jobs,
-            )
-            return result, stats
-        # The instance did not split: fall through to the sequential DFS,
-        # seeded with the frontier (its expansion work — propagation and
-        # node counts — is kept, not redone; an empty frontier means every
-        # child conflicted, which the empty stack reports as infeasible).
-        stack = [(entry, None) for entry in frontier]
-        skip_first_lp = False  # the root probe covered the root, not these
-
     result = _dfs_search(
         cs,
-        stack,
+        [(assignment, None)],
         clause_index=clause_index,
         assembled=assembled,
         pool=pool,
@@ -1490,7 +1181,7 @@ def _solve_incremental(
         lp_prune=lp_prune,
         inactive_rows=inactive_rows,
         inactive_clauses=inactive_clauses,
-        skip_first_lp=skip_first_lp,
+        skip_first_lp=root_probed,
     )
     return result, stats
 
@@ -1515,10 +1206,7 @@ def _dfs_search(
 ) -> SolveResult:
     """Exhaust the support subtrees rooted at the given stack entries.
 
-    The sequential DFS core, shared verbatim by the single-process path
-    (one root entry) and by every parallel worker (one frontier
-    subproblem per call, against the worker's own workspace).  Stack
-    entries carry the symbol decided last, seeding propagation;
+    Stack entries carry the symbol decided last, seeding propagation;
     ``skip_first_lp`` elides the first node's LP probe when the caller
     just probed the identical relaxation (the root LP probe).
     """
@@ -1583,137 +1271,4 @@ def _dfs_search(
         with_true[choice] = True
         stack.append((with_false, choice))
         stack.append((with_true, choice))
-    return SolveResult("infeasible", message="support search exhausted")
-
-
-def _frontier(
-    cs: ConditionalSystem,
-    assignment: dict[str, bool | None],
-    clause_index: _ClauseIndex,
-    stats: CondSolveStats,
-    inactive_clauses: frozenset[int],
-    target: int,
-) -> list[dict[str, bool | None]]:
-    """Partition the remaining search space into >= ``target`` subproblems.
-
-    Breadth-first expansion along the branching order, with unit
-    propagation applied to every child (conflicting children are dropped,
-    exactly as the DFS would drop them).  The returned assignments cover
-    the support completions of ``assignment`` *exactly* — each completion
-    extends precisely one frontier entry — so solving every entry is
-    equivalent to the sequential search, whatever the dispatch order.
-
-    Node accounting: each node is counted in ``stats.dfs_nodes`` exactly
-    once — conflicted children here (they are dropped and never popped
-    again), surviving entries when whoever searches them (a worker's
-    subtree DFS, or the sequential fallback) pops them.
-    """
-    order = _branching_order(cs)
-
-    def undecided(current: Mapping[str, bool | None]) -> str | None:
-        for tau in order:
-            if current[tau] is None:
-                return tau
-        return None
-
-    pending: list[dict[str, bool | None]] = [dict(assignment)]
-    decided: list[dict[str, bool | None]] = []
-    while pending and len(pending) + len(decided) < target:
-        current = pending.pop(0)
-        choice = undecided(current)
-        if choice is None:
-            decided.append(current)
-            continue
-        for value in (True, False):
-            child = dict(current)
-            child[choice] = value
-            if _propagate_indexed(
-                clause_index, child, [choice], stats, inactive_clauses
-            ):
-                pending.append(child)
-            else:
-                stats.dfs_nodes += 1  # dropped here, never popped again
-    return decided + pending
-
-
-def _solve_parallel(
-    cs: ConditionalSystem,
-    frontier: list[dict[str, bool | None]],
-    pool: _CutPool,
-    stats: CondSolveStats,
-    backend: str,
-    max_support_nodes: int,
-    max_cut_rounds: int,
-    lp_prune: bool,
-    inactive_rows: frozenset[int],
-    inactive_clauses: frozenset[int],
-    jobs: int,
-) -> SolveResult:
-    """Fan the support search across a worker pool (DESIGN.md section 7).
-
-    Takes the root's frontier of propagated subproblems (>= 2 entries;
-    the caller built it with :func:`_frontier` and runs sequentially
-    otherwise) and dispatches them in waves of ``jobs`` tasks.  Between
-    waves the
-    two-level cut pool is reconciled: worker-discovered cuts merge into
-    the shared pool (guarded dedup on canonical coefficients + guard),
-    and the next wave's tasks are seeded with the merged set, so a cut
-    learned on one branch prunes siblings dispatched later.  A feasible
-    verdict short-circuits after the wave that found it; infeasible
-    requires every subproblem exhausted — the same exhaustiveness
-    argument as the sequential DFS, so verdicts are schedule-independent.
-
-    Error semantics: a subtree that exhausts its work budget (or hits a
-    solver failure) does not abort the solve — the search continues, and
-    the error is re-raised only if *no* subproblem produces a feasible
-    answer (an exact-checked witness is sound regardless of sibling
-    failures; an "infeasible" with an unexplored subtree is not).  The
-    ``max_support_nodes`` budget bounds each worker's subtree search
-    individually — a deliberate resource-policy difference from the
-    sequential path's single global budget, so a parallel run may finish
-    a search the sequential run would abort (never the reverse verdict).
-    """
-    params = dict(
-        backend=backend,
-        max_support_nodes=max_support_nodes,
-        max_cut_rounds=max_cut_rounds,
-        lp_prune=lp_prune,
-        inactive_rows=inactive_rows,
-        inactive_clauses=inactive_clauses,
-    )
-    workers = min(jobs, len(frontier))
-    stats.workers_spawned = workers
-    found: SolveResult | None = None
-    pending_error: tuple[str, str] | None = None
-    with WorkerPool(workers, _init_branch_worker, (cs, params)) as executor:
-        for start in range(0, len(frontier), workers):
-            check_deadline()
-            wave = frontier[start:start + workers]
-            stats.parallel_waves += 1
-            seed = pool.export()
-            tasks = [(tuple(entry.items()), seed) for entry in wave]
-            wave_started = time.monotonic()
-            try:
-                outcomes = executor.map(_branch_task, tasks)
-            finally:
-                stats.workers_crashed = executor.crashes
-                stats.workers_respawned = executor.respawns
-                stats.tasks_requeued = executor.requeues
-                _notify_wave(time.monotonic() - wave_started, len(wave))
-            for status, values, message, worker_stats, fresh, kind in outcomes:
-                stats.absorb(worker_stats)
-                accepted, duplicates = pool.merge(fresh)
-                stats.cuts_merged += accepted
-                stats.cut_merge_duplicates += duplicates
-                if status == "feasible" and found is None:
-                    found = SolveResult(status, values, message)
-                elif status == "raised" and pending_error is None:
-                    pending_error = (kind, message)
-            if found is not None:
-                # An exact-checked feasible answer is sound whatever
-                # happened on sibling branches — errors become moot.
-                return found
-    if pending_error is not None:
-        kind, message = pending_error
-        raise _RAISABLE.get(kind, SolverError)(message)
     return SolveResult("infeasible", message="support search exhausted")

@@ -31,10 +31,10 @@ wrong answer.
 
 An :class:`ExactAssembledSystem` carries a live factorized basis across
 calls and is therefore **single-owner state**, never shared between
-processes: the parallel executor (DESIGN.md section 7) lazily builds
-one per worker (through each worker's own ``SolveWorkspace``), and cut
-rows learned elsewhere arrive as records replayed through ``add_cut``,
-which extends the live factorization exactly like a locally learned cut.
+processes: a batch worker (DESIGN.md section 7) lazily builds its own.
+Cut rows learned before the twin was built are replayed through
+``add_cut``, which extends the live factorization exactly like a cut
+learned after it.
 """
 
 from __future__ import annotations

@@ -24,24 +24,6 @@ LE, GE, EQ = "<=", ">=", "=="
 BoundPatch = tuple[int | None, int | None]
 
 
-def canonical_coeffs(coeffs: Mapping[VarId, int]) -> tuple[tuple[VarId, int], ...]:
-    """A deterministic, order-independent rendering of a coefficient map.
-
-    Zero coefficients are dropped and the remaining terms are sorted by
-    their ``repr`` (variable identifiers are arbitrary hashables — tuples
-    of mixed arity — so they are not directly comparable).  Two coefficient
-    maps describe the same linear form iff their canonical renderings are
-    equal, which is what the connectivity-cut merge policy keys on when
-    deduplicating cuts discovered independently by parallel workers.
-
-    >>> canonical_coeffs({"b": 2, "a": 1, "c": 0}) == canonical_coeffs({"a": 1, "b": 2})
-    True
-    """
-    return tuple(
-        sorted(((var, coeff) for var, coeff in coeffs.items() if coeff), key=repr)
-    )
-
-
 @dataclass(frozen=True)
 class Row:
     """One linear constraint ``sum(coeffs[v] * v) sense rhs``."""

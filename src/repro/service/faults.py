@@ -16,8 +16,8 @@ Grammar: comma-separated ``point``, ``point*N`` (fire at most N times),
 seconds).  Fault points currently wired:
 
 ========================  ====================================================
-``worker.kill``           a branch worker ``os._exit``\\ s at task start
-                          (:func:`repro.ilp.condsys._branch_task`)
+``worker.kill``           a pool worker ``os._exit``\\ s holding a task
+                          (:func:`repro.ilp.condsys._pool_worker`)
 ``solve.delay``           the DFS sleeps ``value`` seconds per node (used to
                           force deadline expiry mid-solve)
 ``drain.delay``           the server's session drainer sleeps ``value``

@@ -17,7 +17,7 @@ Three responsibilities live here (DESIGN.md section 11):
   session capacity scales with N;
 * **wave fan-out** — a multi-``phi`` ``implies_all`` batch is split into
   chunks dispatched across the live backends like the in-process
-  :class:`~repro.ilp.condsys.WorkerPool` fans support branches across
+  :class:`~repro.ilp.condsys.WorkerPool` fans a batch's queries across
   forked workers.  If any chunk answers an error, the router falls back
   to forwarding the whole batch to the ring owner: one authoritative,
   byte-identical answer;

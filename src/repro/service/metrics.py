@@ -10,8 +10,8 @@ aggregates into one flat dict), and the solver's
 shadow another, and adds the two things a scrape surface needs that
 point-in-time dicts cannot give:
 
-* **latency histograms** — fixed-bucket per-op request latency plus the
-  parallel pool's per-wave latency (:class:`LatencyHistogram`);
+* **latency histograms** — fixed-bucket per-op request latency
+  (:class:`LatencyHistogram`);
 * **monotone session aggregates** — evicted sessions are *retired* into
   the collector (:meth:`StatsCollector.retire_session`), so
   ``session.requests`` and friends never step backwards when the LRU
@@ -25,7 +25,7 @@ engine/stats split: components push increments into one process-wide
 collector; the exporter only ever reads.
 
 This module also closes the adaptive-parallelism loop
-(:class:`AdaptiveJobsController`): observed per-wave latency grows or
+(:class:`AdaptiveJobsController`): observed solve latency grows or
 shrinks a session's effective ``jobs``, complementing the server's
 adaptive batch width (DESIGN.md section 10).
 """
@@ -237,21 +237,6 @@ METRICS: dict[str, MetricSpec] = {
         ),
         # -- pool.*: the fork-based solver pool + adaptive jobs --------
         _spec("pool.workers_spawned", COUNTER, "Worker processes forked."),
-        _spec("pool.parallel_waves", COUNTER, "Support-branch waves dispatched."),
-        _spec("pool.cuts_merged", COUNTER, "Worker cuts merged at wave edges."),
-        _spec(
-            "pool.cut_merge_duplicates",
-            COUNTER,
-            "Worker cuts dropped as duplicates at merge.",
-        ),
-        _spec("pool.workers_crashed", COUNTER, "Worker crashes detected."),
-        _spec("pool.workers_respawned", COUNTER, "Workers respawned after a crash."),
-        _spec("pool.tasks_requeued", COUNTER, "Tasks requeued after a crash."),
-        _spec(
-            "pool.parallel_degraded",
-            COUNTER,
-            "Solves that degraded to jobs=1 after repeated crashes.",
-        ),
         _spec("pool.jobs_grown", COUNTER, "Adaptive-jobs growth steps."),
         _spec("pool.jobs_shrunk", COUNTER, "Adaptive-jobs shrink steps."),
         _spec(
@@ -261,18 +246,6 @@ METRICS: dict[str, MetricSpec] = {
         ),
     )
 }
-
-#: The solver counters a session forwards into ``pool.*`` after each
-#: genuinely-solved request (cache hits carry no new solver work).
-_POOL_STAT_KEYS = (
-    "workers_spawned",
-    "parallel_waves",
-    "cuts_merged",
-    "cut_merge_duplicates",
-    "workers_crashed",
-    "workers_respawned",
-    "tasks_requeued",
-)
 
 #: The repair-engine counters a session forwards into ``repair.*``
 #: after each genuinely-solved repair request.
@@ -291,12 +264,6 @@ OP_LATENCY = MetricSpec(
     name="repro_request_latency_seconds",
     kind=HISTOGRAM,
     help="Wire-request latency by op (admission to response payload).",
-)
-WAVE_LATENCY = MetricSpec(
-    key="wave_latency",
-    name="repro_pool_wave_latency_seconds",
-    kind=HISTOGRAM,
-    help="Parallel support-branch wave latency.",
 )
 
 
@@ -341,7 +308,7 @@ class StatsCollector:
     """The process-wide sink for pushed counters and histograms.
 
     Components *push* (``inc``/``set_gauge``/``observe_op``/
-    ``observe_wave``/``absorb_solver_stats``/``retire_session``); the
+    ``absorb_solver_stats``/``retire_session``); the
     exporter *pulls* (:meth:`counters`, :meth:`render`).  All methods
     are thread-safe: sessions mutate from executor threads while the
     event loop renders a scrape.
@@ -352,7 +319,6 @@ class StatsCollector:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._op_latency: dict[str, LatencyHistogram] = {}
-        self._wave_latency = LatencyHistogram()
 
     # -- pushes --------------------------------------------------------
 
@@ -373,25 +339,13 @@ class StatsCollector:
                 histogram = self._op_latency[op] = LatencyHistogram()
             histogram.observe(seconds)
 
-    def observe_wave(self, seconds: float) -> None:
-        """Record one parallel wave's latency (condsys hook)."""
-        with self._lock:
-            self._wave_latency.observe(seconds)
-
     def absorb_solver_stats(self, stats: dict | None) -> None:
-        """Fold one response's solver stats into the ``pool.*`` counters."""
-        if not stats:
-            return
-        with self._lock:
-            for key in _POOL_STAT_KEYS:
-                value = stats.get(key, 0)
-                if value:
-                    pool_key = f"pool.{key}"
-                    self._counters[pool_key] = self._counters.get(pool_key, 0) + value
-            if stats.get("parallel_degraded"):
-                self._counters["pool.parallel_degraded"] = (
-                    self._counters.get("pool.parallel_degraded", 0) + 1
-                )
+        """Fold one solved response's ``workers_spawned`` (the diagnostics
+        audit's fan-out) into ``pool.workers_spawned``; cache hits carry
+        no new solver work and are never absorbed."""
+        spawned = (stats or {}).get("workers_spawned", 0)
+        if spawned:
+            self.inc("pool.workers_spawned", spawned)
 
     def absorb_repair_stats(self, payload: dict) -> None:
         """Fold one solved repair response into the ``repair.*`` counters.
@@ -436,26 +390,17 @@ class StatsCollector:
             merged.update(self._gauges)
             return merged
 
-    def _histograms_snapshot(self):
-        with self._lock:
-            ops = {
-                op: (h.snapshot(), h.total, h.count)
-                for op, h in sorted(self._op_latency.items())
-            }
-            wave = (
-                self._wave_latency.snapshot(),
-                self._wave_latency.total,
-                self._wave_latency.count,
-            )
-        return ops, wave
-
     def render(self, counters: dict[str, float] | None = None) -> str:
         """The Prometheus text exposition for ``counters`` (defaulting
         to the collector's own pushed state) plus the histograms."""
         if counters is None:
             counters = self.counters()
-        ops, wave = self._histograms_snapshot()
-        return render_prometheus(counters, ops, wave)
+        with self._lock:
+            ops = {
+                op: (h.snapshot(), h.total, h.count)
+                for op, h in sorted(self._op_latency.items())
+            }
+        return render_prometheus(counters, ops)
 
 
 def _format_value(value: float) -> str:
@@ -470,7 +415,7 @@ def _format_bound(bound: float) -> str:
     return "+Inf" if bound == float("inf") else _format_value(bound)
 
 
-def render_prometheus(counters, op_histograms=None, wave_histogram=None) -> str:
+def render_prometheus(counters, op_histograms=None) -> str:
     """Render the documented metrics in text exposition format 0.0.4.
 
     Every entry of :data:`METRICS` is emitted (absent keys as 0, so a
@@ -483,20 +428,15 @@ def render_prometheus(counters, op_histograms=None, wave_histogram=None) -> str:
         lines.append(f"# HELP {spec.name} {spec.help}")
         lines.append(f"# TYPE {spec.name} {spec.kind}")
         lines.append(f"{spec.name} {_format_value(value)}")
-    for spec, families in (
-        (OP_LATENCY, op_histograms or {}),
-        (WAVE_LATENCY, {None: wave_histogram} if wave_histogram else {}),
-    ):
-        lines.append(f"# HELP {spec.name} {spec.help}")
-        lines.append(f"# TYPE {spec.name} {spec.kind}")
-        for label, (snapshot, total, count) in families.items():
-            suffix = f'{{op="{label}"}}' if label is not None else ""
-            for bound, cumulative in snapshot:
-                le = f'le="{_format_bound(bound)}"'
-                labels = f'{{op="{label}", {le}}}' if label is not None else f"{{{le}}}"
-                lines.append(f"{spec.name}_bucket{labels} {cumulative}")
-            lines.append(f"{spec.name}_sum{suffix} {_format_value(total)}")
-            lines.append(f"{spec.name}_count{suffix} {count}")
+    name = OP_LATENCY.name
+    lines.append(f"# HELP {name} {OP_LATENCY.help}")
+    lines.append(f"# TYPE {name} {OP_LATENCY.kind}")
+    for op, (snapshot, total, count) in (op_histograms or {}).items():
+        for bound, cumulative in snapshot:
+            le = f'le="{_format_bound(bound)}"'
+            lines.append(f'{name}_bucket{{op="{op}", {le}}} {cumulative}')
+        lines.append(f'{name}_sum{{op="{op}"}} {_format_value(total)}')
+        lines.append(f'{name}_count{{op="{op}"}} {count}')
     return "\n".join(lines) + "\n"
 
 
@@ -504,7 +444,7 @@ class AdaptiveJobsController:
     """Latency-driven ``jobs`` tuning for one session (``--jobs auto``).
 
     The AutoThrottle-shaped AIMD loop, one level up from the server's
-    adaptive batch width: when a solve (or a parallel wave) runs longer
+    adaptive batch width: when a solve runs longer
     than ``target_latency``, there is enough work outstanding to justify
     another worker — grow additively.  When solves come back fast, the
     spec is cheap and forked workers are overhead — decay multiplicatively
@@ -567,11 +507,6 @@ class AdaptiveJobsController:
             elif after < before:
                 self.collector.inc("pool.jobs_shrunk")
             self.collector.set_gauge("pool.effective_jobs", self.current())
-
-    def observe_wave(self, seconds: float, width: int) -> None:
-        """One parallel wave completed: grow while waves run slow."""
-        del width
-        self._adjust(slow=seconds > self.target_latency)
 
     def observe_solve(self, seconds: float) -> None:
         """One full solve completed (any jobs level)."""

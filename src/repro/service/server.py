@@ -642,7 +642,7 @@ class CheckingServer(RequestServer):
         self.registry = registry or SessionRegistry()
         self.stats = ServerStats()
         #: The process-wide metrics sink (DESIGN.md section 10): sessions
-        #: push wave latencies and pool counters into it, the server adds
+        #: push pool counters into it, the server adds
         #: per-op request latency, and ``GET /metrics`` / the ``stats``
         #: op's ``counters`` payload read from it.
         self.collector = collector or self.registry.collector or StatsCollector()

@@ -42,7 +42,6 @@ from repro.constraints.satisfaction import violations
 from repro.dtd.model import DTD
 from repro.encoding.combined import canonical_spec, spec_fingerprint
 from repro.errors import ReproError
-from repro.ilp.condsys import wave_observer_scope
 from repro.xmltree.parse import parse_xml
 from repro.xmltree.serialize import tree_to_string
 from repro.xmltree.validate import conforms
@@ -188,7 +187,7 @@ class SpecSession:
         #: path byte-for-byte untouched.
         self.auto_jobs = bool(auto_jobs)
         #: Optional :class:`~repro.service.metrics.StatsCollector` the
-        #: session pushes wave latencies and pool counters into.
+        #: session pushes pool counters into.
         self.collector = collector
         self._jobs_controller: AdaptiveJobsController | None = None
         self._spec_bytes = len(canonical_spec(dtd, self.sigma).encode("utf-8"))
@@ -259,33 +258,20 @@ class SpecSession:
 
     @contextmanager
     def _solve_scope(self):
-        """Instrument one genuinely-solved request (cache hits skip this).
-
-        Opens a :func:`~repro.ilp.condsys.wave_observer_scope` so parallel
-        waves report their latency, and times the whole solve for the
-        adaptive-jobs controller — on every exit path, including solver
-        errors (a budget-exceeded solve was slow; the controller should
-        hear about it).
+        """Time one genuinely-solved request (cache hits skip this) for
+        the adaptive-jobs controller — on every exit path, including
+        solver errors (a budget-exceeded solve was slow; the controller
+        should hear about it).
         """
         controller = self._jobs_controller
-        collector = self.collector
-        if controller is None and collector is None:
+        if controller is None:
             yield
             return
-
-        def observe(seconds: float, width: int) -> None:
-            if controller is not None:
-                controller.observe_wave(seconds, width)
-            if collector is not None:
-                collector.observe_wave(seconds)
-
         started = time.perf_counter()
         try:
-            with wave_observer_scope(observe):
-                yield
+            yield
         finally:
-            if controller is not None:
-                controller.observe_solve(time.perf_counter() - started)
+            controller.observe_solve(time.perf_counter() - started)
 
     def _absorb(self, payload: dict) -> dict:
         """Forward a solved payload's pool counters to the collector."""
@@ -362,7 +348,9 @@ class SpecSession:
         across the PR-4 worker pool in one ``implies_all`` call.
         """
         with self._lock:
-            self.stats.requests += 1
+            # Each coalesced query is one served operation: session.requests
+            # must not depend on how the batcher happened to group them.
+            self.stats.requests += len(phis)
             self.stats.batch_requests += 1
             effective = self._effective_config(config)
             responses: list[dict] = []

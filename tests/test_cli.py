@@ -124,6 +124,19 @@ class TestCheck:
             main([command, d1_file, sigma1_file, flag])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("check", []), ("implies", ["a.x -> a"]), ("fix", [])],
+    )
+    def test_jobs_flag_is_gone_from_single_solves(
+        self, d1_file, sigma1_file, command, extra
+    ):
+        # One check/implies/fix is one sequential solve: `--jobs` would
+        # do nothing there, so it is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, d1_file, sigma1_file, *extra, "--jobs", "2"])
+        assert exit_info.value.code == 2
+
     @pytest.mark.parametrize("command", ["serve", "fleet"])
     def test_session_mode_flag_is_gone(self, command):
         # Sessions have one mode (replay); `--mode` is a usage error.
@@ -168,7 +181,7 @@ class TestVia:
         self, d1_file, sigma1_file, server_address, capsys
     ):
         code = main(
-            ["check", d1_file, sigma1_file, "--via", server_address,
+            ["diagnose", d1_file, sigma1_file, "--via", server_address,
              "--jobs", "100000"]
         )
         assert code == 2

@@ -160,8 +160,8 @@ def test_configs_cover_the_advertised_matrix():
 # Parallel executor sweep (DESIGN.md section 7): jobs ∈ {1, 2, 4}
 # ---------------------------------------------------------------------------
 
-#: Worker counts under differential test — the parallel path must return
-#: the sequential verdict for every one of them.  Counts that are pure
+#: Worker counts under differential test — every answer must equal the
+#: ``jobs=1`` answer at each of them.  Counts that are pure
 #: oversubscription for this container's cores are dropped by the shared
 #: guard (the same ``effective_parallelism`` arithmetic the benchmark
 #: timing gates in ``benchmarks/conftest.py`` use, so local and CI runs
@@ -174,7 +174,7 @@ JOBS_SWEEP = tuple(
 
 def _branchy_cases():
     """Instances whose support search genuinely branches (the certified
-    pipeline with LP pruning off), so the frontier fan-out really runs."""
+    pipeline with LP pruning off)."""
     from repro.constraints.parser import parse_constraints
     from repro.workloads.generators import wide_flat_dtd
 
@@ -191,51 +191,59 @@ def _branchy_cases():
 
 
 def test_jobs_sweep_verdicts_match_sequential():
-    """Identical verdicts at jobs ∈ {1, 2, 4}, on branchy instances (where
-    workers really spawn) and on a slice of the random fuzz family (mostly
-    decided pre-branching — the degenerate path must also agree)."""
-    from repro.ilp.condsys import WorkerPool
+    """A single solve is one sequential search at every ``jobs`` value:
+    ``SpecSession.check()`` payloads — verdict, witness and stats — are
+    byte-identical to ``jobs=1``, on the branchy instances and on a slice
+    of the random fuzz family, on both backends."""
+    from repro.service.registry import SessionRegistry
 
-    cases = _branchy_cases()
-    for seed in (1, 5, 9, 14):
-        cases.append(_instance(seed))
-    engaged = 0
-    for dtd, sigma in cases:
-        verdicts = {}
-        for jobs in JOBS_SWEEP:
-            config = CheckerConfig(
-                want_witness=False, backend="exact", lp_prune=False, jobs=jobs
-            )
+    cases = _branchy_cases() + [_instance(seed) for seed in (1, 5, 9, 14)]
+    bases = (
+        CheckerConfig(backend="exact", lp_prune=False),
+        CheckerConfig(),
+    )
+    compared = 0
+    for base in bases:
+        registry = SessionRegistry(config=base)
+        for dtd, sigma in cases:
             try:
-                result = check_consistency(dtd, sigma, config)
+                session = registry.session_for(dtd, sigma)
             except InvalidConstraintError:
-                verdicts = {}
-                break
-            verdicts[jobs] = result.consistent
-            if jobs > 1 and result.stats.get("workers_spawned", 0):
-                engaged += 1
-        assert len(set(verdicts.values())) <= 1, (
-            f"jobs sweep diverged: {verdicts}"
-        )
-    if WorkerPool.available():
-        assert engaged > 0, "no instance ever engaged the worker pool"
+                continue
+            expected = json.dumps(session.check(), sort_keys=True)
+            for jobs in JOBS_SWEEP[1:]:
+                got = session.check({"jobs": jobs})
+                assert json.dumps(got, sort_keys=True) == expected, (
+                    f"jobs={jobs} payload diverged from jobs=1"
+                )
+                compared += 1
+    assert compared > 0
 
 
 def test_jobs_sweep_witnesses_stay_verified():
-    """Feasible parallel answers may pick a different branch's witness —
-    it must still synthesize and re-verify like any sequential one."""
-    verifying = CheckerConfig(
-        want_witness=True, verify_witness=True, lp_prune=False, jobs=4
-    )
+    """Feasible answers at ``jobs=4`` synthesize and re-verify like any
+    sequential one, and — the search being the same sequential search —
+    carry the ``jobs=1`` witness unchanged."""
+    from repro.xmltree.serialize import tree_to_string
+
     checked = 0
     for seed in (2, 4, 8):
         dtd, sigma = _instance(seed)
-        try:
-            result = check_consistency(dtd, sigma, verifying)
-        except InvalidConstraintError:
-            continue
-        if result.consistent:
+        witnesses = {}
+        for jobs in (1, 4):
+            verifying = CheckerConfig(
+                want_witness=True, verify_witness=True, lp_prune=False, jobs=jobs
+            )
+            try:
+                result = check_consistency(dtd, sigma, verifying)
+            except InvalidConstraintError:
+                break
+            if not result.consistent:
+                break
             assert result.witness is not None  # verified inside the checker
+            witnesses[jobs] = tree_to_string(result.witness)
+        if len(witnesses) == 2:
+            assert witnesses[4] == witnesses[1], f"seed {seed}: witness diverged"
             checked += 1
     assert checked > 0
 

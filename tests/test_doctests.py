@@ -60,10 +60,10 @@ def test_parallel_surface_keeps_examples():
     module sweep above executes them; this guard keeps them from being
     silently dropped."""
     from repro.analysis.diagnostics import mus
-    from repro.ilp.condsys import solve_conditional_system
+    from repro.checkers.implication import implies_all
 
     for obj, needle in (
-        (solve_conditional_system, "jobs"),
+        (implies_all, "jobs"),
         (mus, "quickxplain"),
     ):
         assert _surface_examples(obj) > 0, f"{obj.__qualname__} lost its example"

@@ -35,7 +35,7 @@ needs_fork = pytest.mark.skipif(
 
 #: The branchy chaos instance (same family as tests/test_service_faults):
 #: range constraints force the ILP path, so ``solve.delay`` has DFS nodes
-#: to stretch and a mid-wave kill has work to land in.
+#: to stretch and a pool-worker kill has queries to land in.
 _ACTIVE = 3
 
 
@@ -245,13 +245,14 @@ def test_kill_under_concurrent_load_answers_every_request_exactly_once():
 
 @needs_fork
 def test_backend_worker_crash_is_invisible_through_the_fleet(tmp_path):
-    """``worker.kill*1`` crashes one solver worker *inside* a backend;
-    the backend's pool respawns it and the fleet's verdict matches an
-    unfaulted run — the crash surfaces only in the solver counters.
+    """``worker.kill*1`` crashes one ``implies_all`` pool worker *inside*
+    a backend; the backend's pool respawns it and the fleet's answer
+    matches an unfaulted ``jobs=1`` run.
 
     The token file is seeded here and shared via ``REPRO_FAULTS_DIR``
     so the fault fires exactly once across the backend's whole fork
-    tree (parent, workers, respawns)."""
+    tree (parent, workers, respawns); its disappearance proves the
+    kill happened."""
     (tmp_path / "worker.kill.0").touch()
     procs, specs = spawn_backends(
         1,
@@ -264,35 +265,24 @@ def test_backend_worker_crash_is_invisible_through_the_fleet(tmp_path):
         router = FleetRouter(specs)
         router.start_background()
         try:
-            dtd_text, sigma_text = _branchy_texts()
-            # The unsatisfiable extra constraint is what makes the ILP
-            # branchy enough for the parallel pool to engage at jobs=2.
-            sigma_text += "\nt0.x !<= t1.x"
-            request = {
-                "id": "crashy",
-                "op": "check",
-                "dtd": dtd_text,
-                "constraints": sigma_text,
-                "config": {
-                    "jobs": 2,
-                    "backend": "exact",
-                    "lp_prune": False,
-                    "want_witness": False,
-                },
+            config = {
+                "jobs": 2,
+                "backend": "exact",
+                "lp_prune": False,
+                "want_witness": False,
             }
+            request = {**_batch_request("crashy"), "config": config}
             [raw] = _line_exchange(router.address, [request])
             payload = json.loads(raw)
             assert payload["ok"], payload
-            stats = payload["result"]["stats"]
-            assert stats["workers_crashed"] == 1
-            assert stats["workers_respawned"] == 1
-            assert not stats["parallel_degraded"]
-            [pinned_raw] = _reference_bytes([request])
-            pinned = json.loads(pinned_raw)
-            assert (
-                payload["result"]["consistent"]
-                == pinned["result"]["consistent"]
+            assert not (tmp_path / "worker.kill.0").exists(), (
+                "no pool worker was killed"
             )
+            [pinned_raw] = _reference_bytes(
+                [{**request, "config": {**config, "jobs": 1}}]
+            )
+            pinned = json.loads(pinned_raw)
+            assert payload["result"] == pinned["result"]
             assert router.stats.backends_lost == 0
         finally:
             router.close()

@@ -141,11 +141,21 @@ def test_readme_observability_knobs_parse_in_cli():
 
 def test_readme_scaling_section_is_executable():
     """The Scaling quickstart is a real doctest session: the README must
-    keep a `--jobs` shell example and a `jobs=` Python example, and the
-    doctest runner above executes the latter."""
+    keep a `diagnose --jobs` shell example (which must parse) and a
+    `jobs=` Python example, and the doctest runner above executes the
+    latter."""
+    from repro.cli import build_parser
+
     text = README.read_text()
     assert "## Scaling" in text
-    assert "--jobs 4" in text
+    scaling = text.split("## Scaling", 1)[1].split("\n## ", 1)[0]
+    [line] = [
+        row for row in scaling.splitlines()
+        if row.startswith("python -m repro") and "--jobs 4" in row
+    ]
+    argv = line.split()[3:]
+    assert argv[0] == "diagnose"
+    assert build_parser().parse_args(argv).jobs == 4
     assert "jobs=2" in text
     assert "mus(wide, bloated" in text
 

@@ -4,10 +4,11 @@ Every hardening claim of DESIGN.md section 9 is exercised by arming its
 failure through :mod:`repro.service.faults` and asserting the recovery
 story end to end:
 
-* ``worker.kill`` — the pool detects the dead worker by exitcode,
-  requeues its task and respawns; a kill *storm* exhausts the respawn
-  budget and degrades to sequential — in both cases the verdict equals
-  the fault-free ``jobs=1`` baseline;
+* ``worker.kill`` — a pool worker dies holding a task; the pool detects
+  it by exitcode, requeues the task and respawns; a kill *storm*
+  exhausts the respawn budget and ``implies_all`` degrades to its
+  sequential loop — in both cases the answers equal the fault-free
+  ``jobs=1`` baseline;
 * deadlines — expired requests answer ``budget_exceeded`` (pre-queue
   and mid-solve via ``solve.delay``), never wedging the drainer;
 * overload (``drain.delay`` + a tiny in-flight cap) — shed requests
@@ -28,10 +29,16 @@ import pytest
 from repro.budget import Deadline, deadline_scope
 from repro.checkers.config import CheckerConfig
 from repro.checkers.consistency import check_consistency
+from repro.checkers.implication import (
+    _implication_task,
+    _init_implication_worker,
+    implies_all,
+)
 from repro.constraints.parser import parse_constraints
 from repro.dtd.serializer import dtd_to_string
-from repro.errors import BudgetExceededError
-from repro.ilp.condsys import WorkerPool
+from repro.errors import BudgetExceededError, WorkerCrashError
+from repro.ilp import condsys
+from repro.ilp.condsys import WorkerPool, fanout_map
 from repro.service import faults
 from repro.service.faults import FaultRegistry, parse_faults
 from repro.service.registry import SessionRegistry
@@ -43,9 +50,8 @@ needs_fork = pytest.mark.skipif(
 )
 
 #: The differential-fuzz branchy instance: its support search genuinely
-#: branches (certified pipeline, LP pruning off), so DFS nodes — and with
-#: ``jobs=2`` real worker processes — are guaranteed to exist for faults
-#: to hit.
+#: branches (certified pipeline, LP pruning off), so DFS nodes are
+#: guaranteed to exist for faults to hit.
 _ACTIVE = 3
 PARALLEL = CheckerConfig(
     want_witness=False, backend="exact", lp_prune=False, jobs=2
@@ -59,11 +65,35 @@ _CONFIG_WIRE = {
 }
 
 
+def _chain():
+    return [f"t{i}.x <= t{(i + 1) % _ACTIVE}.x" for i in range(_ACTIVE)]
+
+
 def _branchy_spec():
     dtd = wide_flat_dtd(_ACTIVE + 2)
-    chain = [f"t{i}.x <= t{(i + 1) % _ACTIVE}.x" for i in range(_ACTIVE)]
-    sigma = parse_constraints("\n".join(chain + ["t0.x !<= t1.x"]))
+    sigma = parse_constraints("\n".join(_chain() + ["t0.x !<= t1.x"]))
     return dtd, sigma
+
+
+#: Every pairwise inclusion over the chain: six independent queries, so
+#: ``jobs=2`` forks a real pool for ``worker.kill`` to hit.
+_PHIS_TEXT = [
+    f"t{i}.x <= t{j}.x"
+    for i in range(_ACTIVE)
+    for j in range(_ACTIVE)
+    if i != j
+]
+
+
+def _batch():
+    dtd = wide_flat_dtd(_ACTIVE + 2)
+    sigma = parse_constraints("\n".join(_chain()))
+    return dtd, sigma, parse_constraints("\n".join(_PHIS_TEXT))
+
+
+def _kill_fired(registry) -> bool:
+    """Did the armed ``worker.kill*1`` consume its token?"""
+    return not os.path.exists(os.path.join(registry.token_dir, "worker.kill.0"))
 
 
 @pytest.fixture
@@ -144,33 +174,48 @@ def test_unarmed_probes_are_noops():
 
 
 @needs_fork
-def test_single_worker_kill_recovers_without_degrading(arm):
-    dtd, sigma = _branchy_spec()
+def test_single_worker_kill_recovers_without_degrading(arm, monkeypatch):
+    """One kill inside ``implies_all``'s pool: the pool reaps the dead
+    worker, requeues its task and respawns, and the batch answers with
+    the jobs=1 results (verdicts and per-query stats)."""
+    pools = []
+
+    class RecordingPool(WorkerPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(condsys, "WorkerPool", RecordingPool)
+    dtd, sigma, phis = _batch()
     arm("worker.kill*1")
-    result = check_consistency(dtd, sigma, PARALLEL)
+    results = implies_all(dtd, sigma, phis, PARALLEL)
     faults.reset()
-    baseline = check_consistency(dtd, sigma, SEQUENTIAL)
-    assert result.consistent == baseline.consistent
-    assert result.stats["workers_crashed"] == 1
-    assert result.stats["workers_respawned"] == 1
-    assert result.stats["tasks_requeued"] >= 1
-    assert not result.stats["parallel_degraded"], (
-        "one crash must be absorbed by respawn, not degrade the run"
-    )
+    baseline = implies_all(dtd, sigma, phis, SEQUENTIAL)
+    [pool] = pools
+    assert pool.crashes == 1
+    assert pool.respawns == 1
+    assert pool.requeues >= 1
+    assert results == baseline
 
 
 @needs_fork
 def test_kill_storm_degrades_to_sequential_with_identical_verdict(arm):
-    """When every worker (and every respawn) dies, the run falls back to
-    the sequential path and still returns the jobs=1 verdict."""
-    dtd, sigma = _branchy_spec()
+    """When every worker (and every respawn) dies, ``fanout_map`` raises
+    :class:`WorkerCrashError`, and ``implies_all`` falls back to its
+    sequential loop and still returns the jobs=1 results."""
+    dtd, sigma, phis = _batch()
     arm("worker.kill*100")
-    result = check_consistency(dtd, sigma, PARALLEL)
+    with pytest.raises(WorkerCrashError):
+        fanout_map(
+            _implication_task,
+            list(range(len(phis))),
+            2,
+            _init_implication_worker,
+            (dtd, sigma, phis, PARALLEL),
+        )
+    results = implies_all(dtd, sigma, phis, PARALLEL)
     faults.reset()
-    baseline = check_consistency(dtd, sigma, SEQUENTIAL)
-    assert result.consistent == baseline.consistent
-    assert result.stats["parallel_degraded"] is True
-    assert result.stats["workers_crashed"] >= 2
+    assert results == implies_all(dtd, sigma, phis, SEQUENTIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +448,14 @@ def test_corrupt_snapshot_is_a_cold_start_that_still_answers(arm, tmp_path):
 
 @needs_fork
 def test_faulted_service_still_matches_fault_free_verdicts(arm):
-    """Worker kills and drain delays at once: every request answers, and
-    the verdicts equal the fault-free sequential baseline."""
-    dtd, sigma = _branchy_spec()
+    """Worker kills and drain delays at once: every ``implies_all``
+    request answers, and the verdicts equal the fault-free sequential
+    baseline."""
+    dtd, sigma, phis = _batch()
     dtd_text = dtd_to_string(dtd)
     sigma_text = "\n".join(str(phi) for phi in sigma)
-    baseline = check_consistency(dtd, sigma, SEQUENTIAL)
-    arm("worker.kill*1,drain.delay=0.02*2")
+    baseline = [r.implied for r in implies_all(dtd, sigma, phis, SEQUENTIAL)]
+    armed = arm("worker.kill*1,drain.delay=0.02*2")
     server = CheckingServer(SessionRegistry())
     host, port = server.start_background()
     try:
@@ -420,9 +466,10 @@ def test_faulted_service_still_matches_fault_free_verdicts(arm):
                 [
                     {
                         "id": index,
-                        "op": "check",
+                        "op": "implies_all",
                         "dtd": dtd_text,
                         "constraints": sigma_text,
+                        "phis": _PHIS_TEXT,
                         "config": _CONFIG_WIRE,
                     }
                     for index in range(3)
@@ -432,8 +479,10 @@ def test_faulted_service_still_matches_fault_free_verdicts(arm):
         assert len(responses) == 3
         for response in responses:
             assert response["ok"] is True, response
-            assert (
-                response["result"]["consistent"] == baseline.consistent
-            ), "faulted verdict diverged from the fault-free baseline"
+            verdicts = [r["implied"] for r in response["result"]["results"]]
+            assert verdicts == baseline, (
+                "faulted verdict diverged from the fault-free baseline"
+            )
+        assert _kill_fired(armed), "no pool worker was killed"
     finally:
         server.close()

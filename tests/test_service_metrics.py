@@ -258,16 +258,12 @@ def test_latency_histogram_buckets():
 
 def test_collector_absorbs_solver_stats_and_retires_sessions():
     collector = StatsCollector()
-    collector.absorb_solver_stats(
-        {"workers_spawned": 2, "parallel_waves": 3, "parallel_degraded": True,
-         "dfs_nodes": 99}
-    )
+    collector.absorb_solver_stats({"workers_spawned": 2, "dfs_nodes": 99})
     collector.absorb_solver_stats({"workers_spawned": 1})
+    collector.absorb_solver_stats(None)
     collector.retire_session({"requests": 5, "cache_hits": 2})
     counters = collector.counters()
     assert counters["pool.workers_spawned"] == 3
-    assert counters["pool.parallel_waves"] == 3
-    assert counters["pool.parallel_degraded"] == 1
     assert "pool.dfs_nodes" not in counters  # only pool counters cross over
     assert counters["session.requests"] == 5
 
@@ -280,7 +276,7 @@ def test_adaptive_controller_clamps_to_effective_parallelism():
         controller.observe_solve(10.0)
         assert 1 <= controller.current() <= ceiling
     for _ in range(64):
-        controller.observe_wave(0.0, 2)
+        controller.observe_solve(0.0)
         assert 1 <= controller.current() <= ceiling
     assert controller.current() == 1
 
