@@ -19,12 +19,16 @@ value (:func:`encoding_cache_stats` reports hit rates): batch callers such
 as :func:`repro.checkers.implication.implies_all` re-encode only the
 constraint rows per query.  The cached system is never handed out directly
 — every :func:`build_encoding` call copies it before the constraint
-encoders append rows.
+encoders append rows.  The block also assembles its rows into CSR arrays
+once (:func:`repro.ilp.assembled.freeze_row_prefix`); the copy shares
+them read-only, so assembling an encoding assembles only its ``C_Sigma``
+rows.  One lock guards the cache, so server threads may share it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -44,6 +48,7 @@ from repro.encoding.cardinality import encode_constraints
 from repro.encoding.dtd_system import DTDSystem, RuleSite, encode_dtd, ext_var
 from repro.encoding.setrep import SetRepBlock, encode_set_representation
 from repro.errors import InvalidConstraintError
+from repro.ilp.assembled import freeze_row_prefix
 from repro.ilp.condsys import ConditionalSystem
 
 
@@ -92,7 +97,10 @@ class ConsistencyEncoding:
 
 @dataclass
 class _DTDBlock:
-    """The constraint-independent part of the encoding, cached per DTD."""
+    """The constraint-independent part of the encoding, cached per DTD.
+
+    ``dtd_system.system`` carries its assembled rows as ``row_prefix``.
+    """
 
     simple: SimpleDTD
     dtd_system: DTDSystem
@@ -100,27 +108,37 @@ class _DTDBlock:
     ext_vars: dict[str, object]
 
 
+#: Entry bound of the per-DTD caches: the ``Psi_DN`` blocks here and the
+#: service's parsed-DTD memo (:mod:`repro.service.registry`).  Bounded so
+#: long-running services do not accumulate state for every DTD they saw.
+DTD_CACHE_LIMIT = 128
+
 #: LRU cache of ``Psi_DN`` blocks, keyed by DTD *value* (two structurally
-#: equal DTDs share an entry). Bounded so long-running batch services do
-#: not accumulate encodings for every DTD they ever saw.
+#: equal DTDs share an entry).  ``_CACHE_LOCK`` guards it and the
+#: counters: the server's executor threads look up, insert and evict
+#: concurrently.
 _DTD_BLOCK_CACHE: "OrderedDict[object, _DTDBlock]" = OrderedDict()
-_DTD_BLOCK_CACHE_LIMIT = 128
 _CACHE_STATS = {"hits": 0, "misses": 0}
+_CACHE_LOCK = threading.Lock()
 
 
 def encoding_cache_stats() -> dict[str, int]:
     """Hit/miss counters of the per-DTD ``Psi_DN`` cache."""
-    return dict(_CACHE_STATS)
+    with _CACHE_LOCK:
+        return dict(_CACHE_STATS)
 
 
 def clear_encoding_cache() -> None:
     """Drop all cached ``Psi_DN`` blocks and reset the counters."""
-    _DTD_BLOCK_CACHE.clear()
-    _CACHE_STATS["hits"] = 0
-    _CACHE_STATS["misses"] = 0
+    with _CACHE_LOCK:
+        _DTD_BLOCK_CACHE.clear()
+        _CACHE_STATS["hits"] = 0
+        _CACHE_STATS["misses"] = 0
 
 
-def canonical_spec(dtd: DTD, constraints: list[Constraint]) -> str:
+def canonical_spec(
+    dtd: DTD, constraints: list[Constraint], dtd_text: str | None = None
+) -> str:
     """The canonical text form of a ``(DTD, Sigma)`` specification.
 
     The DTD is rendered in declaration syntax (root first, a stable
@@ -128,7 +146,8 @@ def canonical_spec(dtd: DTD, constraints: list[Constraint]) -> str:
     constraints in the library's text syntax, one per line, *in order*:
     constraint order is part of a specification's identity because
     order-sensitive consumers (the MUS filters, toggle row ids) would
-    otherwise serve one ordering's answers for another.
+    otherwise serve one ordering's answers for another.  A caller that
+    already holds ``dtd_to_string(dtd)`` passes it as ``dtd_text``.
 
     >>> from repro.dtd.model import DTD
     >>> d = DTD.build("r", {"r": "(a)", "a": "EMPTY"}, attrs={"a": ["k"]})
@@ -138,11 +157,18 @@ def canonical_spec(dtd: DTD, constraints: list[Constraint]) -> str:
     <!ATTLIST a k CDATA #REQUIRED>
     <BLANKLINE>
     """
-    from repro.dtd.serializer import dtd_to_string
+    if dtd_text is None:
+        from repro.dtd.serializer import dtd_to_string
 
-    lines = [dtd_to_string(dtd)]
+        dtd_text = dtd_to_string(dtd)
+    lines = [dtd_text]
     lines.extend(str(phi) for phi in constraints)
     return "\n".join(lines)
+
+
+def fingerprint_of(canonical: str) -> str:
+    """The fingerprint of a :func:`canonical_spec` text (sha256, hex)."""
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def spec_fingerprint(dtd: DTD, constraints: list[Constraint]) -> str:
@@ -159,8 +185,7 @@ def spec_fingerprint(dtd: DTD, constraints: list[Constraint]) -> str:
     >>> fp == spec_fingerprint(d, []) and len(fp) == 64
     True
     """
-    digest = hashlib.sha256(canonical_spec(dtd, constraints).encode("utf-8"))
-    return digest.hexdigest()
+    return fingerprint_of(canonical_spec(dtd, constraints))
 
 
 def _dtd_cache_key(dtd: DTD) -> object:
@@ -174,16 +199,22 @@ def _dtd_cache_key(dtd: DTD) -> object:
 
 
 def _dtd_block(dtd: DTD) -> _DTDBlock:
-    """The cached DTD-only encoding block (simplify + ``Psi_DN`` + usability)."""
+    """The cached DTD-only encoding block (simplify + ``Psi_DN`` + usability).
+
+    A miss builds outside the lock; if another thread cached the same DTD
+    meanwhile, its block wins (both are equal values).
+    """
     key = _dtd_cache_key(dtd)
-    block = _DTD_BLOCK_CACHE.get(key)
-    if block is not None:
-        _CACHE_STATS["hits"] += 1
-        _DTD_BLOCK_CACHE.move_to_end(key)
-        return block
-    _CACHE_STATS["misses"] += 1
+    with _CACHE_LOCK:
+        block = _DTD_BLOCK_CACHE.get(key)
+        if block is not None:
+            _CACHE_STATS["hits"] += 1
+            _DTD_BLOCK_CACHE.move_to_end(key)
+            return block
+        _CACHE_STATS["misses"] += 1
     simple = simplify_dtd(dtd)
     dtd_system = encode_dtd(simple)
+    freeze_row_prefix(dtd_system.system)
     usable = usable_types(simple.to_dtd())
     block = _DTDBlock(
         simple=simple,
@@ -191,9 +222,11 @@ def _dtd_block(dtd: DTD) -> _DTDBlock:
         forced_false=frozenset(set(simple.types) - set(usable)),
         ext_vars={symbol: ext_var(symbol) for symbol in simple.symbols()},
     )
-    _DTD_BLOCK_CACHE[key] = block
-    if len(_DTD_BLOCK_CACHE) > _DTD_BLOCK_CACHE_LIMIT:
-        _DTD_BLOCK_CACHE.popitem(last=False)
+    with _CACHE_LOCK:
+        block = _DTD_BLOCK_CACHE.setdefault(key, block)
+        _DTD_BLOCK_CACHE.move_to_end(key)
+        if len(_DTD_BLOCK_CACHE) > DTD_CACHE_LIMIT:
+            _DTD_BLOCK_CACHE.popitem(last=False)
     return block
 
 
@@ -262,7 +295,8 @@ def build_encoding(
 
     block = _dtd_block(dtd)
     # The cached system is pristine Psi_DN; the constraint encoders append
-    # rows, so they get a (cheap, shallow) copy.
+    # rows, so they get a (cheap, shallow) copy, which keeps the block's
+    # assembled rows as its row prefix.
     system = block.dtd_system.system.copy()
     cardinality = encode_constraints(
         dtd, system, keys, inclusions, neg_keys, neg_inclusions
@@ -296,7 +330,7 @@ def build_encoding(
     if repair_sites:
         sites = block.dtd_system.sites
         for index, site in enumerate(sites):
-            coeffs = dict(system.rows[site.row].coeffs)
+            coeffs = dict(system.row(site.row).coeffs)
             system.add_ge(coeffs, 0, label=f"shadow:{site.parent}:{index}")
             site_toggles[index] = ConstraintToggle(
                 rows=(site.row,),

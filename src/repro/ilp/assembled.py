@@ -76,6 +76,7 @@ import importlib.util
 import os
 import sys
 from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,20 +129,39 @@ def _load_highs_core():
 _highs = _load_highs_core()
 
 
-def assemble_arrays(system: LinearSystem):
-    """Sparse CSR triplets and bound arrays for a :class:`LinearSystem`.
+@dataclass(frozen=True)
+class RowBlock:
+    """CSR arrays and row bounds of a run of consecutive rows.
 
-    Returns ``(indptr, indices, data, row_lower, row_upper, var_lower,
-    var_upper)``.  Duplicate variable mentions within a row are merged, like
-    the dense assembly's ``+=`` did.
+    ``indptr`` starts at 0; ``indices`` are the system's column indices.
+    A block frozen with :func:`freeze_row_prefix` has read-only arrays.
     """
-    num_rows = system.num_rows
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.row_lower)
+
+
+def assemble_rows(system: LinearSystem, start: int = 0) -> RowBlock:
+    """The :class:`RowBlock` of ``system``'s rows from index ``start`` on.
+
+    Duplicate variable mentions within a row are merged, like the dense
+    assembly's ``+=`` did, and each row's columns are sorted.
+    """
+    rows = system.rows[start:]
+    num_rows = len(rows)
     indptr = np.zeros(num_rows + 1, dtype=np.int32)
     indices: list[int] = []
     data: list[float] = []
     row_lower = np.full(num_rows, -np.inf)
     row_upper = np.full(num_rows, np.inf)
-    for i, row in enumerate(system.rows):
+    for i, row in enumerate(rows):
         merged: dict[int, int] = {}
         for var, coeff in row.coeffs:
             j = system.index_of(var)
@@ -159,6 +179,51 @@ def assemble_arrays(system: LinearSystem):
             row_upper[i] = row.rhs
         else:  # pragma: no cover - defensive
             raise SolverError(f"unknown row sense {row.sense!r}")
+    return RowBlock(
+        indptr,
+        np.array(indices, dtype=np.int32),
+        np.array(data, dtype=np.float64),
+        row_lower,
+        row_upper,
+    )
+
+
+def freeze_row_prefix(system: LinearSystem) -> None:
+    """Assemble every current row of ``system`` once, as its
+    :attr:`~repro.ilp.model.LinearSystem.row_prefix`.
+
+    Every plain copy shares the read-only arrays, so
+    :func:`assemble_arrays` on a copy assembles only the rows appended
+    after this call.  The per-DTD ``Psi_DN`` block
+    (:mod:`repro.encoding.combined`) is the one caller.
+    """
+    block = assemble_rows(system)
+    for array in (block.indptr, block.indices, block.data, block.row_lower, block.row_upper):
+        array.flags.writeable = False
+    system.row_prefix = block
+
+
+def assemble_arrays(system: LinearSystem):
+    """Sparse CSR triplets and bound arrays for a :class:`LinearSystem`.
+
+    Returns ``(indptr, indices, data, row_lower, row_upper, var_lower,
+    var_upper)``.  Rows covered by the system's ``row_prefix`` are taken
+    from it and only the rows past it are assembled; the arrays are the
+    same, bit for bit, as assembling every row (:func:`assemble_rows`
+    is the one row assembler).  Variable bounds are always rebuilt.
+    """
+    prefix = system.row_prefix
+    if prefix is None:
+        rows = assemble_rows(system)
+    else:
+        tail = assemble_rows(system, prefix.num_rows)
+        rows = RowBlock(
+            np.concatenate((prefix.indptr, tail.indptr[1:] + prefix.indptr[-1])),
+            np.concatenate((prefix.indices, tail.indices)),
+            np.concatenate((prefix.data, tail.data)),
+            np.concatenate((prefix.row_lower, tail.row_lower)),
+            np.concatenate((prefix.row_upper, tail.row_upper)),
+        )
     var_lower = np.zeros(system.num_vars)
     var_upper = np.full(system.num_vars, np.inf)
     for var in system.variables:
@@ -166,11 +231,11 @@ def assemble_arrays(system: LinearSystem):
         if bound is not None:
             var_upper[system.index_of(var)] = float(bound)
     return (
-        indptr,
-        np.array(indices, dtype=np.int32),
-        np.array(data, dtype=np.float64),
-        row_lower,
-        row_upper,
+        rows.indptr,
+        rows.indices,
+        rows.data,
+        rows.row_lower,
+        rows.row_upper,
         var_lower,
         var_upper,
     )

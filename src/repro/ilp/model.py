@@ -76,6 +76,12 @@ class LinearSystem:
         self._order: list[VarId] = []
         self._rows: list[Row] = []
         self._upper: dict[VarId, int] = {}
+        #: Assembled CSR arrays of this system's leading rows, shared
+        #: read-only with every plain :meth:`copy` (rows are append-only
+        #: and column indices never move, so the arrays stay exact);
+        #: :func:`repro.ilp.assembled.assemble_arrays` assembles only
+        #: the rows past it.  ``None`` for systems nobody pre-assembled.
+        self.row_prefix = None
 
     # -- variables ---------------------------------------------------------
 
@@ -136,6 +142,10 @@ class LinearSystem:
     def rows(self) -> tuple[Row, ...]:
         return tuple(self._rows)
 
+    def row(self, index: int) -> Row:
+        """One row by its stable index (no copy of the row list)."""
+        return self._rows[index]
+
     @property
     def num_rows(self) -> int:
         return len(self._rows)
@@ -148,6 +158,8 @@ class LinearSystem:
         ``drop_rows`` omits the rows with those indices — the materialized
         twin of deactivating toggleable rows on an assembled system.  All
         variables stay registered either way, so column indices are stable.
+        A copy keeps :attr:`row_prefix` unless it drops rows (row indices
+        then shift under the prefix).
         """
         clone = LinearSystem()
         clone._index = dict(self._index)
@@ -158,6 +170,7 @@ class LinearSystem:
             ]
         else:
             clone._rows = list(self._rows)
+            clone.row_prefix = self.row_prefix
         clone._upper = dict(self._upper)
         return clone
 

@@ -11,6 +11,11 @@ registry exceeds its session count or byte budget
 next request for it simply re-admits a cold session, whose answers are
 byte-identical to the evicted one's (the differential suite replays
 exactly this).
+
+Resolving inline text pays for the specification's constraints, not for
+its DTD: the registry memoizes each ``(dtd_text, root)`` to the parsed
+:class:`~repro.dtd.model.DTD` and its canonical text, so a request over
+a DTD seen before neither re-parses nor re-serializes it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from repro.constraints.ast import Constraint
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
-from repro.encoding.combined import spec_fingerprint
+from repro.dtd.serializer import dtd_to_string
+from repro.encoding.combined import (
+    DTD_CACHE_LIMIT,
+    canonical_spec,
+    fingerprint_of,
+    spec_fingerprint,
+)
 from repro.errors import ReproError
 from repro.service.session import SpecSession
 
@@ -108,6 +119,11 @@ class SessionRegistry:
         self._max_cached_responses = max_cached_responses
         self._lock = threading.Lock()
         self._sessions: "OrderedDict[str, SpecSession]" = OrderedDict()
+        #: ``(dtd_text, root)`` -> ``(DTD, dtd_to_string(DTD))``, least
+        #: recently used first, at most ``DTD_CACHE_LIMIT`` entries.
+        self._dtds: "OrderedDict[tuple[str, str | None], tuple[DTD, str]]" = (
+            OrderedDict()
+        )
         self._hits = 0
         self._opened = 0
         self._evicted = 0
@@ -128,14 +144,17 @@ class SessionRegistry:
 
         Accepts parsed objects or text (``<!ELEMENT ...>`` declarations
         and constraint lines), so the wire layer and the CLI resolve
-        through the same entry point.
+        through the same entry point.  DTD text goes through the
+        registry's parsed-DTD memo (:meth:`parsed_dtd`).
         """
         if isinstance(dtd, str):
-            dtd = parse_dtd(dtd, root=root)
+            dtd, dtd_text = self.parsed_dtd(dtd, root)
+        else:
+            dtd_text = dtd_to_string(dtd)
         if isinstance(constraints, str):
             constraints = parse_constraints(constraints)
         sigma = list(constraints)
-        fingerprint = spec_fingerprint(dtd, sigma)
+        fingerprint = fingerprint_of(canonical_spec(dtd, sigma, dtd_text))
         with self._lock:
             session = self._sessions.get(fingerprint)
             if session is not None:
@@ -149,11 +168,33 @@ class SessionRegistry:
                 max_cached_responses=self._max_cached_responses,
                 auto_jobs=self.auto_jobs,
                 collector=self.collector,
+                dtd_text=dtd_text,
             )
             self._opened += 1
             self._sessions[fingerprint] = session
             self._shrink_locked()
             return session
+
+    def parsed_dtd(self, text: str, root: str | None = None) -> tuple[DTD, str]:
+        """``parse_dtd(text, root)`` and its ``dtd_to_string``, memoized.
+
+        Parse errors are raised, never cached.  A DTD value is immutable,
+        so every session over the same text shares one object.
+        """
+        key = (text, root)
+        with self._lock:
+            entry = self._dtds.get(key)
+            if entry is not None:
+                self._dtds.move_to_end(key)
+                return entry
+        dtd = parse_dtd(text, root=root)
+        entry = (dtd, dtd_to_string(dtd))
+        with self._lock:
+            self._dtds[key] = entry
+            self._dtds.move_to_end(key)
+            if len(self._dtds) > DTD_CACHE_LIMIT:
+                self._dtds.popitem(last=False)
+        return entry
 
     def get(self, fingerprint: str) -> SpecSession | None:
         """The resident session with this fingerprint, if any (no admit)."""

@@ -40,7 +40,7 @@ from repro.constraints.classes import validate_constraints
 from repro.constraints.parser import parse_constraint
 from repro.constraints.satisfaction import violations
 from repro.dtd.model import DTD
-from repro.encoding.combined import canonical_spec, spec_fingerprint
+from repro.encoding.combined import canonical_spec, fingerprint_of
 from repro.errors import ReproError
 from repro.xmltree.parse import parse_xml
 from repro.xmltree.serialize import tree_to_string
@@ -122,6 +122,16 @@ def merge_config(base: CheckerConfig, overrides: dict | None) -> CheckerConfig:
     return replace(base, **overrides)
 
 
+def _solve_key(effective: CheckerConfig) -> CheckerConfig:
+    """The config part of a ``check`` or ``implies`` response key.
+
+    ``jobs`` is pinned to 1: a single solve ignores it, and
+    ``implies_all`` answers each query exactly as at ``jobs=1``, so a
+    request at any level replays the one cached answer.
+    """
+    return effective if effective.jobs == 1 else replace(effective, jobs=1)
+
+
 def _error_payload(exc: Exception) -> dict:
     """The canonical error body — one rendering for singles and batches.
 
@@ -170,6 +180,7 @@ class SpecSession:
         max_response_bytes: int = 64 * 1024 * 1024,
         auto_jobs: bool = False,
         collector: StatsCollector | None = None,
+        dtd_text: str | None = None,
     ):
         self.dtd = dtd
         self.sigma = list(constraints)
@@ -179,7 +190,9 @@ class SpecSession:
         self.spec = api.Spec(dtd=dtd, constraints=tuple(constraints))
         validate_constraints(dtd, self.sigma)
         self.config = config or DEFAULT_CONFIG
-        self.fingerprint = spec_fingerprint(dtd, self.sigma)
+        # ``dtd_text`` is ``dtd_to_string(dtd)`` when the caller has it.
+        canonical = canonical_spec(dtd, self.sigma, dtd_text)
+        self.fingerprint = fingerprint_of(canonical)
         self.stats = SessionStats()
         #: ``--jobs auto``: requests without an explicit jobs override
         #: solve at the controller's current level (see
@@ -190,7 +203,7 @@ class SpecSession:
         #: session pushes pool counters into.
         self.collector = collector
         self._jobs_controller: AdaptiveJobsController | None = None
-        self._spec_bytes = len(canonical_spec(dtd, self.sigma).encode("utf-8"))
+        self._spec_bytes = len(canonical.encode("utf-8"))
         self._max_cached_responses = max_cached_responses
         #: Per-session cap on the response cache's resident bytes (keys
         #: included), so one session cannot grow unboundedly between the
@@ -313,7 +326,7 @@ class SpecSession:
         with self._lock:
             self.stats.requests += 1
             effective = self._effective_config(config)
-            key = ("check", effective)
+            key = ("check", _solve_key(effective))
             cached = self._recall(key)
             if cached is not None:
                 return cached
@@ -353,6 +366,7 @@ class SpecSession:
             self.stats.requests += len(phis)
             self.stats.batch_requests += 1
             effective = self._effective_config(config)
+            key_config = _solve_key(effective)
             responses: list[dict] = []
             misses: list[tuple[int, Constraint]] = []
             for phi in phis:
@@ -361,7 +375,7 @@ class SpecSession:
                 except ReproError as exc:
                     responses.append(_error_payload(exc))
                     continue
-                key = ("implies", str(parsed), effective)
+                key = ("implies", str(parsed), key_config)
                 cached = self._recall(key)
                 if cached is None:
                     misses.append((len(responses), parsed))
@@ -391,14 +405,14 @@ class SpecSession:
                 else:
                     first: dict[str, dict] = {}
                     for parsed, result in zip(unique.values(), results):
-                        key = ("implies", str(parsed), effective)
+                        key = ("implies", str(parsed), key_config)
                         first[str(parsed)] = self._absorb(
                             self._remember(key, self._implication_payload(result))
                         )
                     for index, parsed in misses:
                         payload = first.pop(str(parsed), None)
                         if payload is None:  # an intra-batch repeat
-                            payload = self._recall(("implies", str(parsed), effective))
+                            payload = self._recall(("implies", str(parsed), key_config))
                         responses[index] = payload
                     misses = []
             for index, parsed in misses:
@@ -547,7 +561,7 @@ class SpecSession:
 
     def _implies_locked(self, phi: str | Constraint, effective: CheckerConfig) -> dict:
         parsed = self._parse_phi(phi)
-        key = ("implies", str(parsed), effective)
+        key = ("implies", str(parsed), _solve_key(effective))
         cached = self._recall(key)
         if cached is not None:
             return cached

@@ -1,0 +1,351 @@
+"""The per-DTD caches of the served path, and what they must not change.
+
+A request pays for its ``Sigma``, not for its DTD: the parsed DTD and its
+canonical text are memoized per ``(dtd_text, root)``
+(:meth:`repro.service.registry.SessionRegistry.parsed_dtd`), and the cached ``Psi_DN``
+block carries its rows pre-assembled as a CSR prefix that
+:func:`repro.ilp.assembled.assemble_arrays` reuses.  These tests pin that
+the reuse is invisible: the arrays equal a from-scratch assembly bit for
+bit, fingerprints equal :func:`spec_fingerprint`, served bytes do not
+depend on what the registry served before, and the block cache survives
+concurrent eviction.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import threading
+from collections import OrderedDict
+
+import pytest
+
+from repro.constraints.parser import parse_constraints
+from repro.dtd.model import DTD
+from repro.dtd.parser import parse_dtd
+from repro.dtd.serializer import dtd_to_string
+from repro.encoding import combined
+from repro.encoding.combined import (
+    DTD_CACHE_LIMIT,
+    build_encoding,
+    clear_encoding_cache,
+    encoding_cache_stats,
+    spec_fingerprint,
+)
+from repro.errors import ReproError
+from repro.ilp.assembled import AssembledSystem, assemble_arrays
+from repro.service import protocol
+from repro.service.registry import SessionRegistry, fingerprint_for
+from repro.workloads.examples import (
+    recursive_dtd_d2,
+    school_constraints_d3,
+    school_dtd_d3,
+    sigma1_constraints,
+    teachers_dtd_d1,
+)
+from repro.workloads.generators import random_dtd, random_unary_constraints
+
+#: The seeded instance family of the differential sweep.
+FUZZ_SEEDS = range(200)
+
+
+def _fuzz_instance(seed: int):
+    dtd = random_dtd(seed, num_types=3 + seed % 3)
+    sigma = random_unary_constraints(
+        seed * 31 + 7,
+        dtd,
+        num_keys=seed % 3,
+        num_fks=(seed + 1) % 3,
+        num_neg_keys=seed % 2,
+        num_neg_inclusions=(seed + 1) % 2,
+    )
+    return dtd, sigma
+
+
+def _from_scratch(system):
+    """``assemble_arrays`` with every row assembled (no prefix reuse)."""
+    reference = system.copy()
+    reference.row_prefix = None
+    return assemble_arrays(reference)
+
+
+def _assert_bit_identical(system) -> None:
+    got, want = assemble_arrays(system), _from_scratch(system)
+    for name, a, b in zip(
+        ("indptr", "indices", "data", "row_lower", "row_upper", "var_lower", "var_upper"),
+        got,
+        want,
+    ):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _example_specs():
+    return [
+        (teachers_dtd_d1(), sigma1_constraints()),
+        (teachers_dtd_d1(), []),
+        (school_dtd_d3(), school_constraints_d3()),
+        (recursive_dtd_d2(), []),
+    ]
+
+
+class TestPrefixAssembly:
+    def test_fuzz_seeds_and_examples(self):
+        clear_encoding_cache()
+        specs = [_fuzz_instance(seed) for seed in FUZZ_SEEDS] + _example_specs()
+        setreps = 0
+        for dtd, sigma in specs:
+            try:
+                encoding = build_encoding(dtd, sigma)
+            except ReproError:
+                continue
+            base = encoding.condsys.base
+            prefix = base.row_prefix
+            assert prefix is not None
+            assert prefix.num_rows == combined._dtd_block(dtd).dtd_system.system.num_rows
+            setreps += encoding.setrep is not None
+            _assert_bit_identical(base)
+        assert setreps, "no set-representation encoding was exercised"
+
+    def test_repair_site_encodings(self):
+        for dtd, sigma in [_fuzz_instance(seed) for seed in range(40)] + _example_specs():
+            try:
+                encoding = build_encoding(dtd, sigma, repair_sites=True)
+            except ReproError:
+                continue
+            assert encoding.condsys.base.row_prefix is not None
+            _assert_bit_identical(encoding.condsys.base)
+
+    def test_copies_keep_or_drop_the_prefix(self):
+        encoding = build_encoding(teachers_dtd_d1(), sigma1_constraints())
+        base = encoding.condsys.base
+        toggled = frozenset(encoding.condsys.toggleable_rows)
+        assert toggled
+        assert base.copy().row_prefix is base.row_prefix
+        dropped = base.copy(drop_rows=toggled)
+        assert dropped.row_prefix is None
+        _assert_bit_identical(dropped)
+        leaf = AssembledSystem(base).materialize(
+            {("ext", "teacher"): (1, None)}, inactive_rows=frozenset()
+        )
+        assert leaf.row_prefix is base.row_prefix
+        _assert_bit_identical(leaf)
+
+    def test_the_shared_prefix_is_read_only(self):
+        base = build_encoding(teachers_dtd_d1(), []).condsys.base
+        with pytest.raises(ValueError):
+            base.row_prefix.data[0] = 99.0
+        assembled = AssembledSystem(base)
+        assert assembled.data.flags.writeable
+
+
+class TestBlockCacheLock:
+    def test_eviction_between_lookup_and_reuse(self, monkeypatch):
+        """A reader paused between finding its block and marking it used
+        while another thread pushes ``DTD_CACHE_LIMIT + 1`` DTDs through
+        the cache: the reader must neither raise nor lose a counter."""
+        clear_encoding_cache()
+        target = DTD.build("r", {"r": "(a*)", "a": "EMPTY"}, attrs={"a": ["k"]})
+        build_encoding(target, [])
+        target_key = combined._dtd_cache_key(target)
+        fillers = [
+            DTD.build("r", {"r": f"(t{i}*)", f"t{i}": "EMPTY"})
+            for i in range(DTD_CACHE_LIMIT + 1)
+        ]
+        looked_up, evicted = threading.Event(), threading.Event()
+        errors: list[BaseException] = []
+
+        class PausingCache(OrderedDict):
+            def get(self, key, default=None):
+                found = super().get(key, default)
+                if key == target_key and not looked_up.is_set():
+                    looked_up.set()
+                    # Under the lock the evictor cannot run, so this
+                    # times out; without it the evictor empties the
+                    # cache here.
+                    evicted.wait(timeout=0.5)
+                return found
+
+        monkeypatch.setattr(
+            combined, "_DTD_BLOCK_CACHE", PausingCache(combined._DTD_BLOCK_CACHE)
+        )
+
+        def read():
+            try:
+                build_encoding(target, [])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def evict():
+            looked_up.wait(timeout=5.0)
+            for filler in fillers:
+                build_encoding(filler, [])
+            evicted.set()
+
+        threads = [threading.Thread(target=read), threading.Thread(target=evict)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not errors, errors
+        stats = encoding_cache_stats()
+        assert stats["hits"] + stats["misses"] == 2 + len(fillers)
+        assert len(combined._DTD_BLOCK_CACHE) <= DTD_CACHE_LIMIT
+        clear_encoding_cache()
+
+    def test_threads_thrashing_both_caches_lose_nothing(self):
+        """More threads than cores cycle more DTDs than either cache holds,
+        switching every few microseconds: every lookup is counted once,
+        nothing raises, and both caches stay within their bound."""
+        clear_encoding_cache()
+        texts = [
+            f"<!ELEMENT r (t{i}*)>\n<!ELEMENT t{i} EMPTY>\n<!ATTLIST t{i} k CDATA #REQUIRED>"
+            for i in range(DTD_CACHE_LIMIT + 8)
+        ]
+        registry = SessionRegistry()
+        errors: list[BaseException] = []
+        num_threads = 4
+
+        def work(offset: int) -> None:
+            try:
+                for i in range(len(texts)):
+                    dtd, _ = registry.parsed_dtd(texts[(i + offset) % len(texts)])
+                    build_encoding(dtd, [])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(k * 17,)) for k in range(num_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        stats = encoding_cache_stats()
+        assert stats["hits"] + stats["misses"] == num_threads * len(texts)
+        assert len(combined._DTD_BLOCK_CACHE) <= DTD_CACHE_LIMIT
+        assert len(registry._dtds) <= DTD_CACHE_LIMIT
+        clear_encoding_cache()
+
+
+DTD_TEXT = """
+<!ELEMENT teachers (teacher, teacher*)>
+<!ELEMENT teacher (teach, research)>
+<!ELEMENT teach (subject, subject)>
+<!ELEMENT subject (#PCDATA)>
+<!ELEMENT research (#PCDATA)>
+<!ATTLIST teacher name CDATA #REQUIRED>
+<!ATTLIST subject taught_by CDATA #REQUIRED>
+"""
+
+SIGMAS = [
+    "teacher.name -> teacher",
+    "teacher.name -> teacher\nsubject.taught_by -> subject",
+    "teacher.name -> teacher\nsubject.taught_by -> subject\n"
+    "subject.taught_by => teacher.name",
+]
+
+
+#: Two root candidates: ``a`` (the first declared) and ``c``.
+TWO_ROOTS_TEXT = """
+<!ELEMENT a (b*)>
+<!ELEMENT b EMPTY>
+<!ELEMENT c (b)>
+<!ATTLIST b k CDATA #REQUIRED>
+"""
+
+MEMO_CASES = [
+    pytest.param(DTD_TEXT, None, sigma, id=f"teachers-sigma{i}")
+    for i, sigma in enumerate(["", *SIGMAS])
+] + [
+    pytest.param(TWO_ROOTS_TEXT, root, sigma, id=f"root-{root}-sigma{len(sigma) > 0:d}")
+    for root in (None, "a", "c")
+    for sigma in ("", "b.k -> b")
+]
+
+
+class TestDTDTextMemo:
+    @pytest.mark.parametrize("text, root, sigma_text", MEMO_CASES)
+    def test_fingerprint_equals_spec_fingerprint(self, text, root, sigma_text):
+        want = spec_fingerprint(parse_dtd(text, root=root), parse_constraints(sigma_text))
+        registry = SessionRegistry()
+        for _ in range(2):  # cold, then a memo hit
+            session = registry.session_for(text, sigma_text, root=root)
+            assert session.fingerprint == want
+            assert fingerprint_for(text, sigma_text, root=root) == want
+        assert len(registry._dtds) == 1
+
+    def test_root_override_is_part_of_the_key(self):
+        registry = SessionRegistry()
+        assert registry.parsed_dtd(TWO_ROOTS_TEXT, root="c")[0].root == "c"
+        assert registry.parsed_dtd(TWO_ROOTS_TEXT)[0].root == "a"
+        assert (
+            registry.session_for(TWO_ROOTS_TEXT, "", root="c").fingerprint
+            != registry.session_for(TWO_ROOTS_TEXT, "").fingerprint
+        )
+
+    def test_memo_holds_the_canonical_text_and_bounds_itself(self):
+        registry = SessionRegistry()
+        dtd, text = registry.parsed_dtd(DTD_TEXT)
+        assert text == dtd_to_string(dtd)
+        assert registry.parsed_dtd(DTD_TEXT)[0] is dtd
+        assert registry.parsed_dtd(DTD_TEXT, root="teachers")[0] is not dtd
+        for i in range(DTD_CACHE_LIMIT + 1):
+            registry.parsed_dtd(f"<!ELEMENT r{i} EMPTY>")
+        assert len(registry._dtds) == DTD_CACHE_LIMIT
+        assert (DTD_TEXT, None) not in registry._dtds  # least recently used
+
+    def test_parse_errors_are_not_cached(self):
+        registry = SessionRegistry()
+        for _ in range(2):
+            with pytest.raises(ReproError):
+                registry.session_for("<!ELEMENT r (a)>", "")
+        assert not registry._dtds
+
+
+def _served(registry: SessionRegistry, request: dict) -> str:
+    parsed = protocol.parse_request(json.dumps(request))
+    session = protocol.resolve_session(registry, parsed)
+    return protocol.encode(
+        protocol.ok_response(parsed, protocol.perform(session, parsed), session)
+    )
+
+
+class TestServedBytes:
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"id": 7, "op": "check", "dtd": DTD_TEXT, "constraints": SIGMAS[2]},
+            {"id": 7, "op": "check", "dtd": DTD_TEXT, "constraints": SIGMAS[0]},
+            {
+                "id": 7,
+                "op": "implies",
+                "dtd": DTD_TEXT,
+                "constraints": SIGMAS[1],
+                "phi": "subject.taught_by => teacher.name",
+            },
+        ],
+    )
+    def test_fresh_and_warm_registries_answer_alike(self, request_):
+        clear_encoding_cache()
+        fresh = _served(SessionRegistry(), request_)
+
+        warm = SessionRegistry()
+        for i, sigma_text in enumerate(["", *SIGMAS]):
+            if sigma_text != request_["constraints"]:
+                _served(
+                    warm,
+                    {"id": i, "op": "check", "dtd": DTD_TEXT, "constraints": sigma_text},
+                )
+        hits = encoding_cache_stats()["hits"]
+        assert _served(warm, request_) == fresh
+        assert encoding_cache_stats()["hits"] > hits  # the block was reused
+        assert len(warm._dtds) == 1  # and so was the parsed text
+        clear_encoding_cache()
