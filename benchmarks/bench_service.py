@@ -42,7 +42,11 @@ Two claims of the long-lived checking service are gated here:
    a lock-scoped copy, never a pause of the serving path.
 
 Every benchmark asserts the correctness of the answers it times, per
-the suite's fast-nonsense policy.
+the suite's fast-nonsense policy.  Gates 2-5 also assert deterministic
+counters beside their wall-clock ratio, which hold on any host however
+loaded: the server's executor (wrapped to count submissions) takes one
+job per batch, every answered request sits in exactly one batch, shed
+requests and scrapes take none, and the coalesced burst coalesces.
 """
 
 import asyncio
@@ -52,6 +56,7 @@ import statistics
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.constraints.parser import parse_constraints
@@ -69,6 +74,36 @@ _WARM_GATE = 5.0
 _BATCH_GATE = 2.0
 
 _CLIENTS = 32
+
+
+class _CountingExecutor(ThreadPoolExecutor):
+    """The server's thread pool, counting the jobs submitted to it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submissions = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submissions += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+def _counted_server(**kwargs) -> CheckingServer:
+    """A server whose executor counts submissions: the deterministic
+    companion of each wall-clock gate (one executor job per batch, so
+    ``submissions == batches`` and every answered request sits in
+    exactly one batch)."""
+    server = CheckingServer(SessionRegistry(), **kwargs)
+    workers = server.executor._max_workers
+    server.executor.shutdown()
+    server.executor = _CountingExecutor(max_workers=workers)
+    return server
+
+
+def _assert_one_job_per_batch(server: CheckingServer, answered: int) -> None:
+    stats = server.stats_payload()["server"]
+    assert server.executor.submissions == stats["batches"], stats
+    assert stats["batch_width_sum"] == answered, stats
 
 
 def _registrar_spec():
@@ -182,7 +217,7 @@ def test_coalesced_batch_throughput_vs_sequential_one_shots():
     sequential = min(one_shots() for _ in range(2))
 
     # -- coalesced side: 32 concurrent clients against one server -------
-    server = CheckingServer(SessionRegistry())
+    server = _counted_server()
     host, port = server.start_background()
 
     async def client(phi: str, expected: bool) -> None:
@@ -217,6 +252,7 @@ def test_coalesced_batch_throughput_vs_sequential_one_shots():
         assert stats["errors"] == 0
         assert stats["batches_coalesced"] >= 1, stats
         assert stats["batch_width"] >= 2
+        _assert_one_job_per_batch(server, len(phis))
     finally:
         server.close()
 
@@ -250,9 +286,7 @@ def test_shed_mode_keeps_admitted_request_latency_bounded():
         if i != j
     ]
 
-    server = CheckingServer(
-        SessionRegistry(), max_inflight=1, queue_depth=1
-    )
+    server = _counted_server(max_inflight=1, queue_depth=1)
     host, port = server.start_background()
 
     def request_for(index: int) -> tuple[dict, bool]:
@@ -334,6 +368,8 @@ def test_shed_mode_keeps_admitted_request_latency_bounded():
         stats = server.stats_payload()["server"]
         assert stats["requests_shed"] == shed
         assert stats["errors"] == 0, "sheds must not count as errors"
+        # A shed request never reaches the executor.
+        _assert_one_job_per_batch(server, len(warm_samples) + len(admitted))
 
         admitted_p50 = statistics.median(admitted)
         bound = _OVERLOAD_GATE * max(warm_p50, 0.005)
@@ -377,7 +413,7 @@ def test_warm_http_p50_within_2x_of_warm_line_p50():
     }
     body = json.dumps(request)
 
-    server = CheckingServer(SessionRegistry())
+    server = _counted_server()
     front = HTTPFrontend(server)
     http_address = front.start_background(line_port=0)
     try:
@@ -415,6 +451,11 @@ def test_warm_http_p50_within_2x_of_warm_line_p50():
             http_p50 = statistics.median(samples)
         finally:
             connection.close()
+        # Both transports: one executor job per request, all but the
+        # first answered from the response cache.
+        _assert_one_job_per_batch(server, 1 + 21 + 21)
+        assert server.stats.batches == 1 + 21 + 21
+        assert server.registry.session_counters()["cache_hits"] == 21 + 21
 
         bound = _HTTP_GATE * max(line_p50, 0.001)
         assert http_p50 <= bound, (
@@ -434,7 +475,7 @@ def test_metrics_scrape_does_not_perturb_admitted_latency():
     dtd, sigma_text, stream = _chain_workload()
     dtd_text = dtd_to_string(dtd)
 
-    server = CheckingServer(SessionRegistry())
+    server = _counted_server()
     front = HTTPFrontend(server)
     http_address = front.start_background(line_port=0)
     try:
@@ -524,6 +565,10 @@ def test_metrics_scrape_does_not_perturb_admitted_latency():
             scraped_rounds.append(asyncio.run(admitted_p50(True)))
         quiet = min(quiet_rounds)
         scraped = min(scraped_rounds)
+        # Scrapes make no executor job; every query is one cached answer.
+        answered = len(stream) + 10 * _CLIENTS * 6
+        _assert_one_job_per_batch(server, answered)
+        assert server.registry.session_counters()["requests"] == answered
 
         # 10% relative plus a 2ms absolute floor: at single-digit-ms
         # baselines on a shared container, one descheduling is already

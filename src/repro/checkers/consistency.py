@@ -32,12 +32,11 @@ from repro.checkers.config import DEFAULT_CONFIG, CheckerConfig
 from repro.checkers.results import ConsistencyResult
 from repro.dtd.analysis import has_valid_tree
 from repro.dtd.model import DTD
-from repro.encoding.combined import build_encoding
+from repro.encoding.combined import ConsistencyEncoding, build_encoding
 from repro.errors import SolverError, UndecidableProblemError
 from repro.ilp.condsys import CondSolveStats, solve_conditional_system
 from repro.witness.synthesize import synthesize_witness
 from repro.witness.values import make_all_values_distinct
-from repro.xmltree.validate import conforms
 
 
 def dtd_has_valid_tree(dtd: DTD) -> bool:
@@ -69,8 +68,10 @@ def _stat_map(stats: CondSolveStats) -> dict[str, int | bool]:
     }
 
 
-def _verify(witness, dtd: DTD, constraints: list[Constraint]) -> None:
-    report = conforms(witness, dtd)
+def _verify(
+    witness, encoding: ConsistencyEncoding, constraints: list[Constraint]
+) -> None:
+    report = encoding.validator.validate(witness)
     if not report:
         raise SolverError(
             "internal error: synthesized witness does not conform to the DTD: "
@@ -110,7 +111,7 @@ def _keys_only(
     witness = synthesize_witness(encoding, result.values)
     make_all_values_distinct(witness, dtd)
     if config.verify_witness:
-        _verify(witness, dtd, constraints)
+        _verify(witness, encoding, constraints)
     return ConsistencyResult(
         True,
         witness=witness,
@@ -176,7 +177,7 @@ def check_consistency(
         return ConsistencyResult(True, method=method, stats=stat_map)
     witness = synthesize_witness(encoding, result.values)
     if config.verify_witness:
-        _verify(witness, dtd, constraints)
+        _verify(witness, encoding, constraints)
     return ConsistencyResult(
         True, witness=witness, method=method, stats=stat_map
     )

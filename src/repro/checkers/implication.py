@@ -48,7 +48,6 @@ from repro.errors import SolverError, UndecidableProblemError, WorkerCrashError
 from repro.ilp.condsys import WorkerPool, fanout_map, solve_conditional_system
 from repro.witness.synthesize import synthesize_witness
 from repro.witness.values import make_all_values_distinct
-from repro.xmltree.validate import conforms
 
 
 def negate_constraint(phi: Constraint) -> Constraint:
@@ -98,7 +97,7 @@ def _keys_only_counterexample(
     for attr in phi.attrs:
         second.attrs[attr] = first.attrs[attr]
     if config.verify_witness:
-        report = conforms(tree, dtd)
+        report = encoding.validator.validate(tree)
         if not report or not satisfies_all(tree, sigma) or satisfies(tree, phi):
             raise SolverError("internal error: bad keys-only counterexample")
     return tree

@@ -19,20 +19,21 @@ from repro.constraints.ast import (
     NegInclusion,
     NegKey,
 )
-from repro.xmltree.model import XMLTree
+from repro.xmltree.model import Element, XMLTree
 
 
 def _value_lists(
-    tree: XMLTree, element_type: str, attrs: tuple[str, ...]
+    by_label: dict[str, list[Element]], element_type: str, attrs: tuple[str, ...]
 ) -> list[tuple[str, ...] | None]:
     """Per-element tuples of attribute values (None if any attribute absent).
 
     In a DTD-conformant tree attributes are total, so ``None`` only appears
     for malformed inputs; a ``None`` tuple never matches anything, which is
-    the conservative reading.
+    the conservative reading.  ``by_label`` is the tree's
+    :meth:`~repro.xmltree.model.XMLTree.by_label` index.
     """
     rows: list[tuple[str, ...] | None] = []
-    for node in tree.ext(element_type):
+    for node in by_label.get(element_type, ()):
         try:
             rows.append(tuple(node.attrs[attr] for attr in attrs))
         except KeyError:
@@ -50,9 +51,14 @@ def satisfies(tree: XMLTree, phi: Constraint) -> bool:
     >>> satisfies(t, NegKey("u", "k"))
     True
     """
+    return _holds(tree.by_label(), phi)
+
+
+def _holds(by_label: dict[str, list[Element]], phi: Constraint) -> bool:
+    """:func:`satisfies` over a tree's label index."""
     if isinstance(phi, Key):
         seen: set[tuple[str, ...]] = set()
-        for row in _value_lists(tree, phi.element_type, phi.attrs):
+        for row in _value_lists(by_label, phi.element_type, phi.attrs):
             if row is None:
                 continue
             if row in seen:
@@ -62,27 +68,29 @@ def satisfies(tree: XMLTree, phi: Constraint) -> bool:
     if isinstance(phi, InclusionConstraint):
         parent_rows = {
             row
-            for row in _value_lists(tree, phi.parent_type, phi.parent_attrs)
+            for row in _value_lists(by_label, phi.parent_type, phi.parent_attrs)
             if row is not None
         }
-        for row in _value_lists(tree, phi.child_type, phi.child_attrs):
+        for row in _value_lists(by_label, phi.child_type, phi.child_attrs):
             if row is None or row not in parent_rows:
                 return False
         return True
     if isinstance(phi, ForeignKey):
-        return satisfies(tree, phi.inclusion) and satisfies(tree, phi.key)
+        return _holds(by_label, phi.inclusion) and _holds(by_label, phi.key)
     if isinstance(phi, NegKey):
-        return not satisfies(tree, phi.key)
+        return not _holds(by_label, phi.key)
     if isinstance(phi, NegInclusion):
-        return not satisfies(tree, phi.inclusion)
+        return not _holds(by_label, phi.inclusion)
     raise TypeError(f"unknown constraint {phi!r}")
 
 
 def satisfies_all(tree: XMLTree, constraints: Iterable[Constraint]) -> bool:
     """Does ``tree |= Sigma`` for every constraint in the collection?"""
-    return all(satisfies(tree, phi) for phi in constraints)
+    by_label = tree.by_label()
+    return all(_holds(by_label, phi) for phi in constraints)
 
 
 def violations(tree: XMLTree, constraints: Iterable[Constraint]) -> list[Constraint]:
     """The subset of constraints the tree violates (for diagnostics)."""
-    return [phi for phi in constraints if not satisfies(tree, phi)]
+    by_label = tree.by_label()
+    return [phi for phi in constraints if not _holds(by_label, phi)]

@@ -20,7 +20,6 @@ the tree expansion/contraction pair in :mod:`repro.xmltree.transform`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator
 
 from repro.dtd.model import DTD
 from repro.regex.ast import (
@@ -119,6 +118,15 @@ class SimpleDTD:
         object.__setattr__(
             self, "_original_types", frozenset(self.original.element_types)
         )
+        object.__setattr__(
+            self,
+            "_occurrences",
+            tuple(
+                (slot, symbol, tau)
+                for tau in self.types
+                for slot, symbol in enumerate(self.rules[tau].symbols(), start=1)
+            ),
+        )
 
     @property
     def original_types(self) -> frozenset[str]:
@@ -139,16 +147,14 @@ class SimpleDTD:
         """All node labels: element types plus the text symbol."""
         return self.types + (TEXT_SYMBOL,)
 
-    def occurrences(self) -> Iterator[tuple[int, str, str]]:
+    def occurrences(self) -> tuple[tuple[int, str, str], ...]:
         """All occurrence sites ``(slot, child_symbol, parent_type)``.
 
         Slots are 1-based and correspond to the occurrence variables
-        ``x^i_{a,tau}`` of the paper's encoding.
+        ``x^i_{a,tau}`` of the paper's encoding.  Computed once: the
+        cached encoding block's simplified DTD serves every witness.
         """
-        for tau in self.types:
-            rule = self.rules[tau]
-            for slot, symbol in enumerate(rule.symbols(), start=1):
-                yield slot, symbol, tau
+        return self._occurrences  # type: ignore[attr-defined]
 
     def to_dtd(self) -> DTD:
         """View the simple DTD as an ordinary :class:`DTD`.

@@ -22,7 +22,9 @@ constraint rows per query.  The cached system is never handed out directly
 encoders append rows.  The block also assembles its rows into CSR arrays
 once (:func:`repro.ilp.assembled.freeze_row_prefix`); the copy shares
 them read-only, so assembling an encoding assembles only its ``C_Sigma``
-rows.  One lock guards the cache, so server threads may share it.
+rows, indexes its support clauses once, and keeps the DTD's
+conformance checker.  One lock guards the cache, so server threads may
+share it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from repro.encoding.dtd_system import DTDSystem, RuleSite, encode_dtd, ext_var
 from repro.encoding.setrep import SetRepBlock, encode_set_representation
 from repro.errors import InvalidConstraintError
 from repro.ilp.assembled import freeze_row_prefix
-from repro.ilp.condsys import ConditionalSystem
+from repro.ilp.condsys import ConditionalSystem, _ClauseIndex
+from repro.xmltree.validate import TreeValidator
 
 
 @dataclass(frozen=True)
@@ -93,19 +96,27 @@ class ConsistencyEncoding:
     #: the site's one-sided shadow row, turning the rule equation into the
     #: loosened (children-optional) projection.
     site_toggles: dict[int, ConstraintToggle] = field(default_factory=dict)
+    #: The DTD's cached ``T |= D`` checker (shared by every encoding over
+    #: an equal DTD), for re-verifying witnesses and counterexamples.
+    validator: TreeValidator | None = None
 
 
 @dataclass
 class _DTDBlock:
     """The constraint-independent part of the encoding, cached per DTD.
 
-    ``dtd_system.system`` carries its assembled rows as ``row_prefix``.
+    ``dtd_system.system`` carries its assembled rows as ``row_prefix``;
+    ``clause_index`` indexes ``dtd_system.clauses`` for propagation (each
+    solve extends it with its ``C_Sigma`` clauses), and ``validator``
+    holds the content-model automata of Definition 2.2's ``T |= D``.
     """
 
     simple: SimpleDTD
     dtd_system: DTDSystem
     forced_false: frozenset[str]
     ext_vars: dict[str, object]
+    clause_index: _ClauseIndex
+    validator: TreeValidator
 
 
 #: Entry bound of the per-DTD caches: the ``Psi_DN`` blocks here and the
@@ -221,6 +232,8 @@ def _dtd_block(dtd: DTD) -> _DTDBlock:
         dtd_system=dtd_system,
         forced_false=frozenset(set(simple.types) - set(usable)),
         ext_vars={symbol: ext_var(symbol) for symbol in simple.symbols()},
+        clause_index=_ClauseIndex(dtd_system.clauses),
+        validator=TreeValidator(dtd),
     )
     with _CACHE_LOCK:
         block = _DTD_BLOCK_CACHE.setdefault(key, block)
@@ -363,6 +376,7 @@ def build_encoding(
         forced_false=block.forced_false,
         toggleable_rows=toggleable_rows,
         toggleable_clauses=toggleable_clauses,
+        clause_prefix=block.clause_index,
     )
     return ConsistencyEncoding(
         dtd=dtd,
@@ -377,4 +391,5 @@ def build_encoding(
         toggles=toggles,
         sites=sites,
         site_toggles=site_toggles,
+        validator=block.validator,
     )

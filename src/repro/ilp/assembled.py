@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from collections.abc import Mapping
@@ -127,6 +128,10 @@ def _load_highs_core():
 
 
 _highs = _load_highs_core()
+# Bound arrays go to HiGHS as they are, with numpy's inf as "unbounded":
+# a binding whose sentinel differs must fail here, not mis-solve.
+if _highs.kHighsInf != math.inf:  # pragma: no cover - binding drift
+    raise ImportError(f"HiGHS infinity is {_highs.kHighsInf!r}, not IEEE inf")
 
 
 @dataclass(frozen=True)
@@ -226,10 +231,9 @@ def assemble_arrays(system: LinearSystem):
         )
     var_lower = np.zeros(system.num_vars)
     var_upper = np.full(system.num_vars, np.inf)
-    for var in system.variables:
-        bound = system.upper(var)
-        if bound is not None:
-            var_upper[system.index_of(var)] = float(bound)
+    index_of = system.index_of
+    for var, bound in system.upper_bounds().items():
+        var_upper[index_of(var)] = float(bound)
     return (
         rows.indptr,
         rows.indices,
@@ -260,10 +264,10 @@ class _HighsInstance:
         lp.num_col_ = assembled.num_vars
         lp.num_row_ = assembled.num_base_rows
         lp.col_cost_ = np.ones(assembled.num_vars)
-        lp.col_lower_ = self._finite(assembled.base_var_lower)
-        lp.col_upper_ = self._finite(assembled.base_var_upper)
-        lp.row_lower_ = self._finite(assembled.base_row_lower)
-        lp.row_upper_ = self._finite(assembled.base_row_upper)
+        lp.col_lower_ = assembled.base_var_lower
+        lp.col_upper_ = assembled.base_var_upper
+        lp.row_lower_ = assembled.base_row_lower
+        lp.row_upper_ = assembled.base_row_upper
         matrix = _highs.HighsSparseMatrix()
         matrix.format_ = _highs.MatrixFormat.kRowwise
         matrix.num_col_ = assembled.num_vars
@@ -282,14 +286,6 @@ class _HighsInstance:
         self._all_cols = np.arange(assembled.num_vars, dtype=np.int32)
         self._num_rows = assembled.num_base_rows
 
-    @staticmethod
-    def _finite(array: np.ndarray) -> np.ndarray:
-        """Replace +/-inf with HiGHS's own infinity sentinel."""
-        out = np.asarray(array, dtype=np.float64).copy()
-        out[out == np.inf] = _highs.kHighsInf
-        out[out == -np.inf] = -_highs.kHighsInf
-        return out
-
     def add_row(self, coeffs: Mapping[int, float], lower: float) -> None:
         """Append a ``>= lower`` row (a connectivity cut)."""
         cols = np.array(sorted(coeffs), dtype=np.int32)
@@ -305,11 +301,7 @@ class _HighsInstance:
         Deactivation relaxes both sides to infinity; reactivation restores
         the assembled bounds — never a matrix change.
         """
-        self._h.changeRowBounds(
-            row,
-            lower if lower != -np.inf else -_highs.kHighsInf,
-            upper if upper != np.inf else _highs.kHighsInf,
-        )
+        self._h.changeRowBounds(row, lower, upper)
 
     def solve(
         self, var_lower: np.ndarray, var_upper: np.ndarray
@@ -320,9 +312,7 @@ class _HighsInstance:
         ``("unknown", None)`` — anything numerically doubtful is "unknown".
         """
         h = self._h
-        h.changeColsBounds(
-            self._n, self._all_cols, self._finite(var_lower), self._finite(var_upper)
-        )
+        h.changeColsBounds(self._n, self._all_cols, var_lower, var_upper)
         run = h.run()
         status = h.getModelStatus()
         if (

@@ -122,6 +122,10 @@ class ConditionalSystem:
     forced_true / forced_false:
         Types whose support is fixed up front (the root and types forced by
         negated constraints; unusable types respectively).
+    clause_prefix:
+        An index over leading clauses (the DTD-derived ones, built once
+        per DTD); the solve's index extends it instead of re-indexing
+        them.  Ignored unless its clauses are a prefix of :attr:`clauses`.
     toggleable_rows:
         Base-row indices registered as toggleable (the per-constraint
         ``C_Sigma`` and negated-constraint rows).  ``active_rows`` on
@@ -145,6 +149,9 @@ class ConditionalSystem:
     forced_false: frozenset[str] = frozenset()
     toggleable_rows: frozenset[int] = frozenset()
     toggleable_clauses: frozenset[int] = frozenset()
+    clause_prefix: _ClauseIndex | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass
@@ -433,15 +440,15 @@ class SolveWorkspace:
             self._closure_cache[key] = cached
         return cached
 
-    def clause_index(self, clauses: tuple[SupportClause, ...]) -> "_ClauseIndex":
+    def clause_index(self, cs: ConditionalSystem) -> "_ClauseIndex":
         """Memoized propagation index — batch callers keep the full clause
         tuple stable across probes (clause subsets are selected via
         ``inactive_clauses``, not by rebuilding the tuple), so every probe
         after the first reuses one index."""
-        index = self._clause_indices.get(clauses)
+        index = self._clause_indices.get(cs.clauses)
         if index is None:
-            index = _ClauseIndex(clauses)
-            self._clause_indices[clauses] = index
+            index = _ClauseIndex(cs.clauses, cs.clause_prefix)
+            self._clause_indices[cs.clauses] = index
         return index
 
     @property
@@ -779,21 +786,43 @@ class _ClauseIndex:
     its clause, so those clauses need no re-examination).
     """
 
-    def __init__(self, clauses: tuple[SupportClause, ...]):
+    def __init__(
+        self,
+        clauses: tuple[SupportClause, ...],
+        prefix: _ClauseIndex | None = None,
+    ):
         self.clauses = clauses
+        # Extending an index over a prefix of ``clauses`` gives the same
+        # tuples, in the same key order, as indexing them all: the new
+        # clause ids are larger than every prefix id.
+        start = 0
+        base_symbol: dict[str, tuple[int, ...]] = {}
+        base_premise: dict[str, tuple[int, ...]] = {}
+        if prefix is not None and clauses[: len(prefix.clauses)] == prefix.clauses:
+            start = len(prefix.clauses)
+            base_symbol, base_premise = prefix.by_symbol, prefix.by_premise
         by_symbol: dict[str, list[int]] = {}
         by_premise: dict[str, list[int]] = {}
-        for index, clause in enumerate(clauses):
+        for index in range(start, len(clauses)):
+            clause = clauses[index]
             by_symbol.setdefault(clause.premise, []).append(index)
             by_premise.setdefault(clause.premise, []).append(index)
             for alternative in clause.alternatives:
                 by_symbol.setdefault(alternative, []).append(index)
-        self.by_symbol = {
-            symbol: tuple(indices) for symbol, indices in by_symbol.items()
-        }
-        self.by_premise = {
-            symbol: tuple(indices) for symbol, indices in by_premise.items()
-        }
+        self.by_symbol = _extended(base_symbol, by_symbol)
+        self.by_premise = _extended(base_premise, by_premise)
+
+
+def _extended(
+    base: dict[str, tuple[int, ...]], added: dict[str, list[int]]
+) -> dict[str, tuple[int, ...]]:
+    """``base`` with ``added``'s ids appended (``base`` itself when none)."""
+    if not added:
+        return base
+    merged = dict(base)
+    for symbol, indices in added.items():
+        merged[symbol] = base.get(symbol, ()) + tuple(indices)
+    return merged
 
 
 def _propagate_indexed(
@@ -1045,9 +1074,9 @@ def _solve_incremental(
 ) -> tuple[SolveResult, CondSolveStats]:
     """Assemble-once/bound-patch support search (DESIGN.md section 4)."""
     clause_index = (
-        workspace.clause_index(cs.clauses)
+        workspace.clause_index(cs)
         if workspace is not None
-        else _ClauseIndex(cs.clauses)
+        else _ClauseIndex(cs.clauses, cs.clause_prefix)
     )
     maximal_view: dict[str, bool | None] | None | str = "unset"
     base_maximal: dict[str, bool | None] | None = None

@@ -115,6 +115,10 @@ class LinearSystem:
         """The upper bound of a variable, if any."""
         return self._upper.get(var)
 
+    def upper_bounds(self) -> Mapping[VarId, int]:
+        """Every attached upper bound (a read-only view: do not mutate)."""
+        return self._upper
+
     # -- rows ---------------------------------------------------------------
 
     def _add(self, coeffs: Mapping[VarId, int], sense: str, rhs: int, label: str) -> int:

@@ -124,6 +124,11 @@ class SessionRegistry:
         self._dtds: "OrderedDict[tuple[str, str | None], tuple[DTD, str]]" = (
             OrderedDict()
         )
+        #: Running byte total of the resident sessions, and each one's
+        #: share of it (updated through ``SpecSession.on_resize``), so
+        #: admission never rescans or locks every session.
+        self._bytes = 0
+        self._sizes: dict[str, int] = {}
         self._hits = 0
         self._opened = 0
         self._evicted = 0
@@ -172,6 +177,9 @@ class SessionRegistry:
             )
             self._opened += 1
             self._sessions[fingerprint] = session
+            self._sizes[fingerprint] = size = session.approx_bytes()
+            self._bytes += size
+            session.on_resize = self._resized
             self._shrink_locked()
             return session
 
@@ -215,10 +223,19 @@ class SessionRegistry:
             self._evicted += 1
             return True
 
+    def _resized(self, session: SpecSession, size: int) -> None:
+        """A resident session's new ``approx_bytes`` (its ``on_resize``)."""
+        with self._lock:
+            fingerprint = session.fingerprint
+            if self._sessions.get(fingerprint) is session:
+                self._bytes += size - self._sizes[fingerprint]
+                self._sizes[fingerprint] = size
+
     def _retire_locked(self, session: SpecSession) -> None:
         """Fold an evicted session's counters into the retired totals
         (same critical section as the eviction, so :meth:`session_counters`
-        can never observe the drop)."""
+        can never observe the drop) and take its bytes off the total."""
+        self._bytes -= self._sizes.pop(session.fingerprint)
         for key, value in session.stats.as_dict().items():
             if value:
                 self._retired[key] = self._retired.get(key, 0) + value
@@ -234,7 +251,7 @@ class SessionRegistry:
             _, session = self._sessions.popitem(last=False)
             self._retire_locked(session)
             self._evicted += 1
-        while len(self._sessions) > 1 and self.approx_bytes() > self.max_bytes:
+        while len(self._sessions) > 1 and self._bytes > self.max_bytes:
             _, session = self._sessions.popitem(last=False)
             self._retire_locked(session)
             self._evicted += 1
@@ -255,7 +272,7 @@ class SessionRegistry:
 
     def approx_bytes(self) -> int:
         """Estimated resident size of every session (see ``approx_bytes``)."""
-        return sum(session.approx_bytes() for session in self._sessions.values())
+        return self._bytes
 
     def fingerprints(self) -> list[str]:
         """Resident fingerprints, least recently used first."""

@@ -6,10 +6,13 @@ socket; each is dispatched against the shared
 small thread pool so the event loop stays responsive, under two
 scheduling rules:
 
-* **per-session serialization** — every session has at most one
-  operation in flight at a time (a single drainer task per session
-  feeds the executor), so a session's response cache never races;
-* **batch coalescing** — while a session is busy, newly arrived
+* **per-session serialization** — requests queue by the spec identity
+  they were sent with (a ``session`` fingerprint or the inline texts,
+  see :func:`_queue_key`), and one drainer task per queue feeds the
+  executor one job per batch, which resolves the session and runs the
+  op; the session's own lock serializes queues that name one spec in
+  different texts, so its response cache never races;
+* **batch coalescing** — while a queue is busy, newly arrived
   ``implies`` requests with the same config (and deadline) pile up in
   its queue; the drainer pops them *together* and answers them with one
   ``implies_batch`` call (which validates once, shares the encoding
@@ -136,18 +139,46 @@ class ServerStats:
         }
 
 
+def _queue_key(request: dict) -> object:
+    """The per-session queue a request joins: its spec identity as sent.
+
+    The ``session`` fingerprint, or the inline ``(dtd, constraints,
+    root)`` texts — nothing is parsed, so the key costs no solver work.
+    Two textual variants of one spec get two queues; both resolve to the
+    same :class:`SpecSession`, whose lock serializes them.  A field that
+    is not text (a list, a number, an object) gets a queue of its own,
+    where resolution reports the error: values of different types may
+    compare equal (``1 == True``) yet fail differently.
+    """
+    fingerprint = request.get("session")
+    if fingerprint is not None:
+        key = ("session", fingerprint)
+    else:
+        key = (
+            "spec",
+            request.get("dtd"),
+            request.get("constraints", ""),
+            request.get("root"),
+        )
+    if all(part is None or isinstance(part, str) for part in key):
+        return key
+    return object()
+
+
 class _SessionQueue:
-    """Pending operations for one session, drained one batch at a time.
+    """Pending operations for one spec identity, drained one batch at a time.
 
     The queue is bounded (``server.queue_depth``): a submit against a
     full queue sheds with :class:`~repro.errors.OverloadedError` rather
     than queueing without bound — the per-session half of admission
-    control (the global half is the server's in-flight cap).
+    control (the global half is the server's in-flight cap).  Each batch
+    costs one executor job (:meth:`_serve`), which resolves the session
+    and runs the batch.
     """
 
-    def __init__(self, server: "CheckingServer", session: SpecSession):
+    def __init__(self, server: "CheckingServer", key: object):
         self.server = server
-        self.session = session
+        self.key = key
         self.pending: deque = deque()
         self.draining = False
 
@@ -195,16 +226,66 @@ class _SessionQueue:
         self.pending = rest
         return batch
 
-    def _run_one(self, request: dict, deadline: Deadline | None) -> dict:
+    def _run_one(
+        self, session: SpecSession, request: dict, deadline: Deadline | None
+    ) -> dict:
         with deadline_scope(deadline):
-            return protocol.perform(self.session, request)
+            return protocol.perform(session, request)
 
     def _run_batch(
-        self, phis: list, config: dict | None, deadline: Deadline | None
+        self,
+        session: SpecSession,
+        phis: list,
+        config: dict | None,
+        deadline: Deadline | None,
     ) -> list[dict]:
-        protocol.check_jobs_cap(self.session, config)
+        protocol.check_jobs_cap(session, config)
         with deadline_scope(deadline):
-            return self.session.implies_batch(phis, config)
+            return session.implies_batch(phis, config)
+
+    def _serve(self, requests: list[dict]) -> tuple[SpecSession, list, int]:
+        """The drainer's one executor job: resolve, then run the batch.
+
+        Returns the session, one outcome per request (a payload or an
+        exception; an op failure is one object shared by the batch) and
+        how many requests ran.  A request whose deadline expired while
+        queued is answered without solving: the client already stopped
+        waiting, and the drainer owes its time to requests that can
+        still make their budgets.  A spec that does not resolve raises:
+        every request of the batch names the same spec text.
+        """
+        session = protocol.resolve_session(self.server.registry, requests[0])
+        outcomes: list = [None] * len(requests)
+        live = []
+        for index, request in enumerate(requests):
+            deadline = request.get("_deadline")
+            if deadline is not None and deadline.expired():
+                outcomes[index] = deadline.exceeded()
+            else:
+                live.append(index)
+        if not live:
+            return session, outcomes, 0
+        deadline = min(
+            (
+                requests[index]["_deadline"]
+                for index in live
+                if requests[index].get("_deadline") is not None
+            ),
+            key=lambda d: d.expires_at,
+            default=None,
+        )
+        try:
+            if len(live) > 1:
+                phis = [requests[index]["phi"] for index in live]
+                config = requests[live[0]].get("config")
+                payloads = self._run_batch(session, phis, config, deadline)
+            else:
+                payloads = [self._run_one(session, requests[live[0]], deadline)]
+        except Exception as exc:  # noqa: BLE001 - per-request delivery
+            payloads = [exc] * len(live)
+        for index, payload in zip(live, payloads):
+            outcomes[index] = payload
+        return session, outcomes, len(live)
 
     async def _drain(self) -> None:
         loop = asyncio.get_running_loop()
@@ -214,65 +295,39 @@ class _SessionQueue:
                 if delay:
                     await asyncio.sleep(delay)
                 batch = self._take_batch()
-                # A deadline that expired while queued is answered
-                # without solving: the client already stopped waiting,
-                # and the drainer owes its time to requests that can
-                # still make their budgets.
-                live = []
-                for request, future in batch:
-                    deadline = request.get("_deadline")
-                    if deadline is not None and deadline.expired():
-                        if not future.done():
-                            future.set_exception(deadline.exceeded())
-                    else:
-                        live.append((request, future))
-                batch = live
-                if not batch:
-                    continue
-                stats = self.server.stats
-                stats.batches += 1
-                if len(batch) > 1:
-                    stats.batches_coalesced += 1
-                stats.batch_width = max(stats.batch_width, len(batch))
-                stats.batch_width_sum += len(batch)
-                deadline = min(
-                    (
-                        request["_deadline"]
-                        for request, _ in batch
-                        if request.get("_deadline") is not None
-                    ),
-                    key=lambda d: d.expires_at,
-                    default=None,
-                )
+                requests = [request for request, _ in batch]
                 started = time.monotonic()
                 try:
-                    if len(batch) > 1:
-                        phis = [request["phi"] for request, _ in batch]
-                        config = batch[0][0].get("config")
-                        payloads = await loop.run_in_executor(
-                            self.server.executor,
-                            lambda: self._run_batch(phis, config, deadline),
-                        )
+                    session, outcomes, width = await loop.run_in_executor(
+                        self.server.executor, self._serve, requests
+                    )
+                except Exception as exc:  # noqa: BLE001 - the spec did not resolve
+                    for index, (_, future) in enumerate(batch):
+                        if not future.done():
+                            future.set_exception(
+                                exc if index == 0 else _copy_exception(exc)
+                            )
+                    continue
+                for (_, future), outcome in zip(batch, outcomes):
+                    if future.done():
+                        continue
+                    if isinstance(outcome, Exception):
+                        future.set_exception(_copy_exception(outcome))
                     else:
-                        request = batch[0][0]
-                        payload = await loop.run_in_executor(
-                            self.server.executor,
-                            lambda: self._run_one(request, deadline),
-                        )
-                        payloads = [payload]
-                except Exception as exc:  # noqa: BLE001 - per-request delivery
-                    for _, future in batch:
-                        if not future.done():
-                            future.set_exception(_copy_exception(exc))
-                else:
-                    for (_, future), payload in zip(batch, payloads):
-                        if not future.done():
-                            future.set_result(payload)
-                self.server.observe_drain(time.monotonic() - started, len(batch))
+                        future.set_result((session, outcome))
+                if not width:
+                    continue  # every request had expired while queued
+                stats = self.server.stats
+                stats.batches += 1
+                if width > 1:
+                    stats.batches_coalesced += 1
+                stats.batch_width = max(stats.batch_width, width)
+                stats.batch_width_sum += width
+                self.server.observe_drain(time.monotonic() - started, width)
         finally:
             self.draining = False
-            if not self.pending:
-                self.server._queues.pop(self.session.fingerprint, None)
+            if not self.pending and self.server._queues.get(self.key) is self:
+                del self.server._queues[self.key]
 
 
 def _copy_exception(exc: Exception) -> Exception:
@@ -731,16 +786,11 @@ class CheckingServer(RequestServer):
                 self._inflight += 1
                 try:
                     request["_deadline"] = self._deadline_for(request)
-                    loop = asyncio.get_running_loop()
-                    session = await loop.run_in_executor(
-                        self.executor,
-                        lambda: protocol.resolve_session(self.registry, request),
-                    )
-                    queue = self._queues.get(session.fingerprint)
-                    if queue is None or queue.session is not session:
-                        queue = _SessionQueue(self, session)
-                        self._queues[session.fingerprint] = queue
-                    payload = await queue.submit(request)
+                    key = _queue_key(request)
+                    queue = self._queues.get(key)
+                    if queue is None:
+                        queue = self._queues[key] = _SessionQueue(self, key)
+                    session, payload = await queue.submit(request)
                 finally:
                     self._inflight -= 1
                 if "error" in payload:

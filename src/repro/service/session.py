@@ -30,7 +30,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro import api
 from repro.checkers.config import DEFAULT_CONFIG, CheckerConfig
@@ -44,7 +44,7 @@ from repro.encoding.combined import canonical_spec, fingerprint_of
 from repro.errors import ReproError
 from repro.xmltree.parse import parse_xml
 from repro.xmltree.serialize import tree_to_string
-from repro.xmltree.validate import conforms
+from repro.xmltree.validate import TreeValidator
 
 if TYPE_CHECKING:  # a server attaches these; a one-shot call never does
     from repro.service.metrics import AdaptiveJobsController, StatsCollector
@@ -189,6 +189,9 @@ class SpecSession:
         #: same path a library caller takes.
         self.spec = api.Spec(dtd=dtd, constraints=tuple(constraints))
         validate_constraints(dtd, self.sigma)
+        #: ``T |= D`` for the ``validate`` op; keeps its automata across
+        #: documents.
+        self._validator = TreeValidator(dtd)
         self.config = config or DEFAULT_CONFIG
         # ``dtd_text`` is ``dtd_to_string(dtd)`` when the caller has it.
         canonical = canonical_spec(dtd, self.sigma, dtd_text)
@@ -213,6 +216,9 @@ class SpecSession:
         #: request key -> rendered response JSON (the byte-identity store).
         self._responses: "OrderedDict[tuple, str]" = OrderedDict()
         self._response_bytes = 0
+        #: Told each new :meth:`approx_bytes` value, under the session
+        #: lock: the owning registry's running byte total.
+        self.on_resize: Callable[[SpecSession, int], None] | None = None
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -222,12 +228,17 @@ class SpecSession:
         The canonical spec text plus the cached responses (keys
         included — a ``validate`` key retains the whole document text).
         An estimate is enough: eviction needs relative weight, not
-        accounting.  Takes the session lock: callers (the registry's
-        eviction scan, the ``stats`` op) run on other threads than the
-        executor thread mutating the response cache.
+        accounting.  Takes the session lock: callers (the ``stats`` op)
+        run on other threads than the executor thread mutating the
+        response cache.
         """
         with self._lock:
             return self._spec_bytes + self._response_bytes
+
+    def _resized(self) -> None:
+        """Report a response-cache change (the session lock is held)."""
+        if self.on_resize is not None:
+            self.on_resize(self, self._spec_bytes + self._response_bytes)
 
     def service_stats(self) -> dict[str, int]:
         """The session's cross-request counters plus cache occupancy."""
@@ -309,6 +320,7 @@ class SpecSession:
         ):
             dropped_key, dropped = self._responses.popitem(last=False)
             self._response_bytes -= self._entry_bytes(dropped_key, dropped)
+        self._resized()
         return json.loads(rendered)
 
     def _recall(self, key: tuple) -> dict | None:
@@ -500,7 +512,7 @@ class SpecSession:
             if cached is not None:
                 return cached
             tree = parse_xml(document)
-            report = conforms(tree, self.dtd)
+            report = self._validator.validate(tree)
             violated = violations(tree, self.sigma)
             payload = {
                 "conforms": bool(report),
@@ -540,6 +552,7 @@ class SpecSession:
                     continue
                 self._responses[key] = rendered
                 self._response_bytes += self._entry_bytes(key, rendered)
+            self._resized()
 
     # -- internals ----------------------------------------------------------
 

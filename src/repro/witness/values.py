@@ -59,8 +59,9 @@ def assign_values(
     if encoding.setrep is not None:
         setrep_sets = extract_sets(encoding.setrep, values, prefix="s")
 
+    by_label = tree.by_label()  # values change, the shape does not
     for tau, attr in dtd.attribute_pairs():
-        nodes = tree.ext(tau)
+        nodes = by_label.get(tau, [])
         node_count = len(nodes)
         cardinality = values.get(attr_var(tau, attr), 0)
         if node_count == 0:

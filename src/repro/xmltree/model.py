@@ -130,6 +130,17 @@ class XMLTree:
         """``ext(tau)``: all elements labelled ``label``, in document order."""
         return [node for node in self.elements() if node.label == label]
 
+    def by_label(self) -> dict[str, list[Element]]:
+        """Every ``ext(tau)`` from one walk: label -> elements in document order.
+
+        A snapshot, not a view: the tree is mutable, so a caller that
+        changes its shape builds a new one.
+        """
+        index: dict[str, list[Element]] = {}
+        for node in self.elements():
+            index.setdefault(node.label, []).append(node)
+        return index
+
     def attr_values(self, label: str, attr: str) -> list[str]:
         """The multiset ``[x.l for x in ext(tau)]`` in document order.
 

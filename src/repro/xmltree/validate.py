@@ -38,10 +38,17 @@ class ValidationReport:
 
 
 class TreeValidator:
-    """Reusable validator with per-element-type automaton caching."""
+    """Reusable validator with per-element-type automaton caching.
+
+    Built automata are kept for the validator's lifetime, so a validator
+    kept per DTD (the encoding block's) builds each one once.  Safe to
+    share between threads: a racing first use builds an automaton twice,
+    and either copy answers alike.
+    """
 
     def __init__(self, dtd: DTD):
         self._dtd = dtd
+        self._types = frozenset(dtd.element_types)
         self._automata: dict[str, GlushkovAutomaton] = {}
 
     @property
@@ -59,7 +66,7 @@ class TreeValidator:
     def validate(self, tree: XMLTree, max_errors: int = 20) -> ValidationReport:
         """Check ``tree |= dtd``; collect up to ``max_errors`` messages."""
         errors: list[str] = []
-        types = set(self._dtd.element_types)
+        types = self._types
 
         def report(message: str) -> bool:
             errors.append(message)

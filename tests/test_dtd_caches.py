@@ -4,11 +4,13 @@ A request pays for its ``Sigma``, not for its DTD: the parsed DTD and its
 canonical text are memoized per ``(dtd_text, root)``
 (:meth:`repro.service.registry.SessionRegistry.parsed_dtd`), and the cached ``Psi_DN``
 block carries its rows pre-assembled as a CSR prefix that
-:func:`repro.ilp.assembled.assemble_arrays` reuses.  These tests pin that
-the reuse is invisible: the arrays equal a from-scratch assembly bit for
-bit, fingerprints equal :func:`spec_fingerprint`, served bytes do not
-depend on what the registry served before, and the block cache survives
-concurrent eviction.
+:func:`repro.ilp.assembled.assemble_arrays` reuses, an index of its
+support clauses that each solve extends, the DTD's conformance checker
+and the simplified DTD's occurrence list.  These tests pin that the reuse
+is invisible: the arrays equal a from-scratch assembly bit for bit, an
+extended clause index equals a fresh one, fingerprints equal
+:func:`spec_fingerprint`, served bytes do not depend on what the registry
+served before, and the block cache survives concurrent eviction.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 import threading
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from repro.constraints.parser import parse_constraints
@@ -34,6 +37,7 @@ from repro.encoding.combined import (
 )
 from repro.errors import ReproError
 from repro.ilp.assembled import AssembledSystem, assemble_arrays
+from repro.ilp.condsys import _ClauseIndex
 from repro.service import protocol
 from repro.service.registry import SessionRegistry, fingerprint_for
 from repro.workloads.examples import (
@@ -137,6 +141,103 @@ class TestPrefixAssembly:
             base.row_prefix.data[0] = 99.0
         assembled = AssembledSystem(base)
         assert assembled.data.flags.writeable
+
+
+def _index_state(index: _ClauseIndex) -> tuple:
+    """An index's content, key order included."""
+    return (
+        list(index.by_symbol.items()),
+        list(index.by_premise.items()),
+    )
+
+
+def _reference_var_upper(system) -> np.ndarray:
+    """Variable upper bounds from a loop over every variable."""
+    upper = np.full(system.num_vars, np.inf)
+    for var in system.variables:
+        bound = system.upper(var)
+        if bound is not None:
+            upper[system.index_of(var)] = float(bound)
+    return upper
+
+
+class TestBlockStructures:
+    """The clause index, validator and occurrence list built per block."""
+
+    def test_extended_clause_index_equals_a_fresh_one(self):
+        clear_encoding_cache()
+        extended = 0
+        for dtd, sigma in [_fuzz_instance(seed) for seed in FUZZ_SEEDS] + _example_specs():
+            try:
+                encoding = build_encoding(dtd, sigma)
+            except ReproError:
+                continue
+            cs = encoding.condsys
+            block = combined._dtd_block(dtd)
+            assert cs.clause_prefix is block.clause_index
+            assert cs.clauses[: len(block.clause_index.clauses)] == (
+                block.dtd_system.clauses
+            )
+            got = _ClauseIndex(cs.clauses, cs.clause_prefix)
+            assert _index_state(got) == _index_state(_ClauseIndex(cs.clauses))
+            extended += len(cs.clauses) > len(block.dtd_system.clauses)
+            assert (
+                assemble_arrays(cs.base)[6].tobytes()
+                == _reference_var_upper(cs.base).tobytes()
+            )
+        assert extended, "no encoding added C_Sigma clauses"
+
+    def test_a_prefix_that_does_not_match_is_ignored(self):
+        encoding = build_encoding(teachers_dtd_d1(), sigma1_constraints())
+        cs = encoding.condsys
+        assert cs.clause_prefix.clauses
+        shifted = cs.clauses[1:]
+        assert _index_state(_ClauseIndex(shifted, cs.clause_prefix)) == _index_state(
+            _ClauseIndex(shifted)
+        )
+
+    def test_validator_and_occurrences_are_shared_per_dtd(self):
+        clear_encoding_cache()
+        first = build_encoding(teachers_dtd_d1(), sigma1_constraints())
+        second = build_encoding(teachers_dtd_d1(), [])
+        assert first.validator is second.validator
+        assert first.simple.occurrences() is second.simple.occurrences()
+        assert first.simple.occurrences() == tuple(
+            (slot, symbol, tau)
+            for tau in first.simple.types
+            for slot, symbol in enumerate(first.simple.rules[tau].symbols(), start=1)
+        )
+        clear_encoding_cache()
+        assert build_encoding(teachers_dtd_d1(), []).validator is not first.validator
+
+    def test_witness_checks_build_each_automaton_once(self, monkeypatch):
+        import repro.regex.glushkov as glushkov
+        from repro.checkers.consistency import check_consistency
+        from repro.service.session import SpecSession
+        from repro.xmltree.serialize import tree_to_string
+
+        built = []
+        original = glushkov.GlushkovAutomaton.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(glushkov.GlushkovAutomaton, "__init__", counting)
+        clear_encoding_cache()
+        dtd, sigma = teachers_dtd_d1(), parse_constraints("teacher.name -> teacher")
+        witness = check_consistency(dtd, sigma).witness
+        first = len(built)
+        assert first > 0
+        for other in ("subject.taught_by -> subject", "teacher.name -> teacher"):
+            assert check_consistency(dtd, parse_constraints(other)).witness
+        assert len(built) == first  # the block's validator kept its automata
+        session = SpecSession(dtd, sigma)
+        document = tree_to_string(witness)
+        for padding in range(5):
+            assert session.validate(document + " " * padding)["conforms"]
+        assert len(built) <= 2 * first  # once for the session, not per document
+        clear_encoding_cache()
 
 
 class TestBlockCacheLock:
@@ -330,6 +431,20 @@ class TestServedBytes:
                 "dtd": DTD_TEXT,
                 "constraints": SIGMAS[1],
                 "phi": "subject.taught_by => teacher.name",
+            },
+            {
+                "id": 7,
+                "op": "implies",
+                "dtd": DTD_TEXT,
+                "constraints": SIGMAS[0],
+                "phi": "subject.taught_by -> subject",
+            },
+            {
+                "id": 7,
+                "op": "implies",
+                "dtd": DTD_TEXT,
+                "constraints": SIGMAS[1],
+                "phi": "teacher.name <= subject.taught_by",
             },
         ],
     )

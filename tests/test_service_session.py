@@ -148,9 +148,9 @@ class TestResponseCache:
         # Coalesced `implies` batches skip perform; they apply the cap too.
         from repro.service.server import CheckingServer, _SessionQueue
 
-        queue = _SessionQueue(CheckingServer(SessionRegistry()), session)
+        queue = _SessionQueue(CheckingServer(SessionRegistry()), "key")
         with pytest.raises(ProtocolError, match=f"cap of {cap}"):
-            queue._run_batch(["a.id -> a"] * 3, {"jobs": cap + 1}, None)
+            queue._run_batch(session, ["a.id -> a"] * 3, {"jobs": cap + 1}, None)
 
 
 class TestBatch:
