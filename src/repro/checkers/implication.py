@@ -234,13 +234,15 @@ def implies_all(
     Semantically identical to calling :func:`implies` in a loop, but the
     specification is validated once and every query shares the memoized
     per-DTD encoding block, so only the constraint rows (``C_Sigma`` plus
-    the negated query) are re-encoded per ``phi``.
+    the negated query) are re-encoded per ``phi``.  Each distinct query
+    is answered once: a repeated ``phi`` gets the result of its first
+    occurrence, in its own position.
 
-    With ``config.jobs > 1`` the queries fan across a fork-based worker
-    pool (the one ``jobs`` entry point of the checkers); each worker runs
-    the identical sequential per-query code, so the returned results,
-    their order, and every per-query stats counter match the sequential
-    run exactly.
+    With ``config.jobs > 1`` the distinct queries fan across a fork-based
+    worker pool (the one ``jobs`` entry point of the checkers); each
+    worker runs the identical sequential per-query code, so the returned
+    results, their order, and every per-query stats counter match the
+    sequential run exactly.
 
     >>> from repro.dtd.model import DTD
     >>> from repro.constraints.parser import parse_constraints
@@ -253,17 +255,22 @@ def implies_all(
     sigma = list(sigma)
     phis = list(phis)
     validate_constraints(dtd, [*sigma, *phis])
-    if config.jobs > 1 and len(phis) > 1 and WorkerPool.available():
+    distinct = list(dict.fromkeys(phis))
+    results: list[ImplicationResult] | None = None
+    if config.jobs > 1 and len(distinct) > 1 and WorkerPool.available():
         try:
-            return fanout_map(
+            results = fanout_map(
                 _implication_task,
-                list(range(len(phis))),
+                list(range(len(distinct))),
                 config.jobs,
                 _init_implication_worker,
-                (dtd, sigma, phis, config),
+                (dtd, sigma, distinct, config),
             )
         except WorkerCrashError:
             # Pool lost beyond recovery: fall through to the sequential
             # loop, whose results the fan-out is pinned to anyway.
             pass
-    return [implies_validated(dtd, sigma, phi, config) for phi in phis]
+    if results is None:
+        results = [implies_validated(dtd, sigma, phi, config) for phi in distinct]
+    by_query = dict(zip(distinct, results))
+    return [by_query[phi] for phi in phis]

@@ -50,7 +50,7 @@ from repro.encoding.cardinality import encode_constraints
 from repro.encoding.dtd_system import DTDSystem, RuleSite, encode_dtd, ext_var
 from repro.encoding.setrep import SetRepBlock, encode_set_representation
 from repro.errors import InvalidConstraintError
-from repro.ilp.assembled import freeze_row_prefix
+from repro.ilp.assembled import BlockEngine, LiveEngines, freeze_row_prefix
 from repro.ilp.condsys import ConditionalSystem, _ClauseIndex
 from repro.xmltree.validate import TreeValidator
 
@@ -107,8 +107,11 @@ class _DTDBlock:
 
     ``dtd_system.system`` carries its assembled rows as ``row_prefix``;
     ``clause_index`` indexes ``dtd_system.clauses`` for propagation (each
-    solve extends it with its ``C_Sigma`` clauses), and ``validator``
-    holds the content-model automata of Definition 2.2's ``T |= D``.
+    solve extends it with its ``C_Sigma`` clauses), ``validator`` holds
+    the content-model automata of Definition 2.2's ``T |= D``, and
+    ``engine`` is the HiGHS LP instance of ``Psi_DN`` each solve leases
+    as its warm start (evicted with the block; its HiGHS instance is kept
+    only while among the :data:`LIVE_ENGINE_LIMIT` most recently leased).
     """
 
     simple: SimpleDTD
@@ -117,6 +120,7 @@ class _DTDBlock:
     ext_vars: dict[str, object]
     clause_index: _ClauseIndex
     validator: TreeValidator
+    engine: BlockEngine
 
 
 #: Entry bound of the per-DTD caches: the ``Psi_DN`` blocks here and the
@@ -132,11 +136,21 @@ _DTD_BLOCK_CACHE: "OrderedDict[object, _DTDBlock]" = OrderedDict()
 _CACHE_STATS = {"hits": 0, "misses": 0}
 _CACHE_LOCK = threading.Lock()
 
+#: How many blocks' LP engines keep a live HiGHS instance (~220 KB each;
+#: the others keep only their canonical basis and rebuild the instance
+#: on their next lease).  Above the 6 recurring DTDs of a served edit
+#: stream; a batch over dozens of DTDs holds 8 instances, not dozens.
+LIVE_ENGINE_LIMIT = 8
+_LIVE_ENGINES = LiveEngines(LIVE_ENGINE_LIMIT)
+
 
 def encoding_cache_stats() -> dict[str, int]:
-    """Hit/miss counters of the per-DTD ``Psi_DN`` cache."""
+    """Hit/miss counters of the per-DTD ``Psi_DN`` cache, and how many
+    solves leased a block's LP engine (``engine_leases``) or built a
+    private stand-in because it was leased already (``engine_private``)."""
     with _CACHE_LOCK:
-        return dict(_CACHE_STATS)
+        stats = dict(_CACHE_STATS)
+    return {**stats, **_LIVE_ENGINES.counts()}
 
 
 def clear_encoding_cache() -> None:
@@ -145,6 +159,7 @@ def clear_encoding_cache() -> None:
         _DTD_BLOCK_CACHE.clear()
         _CACHE_STATS["hits"] = 0
         _CACHE_STATS["misses"] = 0
+        _LIVE_ENGINES.clear()
 
 
 def canonical_spec(
@@ -234,6 +249,7 @@ def _dtd_block(dtd: DTD) -> _DTDBlock:
         ext_vars={symbol: ext_var(symbol) for symbol in simple.symbols()},
         clause_index=_ClauseIndex(dtd_system.clauses),
         validator=TreeValidator(dtd),
+        engine=BlockEngine(dtd_system.system, _LIVE_ENGINES),
     )
     with _CACHE_LOCK:
         block = _DTD_BLOCK_CACHE.setdefault(key, block)
@@ -377,6 +393,7 @@ def build_encoding(
         toggleable_rows=toggleable_rows,
         toggleable_clauses=toggleable_clauses,
         clause_prefix=block.clause_index,
+        engine=block.engine,
     )
     return ConsistencyEncoding(
         dtd=dtd,

@@ -17,20 +17,37 @@ persistent HiGHS instance holds the model; each solve is a
 during the search are appended with ``addRow`` and switched on/off per
 solve through their row bounds.
 
-Integer solves run **LP first**.  The LP-relaxation instance decides most
-of them: an infeasible relaxation refutes every integer point, and a
-rounded vertex that passes the exact check is an integer solution.  Only
-a fractional (or check-failing) vertex runs the MIP, on a second instance
-built on first such use, which replays the cut pool at build time.  Both
-minimise ``sum(x)``, so an integral LP optimum is also a MIP optimum, but
-it may be a different optimal vertex than the MIP would pick: witnesses
-are equally valid, not necessarily the same.  ``lp_solves`` and
-``mip_solves`` count the HiGHS runs of each instance.  HiGHS is the
-binding scipy vendors; :func:`_load_highs_core` loads that extension
-straight from its file.  That file is all this package takes from scipy:
-no scipy Python package is imported on any path, and the exact re-check
-of a rounded point is a numpy-only row residual
-(:meth:`AssembledSystem._vector_check`).
+Integer solves run **LP first**, as a three-step ladder.  The
+LP-relaxation instance decides most of them: an infeasible relaxation
+refutes every integer point, and a rounded vertex that passes the exact
+check is an integer solution.  A warm-started run can land on a
+fractional vertex of the same optimal face where a cold run would not,
+so a vertex that fails the check is first re-solved cold (the basis
+dropped, presolve included) when its run was warm.  Only when that
+vertex fails too does the MIP run, on a second instance built on first
+such use, which replays the cut pool at build time.  All of them
+minimise ``sum(x)``, so an integral LP optimum is also a MIP optimum,
+but it may be a different optimal vertex than the MIP would pick:
+witnesses are equally valid, not necessarily the same.  ``lp_solves``
+(cold re-runs included) and ``mip_solves`` count the HiGHS runs of each
+instance.  HiGHS is the binding scipy vendors; :func:`_load_highs_core`
+loads that extension straight from its file.  That file is all this
+package takes from scipy: no scipy Python package is imported on any
+path, and the exact re-check of a rounded point is a numpy-only row
+residual (:meth:`AssembledSystem._vector_check`).
+
+**Warm start from the DTD block.**  Every ``Psi(D, Sigma)`` over one DTD
+starts with the same ``Psi_DN`` rows and columns, so each cached DTD
+block owns a :class:`BlockEngine`: one LP instance holding ``Psi_DN``,
+solved once, whose optimal basis is the canonical start of every solve
+over that DTD.  An :class:`AssembledSystem` given the engine leases it
+for its LP relaxation (the ``C_Sigma`` columns and rows appended, the
+canonical basis set) and hands it back on :meth:`AssembledSystem.release`,
+which deletes the appended part again.  A solve that finds the engine
+leased builds a private instance of its whole model started from the
+same extended basis instead, so the two answer alike.
+:class:`LiveEngines` bounds how many engines keep their instance alive
+between leases; the others keep only the basis.
 
 **Toggleable rows** (DESIGN.md section 6) extend the same discipline to the
 *base* rows: a solve may name ``inactive_rows`` — base-row indices whose
@@ -44,7 +61,11 @@ An :class:`AssembledSystem` — like the persistent HiGHS instances it
 drives — is **single-owner state**: it is never shared across processes
 or threads.  Every batch worker (DESIGN.md section 7) assembles its own
 instance, and connectivity cuts never leave the process that learned
-them.
+them.  The one HiGHS instance that outlives a solve, a block's
+:class:`BlockEngine`, is shared only by lease: its lock admits one solve
+at a time, the others (other threads, or a forked child that copied the
+lock while held) build private instances, and the lease returns the
+instance to exactly ``Psi_DN`` before the lock is released.
 
 >>> from repro.ilp.model import LinearSystem
 >>> sys = LinearSystem()
@@ -76,6 +97,8 @@ import importlib.util
 import math
 import os
 import sys
+import threading
+from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -245,46 +268,77 @@ def assemble_arrays(system: LinearSystem):
     )
 
 
-class _HighsInstance:
-    """One persistent HiGHS model: pass once, then patch bounds and re-run."""
+def _new_highs():
+    """A quiet, single-threaded HiGHS instance."""
+    h = _highs._Highs()
+    for name, value in (
+        ("output_flag", False),
+        ("log_to_console", False),
+        ("threads", 1),
+    ):
+        try:
+            h.setOptionValue(name, value)
+        except Exception:  # pragma: no cover - option-name drift
+            pass
+    return h
 
-    def __init__(self, assembled: "AssembledSystem", integer: bool):
-        self._n = assembled.num_vars
-        h = _highs._Highs()
-        for name, value in (
-            ("output_flag", False),
-            ("log_to_console", False),
-            ("threads", 1),
-        ):
-            try:
-                h.setOptionValue(name, value)
-            except Exception:  # pragma: no cover - option-name drift
-                pass
-        lp = _highs.HighsLp()
-        lp.num_col_ = assembled.num_vars
-        lp.num_row_ = assembled.num_base_rows
-        lp.col_cost_ = np.ones(assembled.num_vars)
-        lp.col_lower_ = assembled.base_var_lower
-        lp.col_upper_ = assembled.base_var_upper
-        lp.row_lower_ = assembled.base_row_lower
-        lp.row_upper_ = assembled.base_row_upper
-        matrix = _highs.HighsSparseMatrix()
-        matrix.format_ = _highs.MatrixFormat.kRowwise
-        matrix.num_col_ = assembled.num_vars
-        matrix.num_row_ = assembled.num_base_rows
-        matrix.start_ = assembled.indptr
-        matrix.index_ = assembled.indices
-        matrix.value_ = assembled.data
-        lp.a_matrix_ = matrix
-        if integer:
-            lp.integrality_ = np.array(
-                [_highs.HighsVarType.kInteger] * assembled.num_vars
-            )
-        if h.passModel(lp) == _highs.HighsStatus.kError:
-            raise SolverError("HiGHS rejected the assembled model")
+
+def _pass_model(
+    h, rows: RowBlock, col_lower: np.ndarray, col_upper: np.ndarray, integer: bool
+) -> None:
+    """Pass ``min sum(x)`` subject to ``rows`` and the column bounds."""
+    num_cols = len(col_lower)
+    lp = _highs.HighsLp()
+    lp.num_col_ = num_cols
+    lp.num_row_ = rows.num_rows
+    lp.col_cost_ = np.ones(num_cols)
+    lp.col_lower_ = col_lower
+    lp.col_upper_ = col_upper
+    lp.row_lower_ = rows.row_lower
+    lp.row_upper_ = rows.row_upper
+    matrix = _highs.HighsSparseMatrix()
+    matrix.format_ = _highs.MatrixFormat.kRowwise
+    matrix.num_col_ = num_cols
+    matrix.num_row_ = rows.num_rows
+    matrix.start_ = rows.indptr
+    matrix.index_ = rows.indices
+    matrix.value_ = rows.data
+    lp.a_matrix_ = matrix
+    if integer:
+        lp.integrality_ = np.array([_highs.HighsVarType.kInteger] * num_cols)
+    if h.passModel(lp) == _highs.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the assembled model")
+
+
+class _HighsInstance:
+    """One persistent HiGHS model: pass once, then patch bounds and re-run.
+
+    ``has_basis`` says whether the next run starts from a basis (a warm
+    start); ``last_warm`` whether the last run did.
+    """
+
+    def __init__(self, h, num_cols: int, num_rows: int, has_basis: bool = False):
         self._h = h
-        self._all_cols = np.arange(assembled.num_vars, dtype=np.int32)
-        self._num_rows = assembled.num_base_rows
+        self._n = num_cols
+        self._all_cols = np.arange(num_cols, dtype=np.int32)
+        self._num_rows = num_rows
+        self.has_basis = has_basis
+        self.last_warm = False
+
+    @classmethod
+    def build(
+        cls, assembled: "AssembledSystem", integer: bool, basis=None
+    ) -> "_HighsInstance":
+        """A new instance holding ``assembled``'s base model, warm-started
+        from ``basis`` when one is given."""
+        h = _new_highs()
+        _pass_model(
+            h, assembled.base_rows, assembled.base_var_lower,
+            assembled.base_var_upper, integer,
+        )
+        if basis is not None and h.setBasis(basis) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS rejected a starting basis")  # pragma: no cover
+        return cls(h, assembled.num_vars, assembled.num_base_rows, basis is not None)
 
     def add_row(self, coeffs: Mapping[int, float], lower: float) -> None:
         """Append a ``>= lower`` row (a connectivity cut)."""
@@ -304,14 +358,20 @@ class _HighsInstance:
         self._h.changeRowBounds(row, lower, upper)
 
     def solve(
-        self, var_lower: np.ndarray, var_upper: np.ndarray
+        self, var_lower: np.ndarray, var_upper: np.ndarray, cold: bool = False
     ) -> tuple[str, np.ndarray | None]:
-        """Re-solve under patched variable bounds.
+        """Re-solve under patched variable bounds; ``cold`` drops the
+        basis first, so the run starts from scratch (presolve included).
 
         Returns ``("optimal", x)``, ``("infeasible", None)`` or
         ``("unknown", None)`` — anything numerically doubtful is "unknown".
         """
         h = self._h
+        if cold:
+            h.clearSolver()
+            self.has_basis = False
+        self.last_warm = self.has_basis
+        self.has_basis = True
         h.changeColsBounds(self._n, self._all_cols, var_lower, var_upper)
         run = h.run()
         status = h.getModelStatus()
@@ -339,6 +399,231 @@ class _HighsInstance:
         return "unknown", None
 
 
+class LiveEngines:
+    """The :class:`BlockEngine` instances of one cache: lease counters,
+    and a bound on how many keep a live HiGHS instance.
+
+    A solved instance holds ~220 KB of HiGHS state, while the canonical
+    basis an engine needs to warm-start a solve is two short lists.  So
+    only the ``limit`` most recently leased engines keep their instance;
+    a lease that would exceed it drops the least recently leased
+    instance that is not leased right now (its engine rebuilds the
+    instance on its next lease, from the model and the kept basis,
+    without solving again).
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self._lock = threading.Lock()
+        self._live: OrderedDict[BlockEngine, None] = OrderedDict()
+        self._counts = {"engine_leases": 0, "engine_private": 0}
+
+    def counts(self) -> dict[str, int]:
+        """Leases so far, and private stand-ins built while leased."""
+        with self._lock:
+            return dict(self._counts)
+
+    def clear(self) -> None:
+        """Forget every engine and reset the counters."""
+        with self._lock:
+            self._live.clear()
+            for name in self._counts:
+                self._counts[name] = 0
+
+    def count_private(self) -> None:
+        with self._lock:
+            self._counts["engine_private"] += 1
+
+    def leased(self, engine: BlockEngine) -> None:
+        """Book a lease of ``engine`` (whose lock the caller holds) and
+        drop instances past the limit."""
+        with self._lock:
+            self._counts["engine_leases"] += 1
+            self._live[engine] = None
+            self._live.move_to_end(engine)
+            for victim in list(self._live)[: max(0, len(self._live) - self.limit)]:
+                # Never drop an instance in use; a held lock means the
+                # victim is leased (or this is a forked copy), so skip it.
+                if victim.lock.acquire(blocking=False):
+                    victim._h = None
+                    victim.lock.release()
+                    del self._live[victim]
+
+
+class BlockEngine:
+    """The LP instance of one frozen row prefix, lent to one solve at a time.
+
+    ``system`` is a :class:`LinearSystem` whose every row is its
+    :func:`frozen <freeze_row_prefix>` row prefix: the per-DTD ``Psi_DN``
+    block (:mod:`repro.encoding.combined`).  On first use the engine passes
+    it to HiGHS and solves it once; that optimal basis is the *canonical*
+    starting basis of every solve over a system extending the prefix.
+
+    An :class:`AssembledSystem` over such a system takes a :meth:`lease`:
+    the instance drops its solver state, takes the canonical basis and
+    appends the system's extra columns (non-basic at their lower bound)
+    and rows (basic slacks), so the first solve is a warm start instead of
+    a model build plus a cold run.  :meth:`release` deletes the appended
+    rows and columns again and restores the prefix bounds.  While the
+    engine is leased — to another thread, or to a thread of the parent
+    process if this one is a forked child that copied the held lock — a
+    solve builds a :meth:`private` instance instead: the full model plus
+    the same extended basis.  Both start from the same model and basis,
+    so no answer depends on contention, on what the engine solved
+    before, or on whether ``live`` dropped its instance in between.
+    """
+
+    def __init__(self, system: LinearSystem, live: LiveEngines):
+        self.prefix: RowBlock = system.row_prefix
+        self.num_cols = system.num_vars
+        self._system = system
+        self._live = live
+        #: Held by the solve the engine is lent to.
+        self.lock = threading.Lock()
+        self._h = None
+        self._solved = False
+        self._col_lower: np.ndarray | None = None
+        self._col_upper: np.ndarray | None = None
+        self._basis = None
+        self._col_status: list = []
+        self._row_status: list = []
+
+    def fits(self, system: LinearSystem) -> bool:
+        """Does ``system`` extend this engine's prefix?"""
+        return system.row_prefix is self.prefix and system.num_vars >= self.num_cols
+
+    def _prefix_instance(self):
+        h = _new_highs()
+        _pass_model(h, self.prefix, self._col_lower, self._col_upper, integer=False)
+        return h
+
+    def _solve_canonical(self):
+        """Solve the prefix once for the canonical basis; returns the
+        instance that solved it, or ``None`` if that happened before.
+
+        No lock: threads that race here solve the same model to the same
+        basis, and ``_solved`` is set last.  (A lock held across the
+        solve could be copied held into a forked worker and hang it.)
+        """
+        if self._solved:
+            return None
+        *_, self._col_lower, self._col_upper = assemble_arrays(self._system)
+        h = self._prefix_instance()
+        h.run()
+        if h.getModelStatus() == _highs.HighsModelStatus.kOptimal:
+            basis = h.getBasis()
+            if basis.valid:
+                self._col_status = list(basis.col_status)
+                self._row_status = list(basis.row_status)
+                self._basis = basis
+        self._solved = True
+        return h
+
+    def _start_basis(self, num_cols: int, num_rows: int):
+        """The canonical basis extended to ``num_cols`` x ``num_rows``, as
+        HiGHS extends a basis on appends: new columns non-basic at their
+        (zero) lower bound, new rows basic.  ``None`` if the prefix had no
+        optimal basis (every solve then starts cold)."""
+        self._solve_canonical()
+        if self._basis is None:
+            return None
+        basis = _highs.HighsBasis()
+        basis.col_status = self._col_status + [_highs.HighsBasisStatus.kLower] * (
+            num_cols - self.num_cols
+        )
+        basis.row_status = self._row_status + [_highs.HighsBasisStatus.kBasic] * (
+            num_rows - self.prefix.num_rows
+        )
+        basis.valid = True
+        basis.alien = False
+        basis.was_alien = False
+        return basis
+
+    def lease(self, assembled: "AssembledSystem") -> _HighsInstance | None:
+        """The engine extended to ``assembled``'s base model, or ``None``
+        when it is already leased (then use :meth:`private`)."""
+        if not self.lock.acquire(blocking=False):
+            return None
+        try:
+            solved = self._solve_canonical()
+            if self._h is None:
+                self._h = solved or self._prefix_instance()
+            h = self._h
+            h.clearSolver()
+            if self._basis is not None:
+                h.setBasis(self._basis)
+            extra_cols = assembled.num_vars - self.num_cols
+            if extra_cols:
+                empty = np.zeros(0, dtype=np.int32)
+                h.addCols(
+                    extra_cols,
+                    np.ones(extra_cols),
+                    assembled.base_var_lower[self.num_cols:],
+                    assembled.base_var_upper[self.num_cols:],
+                    0, empty, empty, np.zeros(0),
+                )
+            first = self.prefix.num_rows
+            extra_rows = assembled.num_base_rows - first
+            if extra_rows:
+                offset = assembled.indptr[first]
+                h.addRows(
+                    extra_rows,
+                    assembled.base_row_lower[first:],
+                    assembled.base_row_upper[first:],
+                    len(assembled.indices) - offset,
+                    (assembled.indptr[first:-1] - offset).astype(np.int32),
+                    assembled.indices[offset:],
+                    assembled.data[offset:],
+                )
+        except BaseException:
+            self._h = None  # unknown state: the next lease builds anew
+            self.lock.release()
+            raise
+        self._live.leased(self)
+        return _HighsInstance(
+            h, assembled.num_vars, assembled.num_base_rows, self._basis is not None
+        )
+
+    def private(self, assembled: "AssembledSystem") -> _HighsInstance:
+        """A stand-in for a leased engine: ``assembled``'s full model and
+        the extended canonical basis in a new instance."""
+        basis = self._start_basis(assembled.num_vars, assembled.num_base_rows)
+        self._live.count_private()
+        return _HighsInstance.build(assembled, False, basis)
+
+    def release(self, touched_rows=()) -> None:
+        """Take the lease back: delete the appended rows and columns, and
+        restore the bounds of the prefix rows in ``touched_rows`` and of
+        every prefix column."""
+        try:
+            h = self._h
+            rows, cols = h.getNumRow(), h.getNumCol()
+            first = self.prefix.num_rows
+            if rows > first:
+                h.deleteRows(rows - first, np.arange(first, rows, dtype=np.int32))
+            if cols > self.num_cols:
+                h.deleteCols(
+                    cols - self.num_cols,
+                    np.arange(self.num_cols, cols, dtype=np.int32),
+                )
+            for i in touched_rows:
+                if i < first:
+                    h.changeRowBounds(
+                        i, float(self.prefix.row_lower[i]), float(self.prefix.row_upper[i])
+                    )
+            h.changeColsBounds(
+                self.num_cols,
+                np.arange(self.num_cols, dtype=np.int32),
+                self._col_lower,
+                self._col_upper,
+            )
+        except BaseException:
+            self._h = None  # unknown state: the next lease builds anew
+            raise
+        finally:
+            self.lock.release()
+
+
 class AssembledSystem:
     """A base system assembled once, solved many times under bound patches.
 
@@ -349,8 +634,12 @@ class AssembledSystem:
     never a re-assembly.
     """
 
-    def __init__(self, system: LinearSystem):
+    def __init__(self, system: LinearSystem, engine: BlockEngine | None = None):
         self._system = system
+        #: The block engine the LP instance is leased from (or stands in
+        #: for); ``None`` builds a cold instance of the whole model.
+        self._block_engine = engine if engine is not None and engine.fits(system) else None
+        self._leased = False
         (
             self.indptr,
             self.indices,
@@ -390,6 +679,12 @@ class AssembledSystem:
     @property
     def num_cuts(self) -> int:
         return len(self._cut_rows)
+
+    @property
+    def base_rows(self) -> RowBlock:
+        return RowBlock(
+            self.indptr, self.indices, self.data, self.base_row_lower, self.base_row_upper
+        )
 
     @property
     def system(self) -> LinearSystem:
@@ -438,19 +733,42 @@ class AssembledSystem:
     def _engine(self, integer: bool) -> _HighsInstance:
         if integer:
             if self._int_engine is None:
-                self._int_engine = _HighsInstance(self, integer=True)
+                self._int_engine = _HighsInstance.build(self, integer=True)
                 self._engine_cut_state[0] = [True] * self.num_cuts
                 self._engine_inactive_rows[0] = set()
                 for i, coeffs in enumerate(self._cut_coeffs):
                     self._int_engine.add_row(coeffs, float(self._cut_rows[i].rhs))
             return self._int_engine
         if self._lp_engine is None:
-            self._lp_engine = _HighsInstance(self, integer=False)
+            self._lp_engine = self._new_lp_instance()
             self._engine_cut_state[1] = [True] * self.num_cuts
             self._engine_inactive_rows[1] = set()
             for i, coeffs in enumerate(self._cut_coeffs):
                 self._lp_engine.add_row(coeffs, float(self._cut_rows[i].rhs))
         return self._lp_engine
+
+    def _new_lp_instance(self) -> _HighsInstance:
+        """A lease of the block engine, a stand-in while another solve
+        holds it, or (without a block engine) a cold instance."""
+        engine = self._block_engine
+        if engine is None:
+            return _HighsInstance.build(self, integer=False)
+        instance = engine.lease(self)
+        if instance is None:
+            return engine.private(self)
+        self._leased = True
+        return instance
+
+    def release(self) -> None:
+        """Hand a leased block engine back; a no-op without a lease.
+
+        The LP instance goes with it: a later solve leases again.
+        """
+        if not self._leased:
+            return
+        self._leased = False
+        self._lp_engine = None
+        self._block_engine.release(self._engine_inactive_rows[1])
 
     def _apply_cut_activation(self, integer: bool, active: frozenset[int] | set[int]) -> None:
         engine = self._engine(integer)
@@ -491,6 +809,7 @@ class AssembledSystem:
         active: set[int],
         integer: bool,
         inactive_rows: frozenset[int],
+        cold: bool = False,
     ) -> tuple[str, np.ndarray | None, tuple[np.ndarray, np.ndarray]]:
         bounds = self._patched_bounds(patches)
         lower, upper = bounds
@@ -502,7 +821,7 @@ class AssembledSystem:
             self.mip_solves += 1
         else:
             self.lp_solves += 1
-        status, x = self._engine(integer).solve(lower, upper)
+        status, x = self._engine(integer).solve(lower, upper, cold)
         return status, x, bounds
 
     @property
@@ -614,9 +933,10 @@ class AssembledSystem:
         active: set[int] | None = None,
         inactive_rows: frozenset[int] = frozenset(),
     ) -> SolveResult:
-        """Integer solve under bound patches, exact-checked, LP first: the
-        MIP runs only when the relaxation's rounded vertex fails the exact
-        check (see the module docstring).
+        """Integer solve under bound patches, exact-checked, LP first: a
+        relaxation vertex that fails the exact check is re-solved cold
+        when its run was warm-started, and the MIP runs only when that
+        vertex fails too (see the module docstring).
 
         ``inactive_rows`` deactivates the named base rows for this solve
         (toggleable constraint rows; see the module docstring).  Status
@@ -630,8 +950,12 @@ class AssembledSystem:
                 if i not in inactive_rows and not row.evaluate({}):
                     return SolveResult("infeasible", message="constant row violated")
             return SolveResult("feasible", {})
-        for integer in (False, True):
-            status, x, bounds = self._solve_raw(patches, active, integer, inactive_rows)
+        for integer, cold in ((False, False), (False, True), (True, False)):
+            if cold and not self._lp_engine.last_warm:
+                continue  # the relaxation already ran cold
+            status, x, bounds = self._solve_raw(
+                patches, active, integer, inactive_rows, cold
+            )
             if status == "infeasible":
                 return SolveResult("infeasible", message="patched system infeasible")
             if status == "optimal" and x is not None:

@@ -71,7 +71,7 @@ from typing import TYPE_CHECKING
 from repro.budget import check_deadline
 from repro.errors import ComplexityLimitError, SolverError, WorkerCrashError
 from repro.service.faults import fault_active, fault_seconds
-from repro.ilp.assembled import AssembledSystem
+from repro.ilp.assembled import AssembledSystem, BlockEngine
 from repro.ilp.model import (
     BoundPatch,
     LinearSystem,
@@ -126,6 +126,11 @@ class ConditionalSystem:
         An index over leading clauses (the DTD-derived ones, built once
         per DTD); the solve's index extends it instead of re-indexing
         them.  Ignored unless its clauses are a prefix of :attr:`clauses`.
+    engine:
+        The LP instance of the ``Psi_DN`` rows :attr:`base` starts with
+        (built once per DTD); a solve without a workspace leases it as
+        its warm-started LP.  Ignored unless :attr:`base` extends its
+        rows.
     toggleable_rows:
         Base-row indices registered as toggleable (the per-constraint
         ``C_Sigma`` and negated-constraint rows).  ``active_rows`` on
@@ -152,6 +157,7 @@ class ConditionalSystem:
     clause_prefix: _ClauseIndex | None = field(
         default=None, compare=False, repr=False
     )
+    engine: BlockEngine | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -1126,7 +1132,7 @@ def _solve_incremental(
         stats.assemblies = workspace.take_assembly_charge()
         workspace.solve_calls += 1
     else:
-        assembled = AssembledSystem(cs.base)
+        assembled = AssembledSystem(cs.base, cs.engine)
         stats.assemblies = assembled.assemblies
         exact_twin = _ExactTwin(assembled)
         pool = _CutPool(assembled, exact_twin)
@@ -1141,78 +1147,82 @@ def _solve_incremental(
 
     leaf_counter = 0
 
-    # Single LP probe of the root relaxation: definite infeasibility
-    # refutes every support completion at once, and an integral vertex
-    # that passes the exact checks is already a realizable answer.
-    root_probed = False
-    if lp_prune and backend == "scipy":
-        before = assembled.solve_counts
-        status, candidate = assembled.lp_probe(
-            root_patches, set(), inactive_rows=inactive_rows, verified=True
-        )
-        stats.bound_patch_solves += 1
-        stats.book_solves(assembled, before)
-        root_probed = status != "unknown"
-        if status == "infeasible":
-            stats.lp_probe_decided = True
-            return (
-                SolveResult("infeasible", message="root LP relaxation infeasible"),
-                stats,
+    # A leased block engine goes back whatever the search does.
+    try:
+        # Single LP probe of the root relaxation: definite infeasibility
+        # refutes every support completion at once, and an integral vertex
+        # that passes the exact checks is already a realizable answer.
+        root_probed = False
+        if lp_prune and backend == "scipy":
+            before = assembled.solve_counts
+            status, candidate = assembled.lp_probe(
+                root_patches, set(), inactive_rows=inactive_rows, verified=True
             )
-        if (
-            status == "feasible"
-            and candidate is not None  # verified: already exact-checked
-            and _satisfies_conditionals(cs, candidate)
-            and not _unreachable_positive(cs, candidate)
-        ):
-            stats.shortcut_hit = True
-            stats.lp_probe_decided = True
-            return SolveResult("feasible", candidate), stats
-
-    # Shortcut: the maximal support (everything not forced out present) is
-    # often feasible and found in one leaf solve.
-    if maximal_view == "unset":
-        if use_closure:
-            # The cached all-present completion is fully decided; only the
-            # probe's active toggleable clauses still need a conflict scan.
-            if base_maximal is not None and _propagate_indexed(
-                clause_index, dict(base_maximal), [], stats,
-                inactive_clauses, active_toggle_clauses,
+            stats.bound_patch_solves += 1
+            stats.book_solves(assembled, before)
+            root_probed = status != "unknown"
+            if status == "infeasible":
+                stats.lp_probe_decided = True
+                return (
+                    SolveResult("infeasible", message="root LP relaxation infeasible"),
+                    stats,
+                )
+            if (
+                status == "feasible"
+                and candidate is not None  # verified: already exact-checked
+                and _satisfies_conditionals(cs, candidate)
+                and not _unreachable_positive(cs, candidate)
             ):
-                maximal_view = dict(base_maximal)
-            else:
-                maximal_view = None
-        else:
-            maximal_view = _maximal_support(
-                cs, clause_index, assignment, stats, inactive_clauses
-            )
-    if maximal_view is not None:
-        result = _solve_leaf_assembled(
-            cs, assembled, pool, maximal_view, backend, stats,  # type: ignore[arg-type]
-            max_cut_rounds, next_leaf_id(), exact_twin, inactive_rows,
-        )
-        if result.feasible:
-            stats.shortcut_hit = True
-            return result, stats
+                stats.shortcut_hit = True
+                stats.lp_probe_decided = True
+                return SolveResult("feasible", candidate), stats
 
-    result = _dfs_search(
-        cs,
-        [(assignment, None)],
-        clause_index=clause_index,
-        assembled=assembled,
-        pool=pool,
-        exact_twin=exact_twin,
-        next_leaf_id=next_leaf_id,
-        stats=stats,
-        backend=backend,
-        max_support_nodes=max_support_nodes,
-        max_cut_rounds=max_cut_rounds,
-        lp_prune=lp_prune,
-        inactive_rows=inactive_rows,
-        inactive_clauses=inactive_clauses,
-        skip_first_lp=root_probed,
-    )
-    return result, stats
+        # Shortcut: the maximal support (everything not forced out present) is
+        # often feasible and found in one leaf solve.
+        if maximal_view == "unset":
+            if use_closure:
+                # The cached all-present completion is fully decided; only the
+                # probe's active toggleable clauses still need a conflict scan.
+                if base_maximal is not None and _propagate_indexed(
+                    clause_index, dict(base_maximal), [], stats,
+                    inactive_clauses, active_toggle_clauses,
+                ):
+                    maximal_view = dict(base_maximal)
+                else:
+                    maximal_view = None
+            else:
+                maximal_view = _maximal_support(
+                    cs, clause_index, assignment, stats, inactive_clauses
+                )
+        if maximal_view is not None:
+            result = _solve_leaf_assembled(
+                cs, assembled, pool, maximal_view, backend, stats,  # type: ignore[arg-type]
+                max_cut_rounds, next_leaf_id(), exact_twin, inactive_rows,
+            )
+            if result.feasible:
+                stats.shortcut_hit = True
+                return result, stats
+
+        result = _dfs_search(
+            cs,
+            [(assignment, None)],
+            clause_index=clause_index,
+            assembled=assembled,
+            pool=pool,
+            exact_twin=exact_twin,
+            next_leaf_id=next_leaf_id,
+            stats=stats,
+            backend=backend,
+            max_support_nodes=max_support_nodes,
+            max_cut_rounds=max_cut_rounds,
+            lp_prune=lp_prune,
+            inactive_rows=inactive_rows,
+            inactive_clauses=inactive_clauses,
+            skip_first_lp=root_probed,
+        )
+        return result, stats
+    finally:
+        assembled.release()
 
 
 def _dfs_search(

@@ -183,6 +183,42 @@ class TestImpliesAll:
         with pytest.raises(InvalidConstraintError):
             implies_all(dtd, [], [parse_constraint("b.y -> b")])
 
+    def test_repeated_queries_are_answered_once_like_a_loop(self, monkeypatch):
+        from repro.checkers import implication
+        from repro.workloads.generators import star_schema_family
+        from repro.xmltree.serialize import tree_to_string
+
+        def rendered(result):
+            tree = result.counterexample
+            return (
+                result.implied,
+                result.method,
+                result.message,
+                result.stats,
+                tree_to_string(tree) if tree is not None else None,
+            )
+
+        dtd, sigma = star_schema_family(2, consistent=True)
+        phis = parse_constraints(
+            "dim1.id -> dim1\n"
+            "dim0.id <= fact.ref0\n"
+            "dim1.id -> dim1\n"
+            "fact.ref0 <= dim0.id\n"
+            "dim0.id <= fact.ref0"
+        )
+        loop = [implies(dtd, sigma, phi) for phi in phis]
+        answered = []
+        real = implication.implies_validated
+
+        def counting(dtd, sigma, phi, config=None):
+            answered.append(phi)
+            return real(dtd, sigma, phi, config)
+
+        monkeypatch.setattr(implication, "implies_validated", counting)
+        batch = implies_all(dtd, sigma, phis)
+        assert [rendered(r) for r in batch] == [rendered(r) for r in loop]
+        assert answered == list(dict.fromkeys(phis))
+
     def test_empty_batch(self):
         dtd = DTD.build("r", {"r": "(a*)", "a": "EMPTY"}, attrs={"a": ["x"]})
         assert implies_all(dtd, [], []) == []

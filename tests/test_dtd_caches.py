@@ -5,12 +5,14 @@ canonical text are memoized per ``(dtd_text, root)``
 (:meth:`repro.service.registry.SessionRegistry.parsed_dtd`), and the cached ``Psi_DN``
 block carries its rows pre-assembled as a CSR prefix that
 :func:`repro.ilp.assembled.assemble_arrays` reuses, an index of its
-support clauses that each solve extends, the DTD's conformance checker
-and the simplified DTD's occurrence list.  These tests pin that the reuse
-is invisible: the arrays equal a from-scratch assembly bit for bit, an
-extended clause index equals a fresh one, fingerprints equal
-:func:`spec_fingerprint`, served bytes do not depend on what the registry
-served before, and the block cache survives concurrent eviction.
+support clauses that each solve extends, the DTD's conformance checker,
+the simplified DTD's occurrence list and an LP engine each solve leases.
+These tests pin that the reuse is invisible: the arrays equal a
+from-scratch assembly bit for bit, an extended clause index equals a
+fresh one, fingerprints equal :func:`spec_fingerprint`, served bytes do
+not depend on what the registry served before, a solve on a private
+stand-in answers like one on the leased engine, and the block cache
+survives concurrent eviction.
 """
 
 from __future__ import annotations
@@ -463,4 +465,270 @@ class TestServedBytes:
         assert _served(warm, request_) == fresh
         assert encoding_cache_stats()["hits"] > hits  # the block was reused
         assert len(warm._dtds) == 1  # and so was the parsed text
+        clear_encoding_cache()
+
+
+def _payloads(dtd, sigma) -> list[dict]:
+    """A new session's ``check`` and ``implies`` payloads for the spec."""
+    from repro.service.session import SpecSession
+
+    session = SpecSession(dtd, sigma)
+    return [session.check(), *(session.implies(phi) for phi in sigma[:2])]
+
+
+class TestBlockEngine:
+    """Each ``Psi_DN`` block's LP instance, leased per solve, and the
+    private stand-in a solve builds while it is leased elsewhere."""
+
+    def test_a_held_lease_changes_no_payload(self):
+        clear_encoding_cache()
+        stand_ins = 0
+        for seed, (dtd, sigma) in enumerate(
+            [_fuzz_instance(seed) for seed in FUZZ_SEEDS] + _example_specs()
+        ):
+            try:
+                leased = _payloads(dtd, sigma)
+            except ReproError:
+                continue
+            engine = combined._dtd_block(dtd).engine
+            before = encoding_cache_stats()
+            with engine.lock:
+                private = _payloads(dtd, sigma)
+            after = encoding_cache_stats()
+            assert private == leased, seed
+            assert after["engine_leases"] == before["engine_leases"]
+            stand_ins += after["engine_private"] - before["engine_private"]
+        assert stand_ins, "no solve built a private stand-in"
+        clear_encoding_cache()
+
+    def test_release_leaves_exactly_psi_dn(self):
+        clear_encoding_cache()
+        dtd = teachers_dtd_d1()
+        sigma = parse_constraints("teacher.name -> teacher\nsubject.taught_by <= teacher.name")
+        encoding = build_encoding(dtd, sigma)
+        engine = combined._dtd_block(dtd).engine
+        base = encoding.condsys.base
+        assert base.num_vars > engine.num_cols
+        assert base.num_rows > engine.prefix.num_rows
+        assembled = AssembledSystem(base, engine)
+        assert assembled.solve_int({}).feasible
+        assembled.add_cut({base.variables[0]: 1}, 0)
+        assert assembled.solve_int({}).feasible
+        h = engine._h
+        assert engine.lock.locked()
+        assert (h.getNumRow(), h.getNumCol()) == (base.num_rows + 1, base.num_vars)
+        assembled.release()
+        assert not engine.lock.locked()
+        lp = h.getLp()
+        assert (lp.num_row_, lp.num_col_) == (engine.prefix.num_rows, engine.num_cols)
+        pristine = combined._dtd_block(dtd).dtd_system.system
+        arrays = assemble_arrays(pristine)
+        assert np.array_equal(lp.row_lower_, arrays[3])
+        assert np.array_equal(lp.row_upper_, arrays[4])
+        assert np.array_equal(lp.col_lower_, arrays[5])
+        assert np.array_equal(lp.col_upper_, arrays[6])
+        clear_encoding_cache()
+
+    def test_presolve_off_retry_on_a_leased_engine_restores_presolve(self, monkeypatch):
+        from repro.ilp import assembled as assembled_module
+
+        clear_encoding_cache()
+        dtd, sigma = teachers_dtd_d1(), parse_constraints("teacher.name -> teacher")
+        encoding = build_encoding(dtd, sigma)
+        engine = combined._dtd_block(dtd).engine
+        assembled = AssembledSystem(encoding.condsys.base, engine)
+        instance = assembled._engine(integer=False)
+        assert engine.lock.locked()
+        h = instance._h
+        _, presolve = h.getOptionValue("presolve")
+        runs = []
+        real_run = h.run
+
+        class FailingFirstRun:
+            """The engine's instance, its first ``run`` answering kError."""
+
+            def __getattr__(self, name):
+                return getattr(h, name)
+
+            def run(self):
+                runs.append(h.getOptionValue("presolve")[1])
+                if len(runs) == 1:
+                    return assembled_module._highs.HighsStatus.kError
+                return real_run()
+
+        monkeypatch.setattr(instance, "_h", FailingFirstRun())
+        assert assembled.solve_int({}).feasible
+        assert runs[:2] == [presolve, "off"]
+        assert h.getOptionValue("presolve")[1] == presolve
+        assembled.release()
+        assert engine._h is h and h.getOptionValue("presolve")[1] == presolve
+        clear_encoding_cache()
+
+    def test_threads_sharing_one_engine_answer_like_one_thread(self):
+        """More threads than cores solve different ``Sigma`` over one DTD,
+        switching every few microseconds: every answer equals the
+        one-thread answer, every solve takes exactly one lease or private
+        stand-in, and the engine ends free, holding ``Psi_DN`` only."""
+        from repro.checkers.consistency import check_consistency
+        from repro.xmltree.serialize import tree_to_string
+
+        def answer(sigma):
+            result = check_consistency(dtd, sigma)
+            witness = result.witness
+            return (
+                result.consistent,
+                result.stats,
+                tree_to_string(witness) if witness is not None else None,
+            )
+
+        dtd = parse_dtd(DTD_TEXT)
+        sigmas = [parse_constraints(text) for text in ["", *SIGMAS]]
+        sigmas += [
+            parse_constraints(f"{SIGMAS[1]}\nteacher.name <= subject.taught_by"),
+            parse_constraints("subject.taught_by !<= teacher.name"),
+        ]
+        clear_encoding_cache()
+        want = [answer(sigma) for sigma in sigmas]
+        rounds, num_threads = 6, 4
+        got: dict[tuple[int, int], tuple] = {}
+        errors: list[BaseException] = []
+
+        def work(k: int) -> None:
+            try:
+                for r in range(rounds):
+                    i = (k + r) % len(sigmas)
+                    got[k, r] = (i, answer(sigmas[i]))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        clear_encoding_cache()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(num_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(got) == rounds * num_threads
+        for i, answered in got.values():
+            assert answered == want[i], i
+        solves = sum(answered[1]["lp_solves"] > 0 for _, answered in got.values())
+        stats = encoding_cache_stats()
+        assert stats["engine_leases"] + stats["engine_private"] == solves
+        engine = combined._dtd_block(dtd).engine
+        assert not engine.lock.locked()
+        assert (engine._h.getNumRow(), engine._h.getNumCol()) == (
+            engine.prefix.num_rows,
+            engine.num_cols,
+        )
+        clear_encoding_cache()
+
+    def test_only_the_most_recently_leased_engines_stay_live(self, monkeypatch):
+        """Past ``limit``, a lease drops the least recently leased
+        instance unless it is leased right now; a dropped engine rebuilds
+        its instance and answers as before."""
+        from repro.checkers.consistency import check_consistency
+        from repro.xmltree.serialize import tree_to_string
+
+        def answer(spec):
+            result = check_consistency(*spec)
+            witness = result.witness
+            return (
+                result.consistent,
+                result.stats,
+                tree_to_string(witness) if witness is not None else None,
+            )
+
+        clear_encoding_cache()
+        monkeypatch.setattr(combined._LIVE_ENGINES, "limit", 2)
+        specs, keys = [], set()
+        for seed in FUZZ_SEEDS:
+            dtd, sigma = _fuzz_instance(seed)
+            key = combined._dtd_cache_key(dtd)
+            try:
+                solved = key not in keys and answer((dtd, sigma))[1]["lp_solves"] > 0
+            except ReproError:
+                continue
+            if solved:
+                specs.append((dtd, sigma))
+                keys.add(key)
+            if len(specs) == 4:
+                break
+        clear_encoding_cache()
+        first = [answer(spec) for spec in specs]
+        engines = [combined._dtd_block(dtd).engine for dtd, _ in specs]
+        assert [engine._h is not None for engine in engines] == [False, False, True, True]
+        assert [answer(spec) for spec in specs] == first  # two rebuilt
+        held = engines[2]
+        with held.lock:
+            answer(specs[0])
+            answer(specs[1])
+            assert held._h is not None and engines[3]._h is None
+        assert encoding_cache_stats()["engine_private"] == 0
+        clear_encoding_cache()
+
+    def test_forked_workers_under_a_held_lease_answer_alike(self):
+        """``implies_all`` workers fork while the parent holds the lease,
+        so every worker's copy of the lock is held: they solve on
+        private stand-ins, and the answers equal the sequential ones."""
+        from repro.checkers.config import CheckerConfig
+        from repro.checkers.implication import implies_all
+        from repro.ilp.condsys import WorkerPool
+        from repro.xmltree.serialize import tree_to_string
+
+        if not WorkerPool.available():
+            pytest.skip("no fork-based worker pool on this platform")
+
+        def rendered(results):
+            return [
+                (
+                    r.implied,
+                    r.stats,
+                    tree_to_string(r.counterexample) if r.counterexample else None,
+                )
+                for r in results
+            ]
+
+        dtd = parse_dtd(DTD_TEXT)
+        sigma = parse_constraints(SIGMAS[1])
+        phis = parse_constraints(
+            "subject.taught_by => teacher.name\nteacher.name <= subject.taught_by\n"
+            "teacher.name -> teacher"
+        )
+        clear_encoding_cache()
+        want = rendered(implies_all(dtd, sigma, phis))
+        engine = combined._dtd_block(dtd).engine
+        with engine.lock:
+            got = rendered(implies_all(dtd, sigma, phis, CheckerConfig(jobs=2)))
+        assert got == want
+        clear_encoding_cache()
+
+    def test_a_served_replay_leases_once_per_solved_request(self, monkeypatch):
+        from repro.checkers import consistency
+
+        solves = []
+        real = consistency.solve_conditional_system
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(consistency, "solve_conditional_system", counting)
+        clear_encoding_cache()
+        registry = SessionRegistry()
+        for i, sigma_text in enumerate(["", *SIGMAS, *SIGMAS]):
+            _served(registry, {"id": i, "op": "check", "dtd": DTD_TEXT, "constraints": sigma_text})
+        for i, phi in enumerate(("subject.taught_by -> subject", "teacher.name -> teacher")):
+            _served(
+                registry,
+                {"id": i, "op": "implies", "dtd": DTD_TEXT, "constraints": SIGMAS[0], "phi": phi},
+            )
+        stats = encoding_cache_stats()
+        assert solves and stats["engine_leases"] >= len(solves)
+        assert stats["engine_private"] == 0
         clear_encoding_cache()
