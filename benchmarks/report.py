@@ -395,12 +395,7 @@ def _solver_workloads() -> dict[str, Callable[[], list]]:
 
         def __init__(self, report):
             assert report.stats.assemblies <= 1, "toggled path regressed"
-            self.stats = {
-                "dfs_nodes": report.stats.dfs_nodes,
-                "leaves": report.stats.leaves_solved,
-                "exact_nodes": report.stats.exact_nodes,
-                "exact_pivots": report.stats.exact_pivots,
-            }
+            self.stats = report.stats.checker_stats()
 
     # Parallel executor case (ISSUE 4): a multi-branch implication batch
     # fanned across 2 workers.  Every query runs the ordinary sequential
@@ -436,12 +431,7 @@ def _solver_workloads() -> dict[str, Callable[[], list]]:
             assert mus_stats.mus_probes < len(sigma), (
                 "quickxplain probe count regressed to the deletion filter's"
             )
-            self.stats = {
-                "dfs_nodes": mus_stats.dfs_nodes,
-                "leaves": mus_stats.leaves_solved,
-                "exact_nodes": mus_stats.exact_nodes,
-                "exact_pivots": mus_stats.exact_pivots,
-            }
+            self.stats = mus_stats.checker_stats()
 
     # Repair case (ISSUE 10): the registrar conflict repaired end to end
     # — hitting sets, shadow-row probes, core extraction and the final
@@ -457,12 +447,7 @@ def _solver_workloads() -> dict[str, Callable[[], list]]:
             assert repair.found and repair.verified, "registrar repair regressed"
             assert repair.cost == 1, "registrar repair cost regressed"
             assert repair_stats.assemblies == 1, "repair re-assembled"
-            self.stats = {
-                "dfs_nodes": repair_stats.dfs_nodes,
-                "leaves": repair_stats.leaves_solved,
-                "exact_nodes": repair_stats.exact_nodes,
-                "exact_pivots": repair_stats.exact_pivots,
-            }
+            self.stats = repair_stats.checker_stats()
 
     # Service case (ISSUE 5): the serving hot path — one replay-mode
     # session answering the 32-request stream (8 distinct implication

@@ -26,12 +26,16 @@ registered as toggleable (DESIGN.md section 6), and serves each probe by
 row-bound flips on the persistent solver state — one base assembly per
 call (per worker, when parallel) instead of one per subset.
 
-Both operate on the decidable unary classes; specifications outside them
-(multi-attribute constraints), and unions whose set-representation block
-exceeds ``max_setrep_attrs``, automatically fall back to the rebuild
-path: one full checker call per probed subset, dispatched through the
-checkers' own fragment logic.  The differential tests and the benchmark
-baseline force that fallback through ``tests/oracles.py``.
+Each search is written once, against a probe that answers
+``consistent(subset)`` and ``is_redundant(sigma, index)``.  The toggled
+probe (:class:`_ToggleProbe`) covers the decidable unary classes; for
+specifications outside them (multi-attribute constraints), and for unions
+whose set-representation block exceeds ``max_setrep_attrs``, the rebuild
+probe (:class:`_RebuildProbe`) answers with one full checker call per
+question, dispatched through the checkers' own fragment logic.  The
+differential tests and the benchmark baseline force the rebuild probe
+through ``tests/oracles.py``.  Both probes sum their work into one
+counter record, :class:`SolverCounters`, which the repair search shares.
 
 >>> from repro.dtd.model import DTD
 >>> from repro.constraints.parser import parse_constraints
@@ -49,14 +53,19 @@ True
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from collections.abc import Callable, Iterable
+from typing import ClassVar, TypeVar
 
 from repro.constraints.ast import Constraint
 from repro.constraints.classes import expand_foreign_keys
 from repro.checkers.config import DEFAULT_CONFIG, CheckerConfig
-from repro.checkers.consistency import check_consistency, dtd_has_valid_tree
-from repro.checkers.implication import _negate, implies
+from repro.checkers.consistency import (
+    STAT_RENAMES,
+    check_consistency,
+    dtd_has_valid_tree,
+)
+from repro.checkers.implication import implies, negate_constraint
 from repro.dtd.model import DTD
 from repro.encoding.combined import build_encoding
 from repro.errors import (
@@ -74,7 +83,87 @@ from repro.ilp.condsys import (
 
 
 @dataclass
-class DiagnosticsStats:
+class SolverCounters:
+    """The work counters every analysis call sums over its probes.
+
+    ``method`` names the probe engine (``"toggled"`` or ``"rebuild"``),
+    ``probes`` counts subset solves, and the solver counters are the
+    :class:`CondSolveStats` fields of each solve, summed.  Subclasses add
+    their own fields and name the key order of :meth:`as_dict` (the
+    ``stats`` wire payload) in ``_LAYOUT``.
+    """
+
+    method: str = "toggled"
+    probes: int = 0
+    assemblies: int = 0
+    dfs_nodes: int = 0
+    leaves_solved: int = 0
+    bound_patch_solves: int = 0
+    lp_solves: int = 0
+    mip_solves: int = 0
+    cuts_added: int = 0
+    cut_pool_hits: int = 0
+    lp_prunes: int = 0
+    lp_probe_decided: int = 0
+    exact_nodes: int = 0
+    exact_pivots: int = 0
+
+    _LAYOUT: ClassVar[tuple[str, ...]] = ()
+
+    def add_solve(self, solve: CondSolveStats) -> None:
+        """Fold one toggled probe's :class:`CondSolveStats` in."""
+        self.probes += 1
+        for name in SOLVER_COUNTERS:
+            setattr(self, name, getattr(self, name) + int(getattr(solve, name)))
+
+    def add_checker(self, stats: dict | None) -> None:
+        """Fold one checker result's stats dict (a rebuild probe) in."""
+        self.probes += 1
+        stats = stats or {}
+        for key, name in _CHECKER_KEYS:
+            setattr(self, name, getattr(self, name) + int(stats.get(key, 0)))
+
+    def checker_stats(self) -> dict[str, int]:
+        """The solver counters under a checker result's stats keys."""
+        return {key: getattr(self, name) for key, name in _CHECKER_KEYS}
+
+    def absorb(self, other: "SolverCounters | dict") -> None:
+        """Fold another record's integer counters in (parallel workers).
+
+        String labels stay the caller's.  Keys this record does not
+        declare (a newer worker's counters, or namespaced ``repair.*``
+        counters riding along in a wire payload) are skipped rather than
+        folded into a same-named field.
+        """
+        values = other if isinstance(other, dict) else asdict(other)
+        for name, value in values.items():
+            if isinstance(value, str) or not hasattr(self, name):
+                continue
+            setattr(self, name, getattr(self, name) + int(value))
+
+    def as_dict(self) -> dict[str, int | str]:
+        """Flat rendering for ``--stats`` output, benchmarks and the wire;
+        an unset label renders as ``"-"``."""
+        values = {name: getattr(self, name) for name in self._LAYOUT}
+        return {
+            name: (value or "-") if isinstance(value, str) else value
+            for name, value in values.items()
+        }
+
+
+#: The solver counters of :class:`SolverCounters`, in field order.
+SOLVER_COUNTERS = tuple(
+    f.name for f in fields(SolverCounters) if f.name not in ("method", "probes")
+)
+
+#: ``(checker stats key, counter)`` for each of :data:`SOLVER_COUNTERS`.
+_CHECKER_KEYS = tuple(
+    (STAT_RENAMES.get(name, name), name) for name in SOLVER_COUNTERS
+)
+
+
+@dataclass
+class DiagnosticsStats(SolverCounters):
     """Work counters for one diagnostics call.
 
     ``assemblies`` counts full base-matrix assemblies — exactly 1 on the
@@ -88,101 +177,33 @@ class DiagnosticsStats:
     (``mus_method`` names the filter that ran).
     """
 
-    method: str = "toggled"
     mus_method: str = ""
-    assemblies: int = 0
-    probes: int = 0
     mus_probes: int = 0
-    dfs_nodes: int = 0
-    leaves_solved: int = 0
-    bound_patch_solves: int = 0
-    lp_solves: int = 0
-    mip_solves: int = 0
-    cuts_added: int = 0
-    cut_pool_hits: int = 0
-    lp_prunes: int = 0
-    lp_probe_decided: int = 0
-    exact_nodes: int = 0
-    exact_pivots: int = 0
     workers_spawned: int = 0
 
-    def merge_solve(self, solve: CondSolveStats) -> None:
-        """Fold one :class:`CondSolveStats` into the running totals."""
-        self.probes += 1
-        self.assemblies += solve.assemblies
-        self.dfs_nodes += solve.dfs_nodes
-        self.leaves_solved += solve.leaves_solved
-        self.bound_patch_solves += solve.bound_patch_solves
-        self.lp_solves += solve.lp_solves
-        self.mip_solves += solve.mip_solves
-        self.cuts_added += solve.cuts_added
-        self.cut_pool_hits += solve.cut_pool_hits
-        self.lp_prunes += solve.lp_prunes
-        self.lp_probe_decided += int(solve.lp_probe_decided)
-        self.exact_nodes += solve.exact_nodes
-        self.exact_pivots += solve.exact_pivots
-
-    def merge_checker(self, stats: dict | None) -> None:
-        """Fold a checker result's stats dict (rebuild path) in."""
-        self.probes += 1
-        if not stats:
-            return
-        self.assemblies += stats.get("assemblies", 0)
-        self.dfs_nodes += stats.get("dfs_nodes", 0)
-        self.leaves_solved += stats.get("leaves", 0)
-        self.bound_patch_solves += stats.get("bound_patch_solves", 0)
-        self.lp_solves += stats.get("lp_solves", 0)
-        self.mip_solves += stats.get("mip_solves", 0)
-        self.cuts_added += stats.get("cuts", 0)
-        self.cut_pool_hits += stats.get("cut_pool_hits", 0)
-        self.lp_prunes += stats.get("lp_prunes", 0)
-        self.lp_probe_decided += int(stats.get("lp_probe_decided", False))
-        self.exact_nodes += stats.get("exact_nodes", 0)
-        self.exact_pivots += stats.get("exact_pivots", 0)
-
-    def absorb(self, worker: "DiagnosticsStats | dict") -> None:
-        """Fold a worker's counters in (parallel audit reconciliation).
-
-        Integer counters add; the ``method``/``mus_method`` labels are the
-        parent's business and are left untouched.  Keys this class does
-        not declare (e.g. namespaced ``repair.*`` counters riding along
-        in a wire payload) are skipped rather than flat-merged — folding
-        an unknown counter into a same-named field would silently shadow
-        the caller's own numbers.
-        """
-        values = worker if isinstance(worker, dict) else asdict(worker)
-        for name, value in values.items():
-            if isinstance(value, str) or not hasattr(self, name):
-                continue
-            setattr(self, name, getattr(self, name) + int(value))
-
-    def as_dict(self) -> dict[str, int | str]:
-        """Flat rendering for ``--stats`` output and benchmarks."""
-        return {
-            "method": self.method,
-            "mus_method": self.mus_method or "-",
-            "assemblies": self.assemblies,
-            "probes": self.probes,
-            "mus_probes": self.mus_probes,
-            "dfs_nodes": self.dfs_nodes,
-            "leaves_solved": self.leaves_solved,
-            "bound_patch_solves": self.bound_patch_solves,
-            "lp_solves": self.lp_solves,
-            "mip_solves": self.mip_solves,
-            "cuts_added": self.cuts_added,
-            "cut_pool_hits": self.cut_pool_hits,
-            "lp_prunes": self.lp_prunes,
-            "lp_probe_decided": self.lp_probe_decided,
-            "exact_nodes": self.exact_nodes,
-            "exact_pivots": self.exact_pivots,
-            "workers_spawned": self.workers_spawned,
-        }
+    # SOLVER_COUNTERS[0] is ``assemblies``.
+    _LAYOUT: ClassVar[tuple[str, ...]] = (
+        "method", "mus_method", "assemblies", "probes", "mus_probes",
+        *SOLVER_COUNTERS[1:], "workers_spawned",
+    )
 
 
-def _use_toggles(sigma: list[Constraint]) -> bool:
-    """Route to the toggled engine?  Requires unary constraints (the only
-    encodable fragment)."""
-    return all(phi.is_unary() for phi in sigma)
+_P = TypeVar("_P")
+
+
+def _toggled(
+    sigma: list[Constraint], build: Callable[[], _P]
+) -> _P | None:
+    """The toggled probe ``build()`` makes, or ``None`` when the rebuild
+    probe must answer instead: ``sigma`` is outside the unary fragment
+    (the only encodable one), or the union's set-representation block
+    exceeds ``max_setrep_attrs``."""
+    if all(phi.is_unary() for phi in sigma):
+        try:
+            return build()
+        except ComplexityLimitError:
+            pass
+    return None
 
 
 class _ToggleProbe:
@@ -196,7 +217,8 @@ class _ToggleProbe:
     :class:`~repro.ilp.condsys.SolveWorkspace`; support clauses and forced
     supports contributed by deactivated constraints are filtered out of
     the :class:`ConditionalSystem` view, since they are only sound while
-    their constraint is active.
+    their constraint is active.  ``repair_sites`` registers every rule
+    row as a toggle too (the repair probe).
     """
 
     def __init__(
@@ -205,38 +227,25 @@ class _ToggleProbe:
         sigma: list[Constraint],
         config: CheckerConfig,
         with_negations: bool,
-        stats: DiagnosticsStats,
+        stats: SolverCounters,
+        repair_sites: bool = False,
     ):
         self._config = config
         self.stats = stats
         self.parts: dict[Constraint, tuple[Constraint, ...]] = {
             phi: tuple(expand_foreign_keys([phi])) for phi in sigma
         }
-        self.negations: dict[Constraint, tuple[Constraint, ...]] = {}
-        union: list[Constraint] = []
-        seen: set[Constraint] = set()
-
-        def push(phi: Constraint) -> None:
-            if phi not in seen:
-                seen.add(phi)
-                union.append(phi)
-
-        for phi in sigma:
-            for part in self.parts[phi]:
-                push(part)
-        if with_negations:
-            for phi in sigma:
-                negs = tuple(_negate(part) for part in self.parts[phi])
-                self.negations[phi] = negs
-                for neg in negs:
-                    push(neg)
+        self.negations: dict[Constraint, tuple[Constraint, ...]] = {
+            phi: tuple(negate_constraint(part) for part in self.parts[phi])
+            for phi in sigma
+        } if with_negations else {}
+        union = [part for phi in sigma for part in self.parts[phi]]
+        union += [neg for negs in self.negations.values() for neg in negs]
         self.encoding = build_encoding(
-            dtd, union, max_setrep_attrs=config.max_setrep_attrs
-        )
-        self._toggleable_clauses = frozenset(
-            clause_id
-            for toggle in self.encoding.toggles.values()
-            for clause_id in toggle.clause_ids
+            dtd,
+            list(dict.fromkeys(union)),
+            max_setrep_attrs=config.max_setrep_attrs,
+            repair_sites=repair_sites,
         )
         self.workspace = SolveWorkspace(self.encoding.condsys.base)
 
@@ -246,30 +255,79 @@ class _ToggleProbe:
             part for phi in constraints for part in self.parts[phi]
         )
 
-    def consistent(self, active: frozenset[Constraint]) -> bool:
-        """One subset probe: is the DTD plus the active constraints SAT?"""
-        condsys = self.encoding.condsys
-        toggles = [self.encoding.toggles[phi] for phi in active]
-        active_rows = frozenset(
-            row for toggle in toggles for row in toggle.rows
+    def solve(
+        self,
+        parts: frozenset[Constraint],
+        loosened: frozenset[int] = frozenset(),
+        **overrides,
+    ) -> bool:
+        """One re-solve with exactly ``parts`` (and the rule sites not
+        ``loosened``) active; ``overrides`` replace further fields of the
+        :class:`ConditionalSystem` view."""
+        active_rows, inactive_clauses, forced = self.encoding.toggle_view(
+            parts, loosened
         )
-        active_clauses = {
-            clause_id for toggle in toggles for clause_id in toggle.clause_ids
-        }
-        forced: frozenset[str] = frozenset().union(
-            *(toggle.forced_true for toggle in toggles)
-        ) if toggles else frozenset()
         result, solve_stats = solve_conditional_system(
-            replace(condsys, forced_true=forced),
+            replace(self.encoding.condsys, forced_true=forced, **overrides),
             backend=self._config.backend,
             max_support_nodes=self._config.max_support_nodes,
             lp_prune=self._config.lp_prune,
             active_rows=active_rows,
             workspace=self.workspace,
-            inactive_clauses=frozenset(self._toggleable_clauses - active_clauses),
+            inactive_clauses=inactive_clauses,
         )
-        self.stats.merge_solve(solve_stats)
+        self.stats.add_solve(solve_stats)
         return result.feasible
+
+    def consistent(self, subset: Iterable[Constraint]) -> bool:
+        """Is the DTD plus the constraints of ``subset`` satisfiable?"""
+        return self.solve(self.active_parts(subset))
+
+    def is_redundant(self, sigma: list[Constraint], index: int) -> bool:
+        """Is ``sigma[index]`` implied by the rest?  Implied iff every
+        component's negation is inconsistent with the rest's rows."""
+        rest = self.active_parts(sigma[:index] + sigma[index + 1:])
+        return all(
+            not self.solve(rest | {negated})
+            for negated in self.negations[sigma[index]]
+        )
+
+
+class _RebuildProbe:
+    """The probe outside the toggled engine: one full checker call per
+    question, dispatched through the checkers' own fragment logic."""
+
+    def __init__(self, dtd: DTD, config: CheckerConfig, stats: SolverCounters):
+        self._dtd = dtd
+        self._config = replace(config, want_witness=False)
+        self.stats = stats
+        stats.method = "rebuild"
+
+    def consistent(self, subset: Iterable[Constraint]) -> bool:
+        result = check_consistency(self._dtd, list(subset), self._config)
+        self.stats.add_checker(result.stats)
+        return result.consistent
+
+    def is_redundant(self, sigma: list[Constraint], index: int) -> bool:
+        rest = sigma[:index] + sigma[index + 1:]
+        result = implies(self._dtd, rest, sigma[index], self._config)
+        self.stats.add_checker(result.stats)
+        return result.implied
+
+
+def _probe(
+    dtd: DTD,
+    sigma: list[Constraint],
+    config: CheckerConfig,
+    stats: DiagnosticsStats,
+    with_negations: bool,
+) -> "_ToggleProbe | _RebuildProbe":
+    """The toggled probe when it applies, else the rebuild probe."""
+    probe = _toggled(
+        sigma,
+        lambda: _ToggleProbe(dtd, sigma, config, with_negations, stats),
+    )
+    return probe if probe is not None else _RebuildProbe(dtd, config, stats)
 
 
 #: MUS filter names accepted by ``method=``.
@@ -349,52 +407,24 @@ def _minimal_core(
     return _mus_deletion(check, sigma)
 
 
-def _probe_check(probe: _ToggleProbe) -> _SubsetCheck:
-    """Subset oracle over toggle probes, counting MUS-phase probes."""
+def _mus_check(probe: "_ToggleProbe | _RebuildProbe") -> _SubsetCheck:
+    """Subset oracle over a probe, counting MUS-phase probes."""
 
     def check(subset: list[Constraint]) -> bool:
         probe.stats.mus_probes += 1
-        return probe.consistent(probe.active_parts(subset))
+        return probe.consistent(subset)
 
     return check
-
-
-def _rebuild_check(
-    dtd: DTD, config: CheckerConfig, stats: DiagnosticsStats
-) -> _SubsetCheck:
-    """Subset oracle over full checker calls (the rebuild fallback)."""
-    probe_config = replace(config, want_witness=False)
-
-    def check(subset: list[Constraint]) -> bool:
-        stats.mus_probes += 1
-        result = check_consistency(dtd, subset, probe_config)
-        stats.merge_checker(result.stats)
-        return result.consistent
-
-    return check
-
-
-def _is_redundant(probe: _ToggleProbe, sigma: list[Constraint], index: int) -> bool:
-    """Is ``sigma[index]`` implied by the rest? (one probe per component's
-    negation: implied iff every negation is inconsistent with the rest)."""
-    phi = sigma[index]
-    rest = sigma[:index] + sigma[index + 1:]
-    rest_parts = probe.active_parts(rest)
-    return all(
-        not probe.consistent(rest_parts | {negated})
-        for negated in probe.negations[phi]
-    )
 
 
 def _redundancy_filter(
-    probe: _ToggleProbe, sigma: list[Constraint]
+    probe: "_ToggleProbe | _RebuildProbe", sigma: list[Constraint]
 ) -> list[Constraint]:
-    """Implication audit via probes: ``phi`` is implied by the rest iff
-    every component's negation is inconsistent with the rest's rows."""
+    """The constraints of ``sigma`` that the rest implies."""
     return [
         phi
         for index, phi in enumerate(sigma)
-        if _is_redundant(probe, sigma, index)
+        if probe.is_redundant(sigma, index)
     ]
 
 
@@ -423,28 +453,30 @@ def _diagnostics_task(indices: tuple[int, ...]) -> tuple[list[bool], dict]:
     stats = DiagnosticsStats()
     stats.assemblies = probe.workspace.take_assembly_charge()
     probe.stats = stats
-    flags = [_is_redundant(probe, sigma, index) for index in indices]
+    flags = [probe.is_redundant(sigma, index) for index in indices]
     return flags, asdict(stats)
 
 
-def _redundancy_filter_parallel(
+def _redundancy_audit(
     dtd: DTD,
-    probe: _ToggleProbe,
+    probe: "_ToggleProbe | _RebuildProbe",
     sigma: list[Constraint],
     config: CheckerConfig,
     stats: DiagnosticsStats,
 ) -> list[Constraint]:
-    """Fan the per-constraint audit probes across a worker pool.
+    """The redundancy audit; toggled with ``config.jobs > 1``, its
+    per-constraint probes fan across a worker pool.
 
     Each worker owns a full probe (its own assembly and workspace — the
     single-owner rule of DESIGN.md section 7), so ``stats.assemblies``
     grows to at most ``1 + workers``; the verdicts are the sequential
     ones exactly, since every probe is independent and each worker runs
-    the identical sequential probe code.  The parent's ``probe`` is only
-    consulted as the fallback when the pool cannot be built.
+    the identical sequential probe code.  The parent's ``probe`` answers
+    sequentially when the pool cannot be built, and always on the
+    rebuild path.
     """
     jobs = min(config.jobs, len(sigma))
-    if jobs < 2 or not WorkerPool.available():
+    if isinstance(probe, _RebuildProbe) or jobs < 2 or not WorkerPool.available():
         return _redundancy_filter(probe, sigma)
     chunks = [tuple(range(start, len(sigma), jobs)) for start in range(jobs)]
     stats.workers_spawned += jobs
@@ -509,46 +541,15 @@ def mus(
     config = config or DEFAULT_CONFIG
     stats = stats if stats is not None else DiagnosticsStats()
     stats.mus_method = method
-    current = list(constraints)
-    if _use_toggles(current):
-        try:
-            probe = _ToggleProbe(
-                dtd, current, config, with_negations=False, stats=stats
-            )
-        except ComplexityLimitError:
-            probe = None  # union setrep block over cap: rebuild instead
-        if probe is not None:
-            if probe.consistent(probe.active_parts(current)):
-                raise InvalidConstraintError(
-                    "the specification is consistent; there is no inconsistent subset"
-                )
-            if not dtd_has_valid_tree(dtd):
-                return []
-            return _minimal_core(_probe_check(probe), current, method)
-    return _minimal_unsat_core_rebuild(dtd, current, config, stats, method)
-
-
-def _minimal_unsat_core_rebuild(
-    dtd: DTD,
-    current: list[Constraint],
-    config: CheckerConfig,
-    stats: DiagnosticsStats,
-    method: str = "deletion",
-) -> list[Constraint]:
-    """Rebuild fallback: one full consistency check per probed subset."""
-    stats.method = "rebuild"
-    stats.mus_method = method
-    probe = replace(config, want_witness=False)
-    result = check_consistency(dtd, current, probe)
-    stats.merge_checker(result.stats)
-    if result.consistent:
+    sigma = list(constraints)
+    probe = _probe(dtd, sigma, config, stats, with_negations=False)
+    if probe.consistent(sigma):
         raise InvalidConstraintError(
             "the specification is consistent; there is no inconsistent subset"
         )
     if not dtd_has_valid_tree(dtd):
         return []
-    check = _rebuild_check(dtd, config, stats)
-    return _minimal_core(check, current, method)
+    return _minimal_core(_mus_check(probe), sigma, method)
 
 
 def redundant_constraints(
@@ -571,39 +572,8 @@ def redundant_constraints(
     config = config or DEFAULT_CONFIG
     stats = stats if stats is not None else DiagnosticsStats()
     sigma = list(constraints)
-    if _use_toggles(sigma):
-        try:
-            probe = _ToggleProbe(
-                dtd, sigma, config, with_negations=True, stats=stats
-            )
-        except ComplexityLimitError:
-            probe = None  # union setrep block over cap: rebuild instead
-        if probe is not None:
-            if config.jobs > 1:
-                return _redundancy_filter_parallel(
-                    dtd, probe, sigma, config, stats
-                )
-            return _redundancy_filter(probe, sigma)
-    return _redundant_constraints_rebuild(dtd, sigma, config, stats)
-
-
-def _redundant_constraints_rebuild(
-    dtd: DTD,
-    sigma: list[Constraint],
-    config: CheckerConfig,
-    stats: DiagnosticsStats,
-) -> list[Constraint]:
-    """Rebuild fallback: one full implication call per constraint."""
-    stats.method = "rebuild"
-    probe = replace(config, want_witness=False)
-    redundant: list[Constraint] = []
-    for index, phi in enumerate(sigma):
-        rest = sigma[:index] + sigma[index + 1:]
-        result = implies(dtd, rest, phi, probe)
-        stats.merge_checker(result.stats)
-        if result.implied:
-            redundant.append(phi)
-    return redundant
+    probe = _probe(dtd, sigma, config, stats, with_negations=True)
+    return _redundancy_audit(dtd, probe, sigma, config, stats)
 
 
 @dataclass
@@ -663,54 +633,13 @@ def diagnose(
         return DiagnosticsReport(
             consistent=False, dtd_satisfiable=False, stats=stats
         )
-    if _use_toggles(sigma):
-        try:
-            probe = _ToggleProbe(
-                dtd, sigma, config, with_negations=True, stats=stats
-            )
-        except ComplexityLimitError:
-            probe = None  # union setrep block over cap: rebuild instead
-        if probe is not None:
-            if probe.consistent(probe.active_parts(sigma)):
-                redundant = (
-                    _redundancy_filter_parallel(dtd, probe, sigma, config, stats)
-                    if config.jobs > 1
-                    else _redundancy_filter(probe, sigma)
-                )
-                return DiagnosticsReport(
-                    consistent=True, redundant=redundant, stats=stats
-                )
-            stats.mus_method = mus_method
-            return DiagnosticsReport(
-                consistent=False,
-                mus=_minimal_core(_probe_check(probe), sigma, mus_method),
-                stats=stats,
-            )
-    return _diagnose_rebuild(dtd, sigma, config, stats, mus_method)
-
-
-def _diagnose_rebuild(
-    dtd: DTD,
-    sigma: list[Constraint],
-    config: CheckerConfig,
-    stats: DiagnosticsStats,
-    mus_method: str = "quickxplain",
-) -> DiagnosticsReport:
-    """Rebuild fallback: full checker calls per subset."""
-    stats.method = "rebuild"
-    probe = replace(config, want_witness=False)
-    result = check_consistency(dtd, sigma, probe)
-    stats.merge_checker(result.stats)
-    if result.consistent:
-        return DiagnosticsReport(
-            consistent=True,
-            redundant=_redundant_constraints_rebuild(dtd, sigma, config, stats),
-            stats=stats,
-        )
+    probe = _probe(dtd, sigma, config, stats, with_negations=True)
+    if probe.consistent(sigma):
+        redundant = _redundancy_audit(dtd, probe, sigma, config, stats)
+        return DiagnosticsReport(consistent=True, redundant=redundant, stats=stats)
+    stats.mus_method = mus_method
     return DiagnosticsReport(
         consistent=False,
-        mus=_minimal_unsat_core_rebuild(
-            dtd, list(sigma), config, stats, mus_method
-        ),
+        mus=_minimal_core(_mus_check(probe), sigma, mus_method),
         stats=stats,
     )

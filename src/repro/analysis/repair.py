@@ -50,10 +50,18 @@ True
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 from collections.abc import Iterable, Mapping
 
-from repro.analysis.diagnostics import _minimal_core, _require_mus_method, _use_toggles
+from repro.analysis.diagnostics import (
+    SOLVER_COUNTERS,
+    SolverCounters,
+    _minimal_core,
+    _require_mus_method,
+    _toggled,
+    _ToggleProbe,
+)
 from repro.checkers.config import DEFAULT_CONFIG, CheckerConfig
 from repro.checkers.consistency import check_consistency
 from repro.constraints.ast import (
@@ -64,15 +72,13 @@ from repro.constraints.ast import (
     NegInclusion,
     NegKey,
 )
-from repro.constraints.classes import expand_foreign_keys, validate_constraints
+from repro.constraints.classes import validate_constraints
 from repro.dtd.analysis import required_children
 from repro.dtd.model import DTD
 from repro.dtd.serializer import dtd_to_string
 from repro.dtd.simplify import AltRule, EpsRule, OneRule, SeqRule
 from repro.encoding.cardinality import attr_var
-from repro.encoding.combined import build_encoding
-from repro.errors import ComplexityLimitError, SolverError
-from repro.ilp.condsys import CondSolveStats, SolveWorkspace, solve_conditional_system
+from repro.errors import SolverError
 from repro.regex.ast import (
     TEXT_SYMBOL,
     Concat,
@@ -196,7 +202,7 @@ def _attr_refs(phi: Constraint) -> frozenset[tuple[str, str]]:
 
 
 @dataclass
-class RepairStats:
+class RepairStats(SolverCounters):
     """Work counters for one repair call.
 
     ``assemblies`` counts base-matrix assemblies charged by *search
@@ -210,99 +216,20 @@ class RepairStats:
     ``hitting_sets`` the iterations of the implicit-hitting-set loop.
     """
 
-    method: str = "toggled"
     core_method: str = ""
     candidates: int = 0
-    assemblies: int = 0
-    probes: int = 0
     probe_cache_hits: int = 0
     core_probes: int = 0
     cores: int = 0
     hitting_sets: int = 0
     verify_checks: int = 0
-    dfs_nodes: int = 0
-    leaves_solved: int = 0
-    bound_patch_solves: int = 0
-    lp_solves: int = 0
-    mip_solves: int = 0
-    cuts_added: int = 0
-    cut_pool_hits: int = 0
-    lp_prunes: int = 0
-    lp_probe_decided: int = 0
-    exact_nodes: int = 0
-    exact_pivots: int = 0
 
-    def merge_solve(self, solve: CondSolveStats) -> None:
-        """Fold one probe's :class:`CondSolveStats` into the totals."""
-        self.probes += 1
-        self.assemblies += solve.assemblies
-        self.dfs_nodes += solve.dfs_nodes
-        self.leaves_solved += solve.leaves_solved
-        self.bound_patch_solves += solve.bound_patch_solves
-        self.lp_solves += solve.lp_solves
-        self.mip_solves += solve.mip_solves
-        self.cuts_added += solve.cuts_added
-        self.cut_pool_hits += solve.cut_pool_hits
-        self.lp_prunes += solve.lp_prunes
-        self.lp_probe_decided += int(solve.lp_probe_decided)
-        self.exact_nodes += solve.exact_nodes
-        self.exact_pivots += solve.exact_pivots
-
-    def merge_checker(self, stats: dict | None) -> None:
-        """Fold a rebuild-path checker result's stats dict in."""
-        self.probes += 1
-        if not stats:
-            return
-        self.assemblies += stats.get("assemblies", 0)
-        self.dfs_nodes += stats.get("dfs_nodes", 0)
-        self.leaves_solved += stats.get("leaves", 0)
-        self.bound_patch_solves += stats.get("bound_patch_solves", 0)
-        self.lp_solves += stats.get("lp_solves", 0)
-        self.mip_solves += stats.get("mip_solves", 0)
-        self.cuts_added += stats.get("cuts", 0)
-        self.cut_pool_hits += stats.get("cut_pool_hits", 0)
-        self.lp_prunes += stats.get("lp_prunes", 0)
-        self.lp_probe_decided += int(stats.get("lp_probe_decided", False))
-        self.exact_nodes += stats.get("exact_nodes", 0)
-        self.exact_pivots += stats.get("exact_pivots", 0)
-
-    def absorb(self, other: "RepairStats | dict") -> None:
-        """Fold another stats object's integer counters in.
-
-        Unknown keys are skipped (a newer worker may report counters this
-        process does not know) and string labels stay the parent's.
-        """
-        values = other if isinstance(other, dict) else asdict(other)
-        for name, value in values.items():
-            if isinstance(value, str) or not hasattr(self, name):
-                continue
-            setattr(self, name, getattr(self, name) + int(value))
-
-    def as_dict(self) -> dict[str, int | str]:
-        """Flat rendering for ``--stats`` output and benchmarks."""
-        return {
-            "method": self.method,
-            "core_method": self.core_method or "-",
-            "candidates": self.candidates,
-            "assemblies": self.assemblies,
-            "probes": self.probes,
-            "probe_cache_hits": self.probe_cache_hits,
-            "core_probes": self.core_probes,
-            "cores": self.cores,
-            "hitting_sets": self.hitting_sets,
-            "verify_checks": self.verify_checks,
-            "dfs_nodes": self.dfs_nodes,
-            "leaves_solved": self.leaves_solved,
-            "bound_patch_solves": self.bound_patch_solves,
-            "lp_solves": self.lp_solves,
-            "mip_solves": self.mip_solves,
-            "cuts_added": self.cuts_added,
-            "cut_pool_hits": self.cut_pool_hits,
-            "lp_prunes": self.lp_prunes,
-            "lp_probe_decided": self.lp_probe_decided,
-            "exact_nodes": self.exact_nodes,
-            "exact_pivots": self.exact_pivots,
-        }
+    # SOLVER_COUNTERS[0] is ``assemblies``.
+    _LAYOUT: ClassVar[tuple[str, ...]] = (
+        "method", "core_method", "candidates", "assemblies", "probes",
+        "probe_cache_hits", "core_probes", "cores", "hitting_sets",
+        "verify_checks", *SOLVER_COUNTERS[1:],
+    )
 
 
 @dataclass
@@ -475,10 +402,10 @@ class _Candidate:
     drops: frozenset[tuple[str, str]] = frozenset()
 
 
-class _RepairProbe:
+class _RepairProbe(_ToggleProbe):
     """One assembled ``Psi(D, Sigma)`` with every constraint row *and*
     every rule row toggleable (``repair_sites=True``), probed through a
-    single persistent :class:`SolveWorkspace`.
+    single persistent :class:`~repro.ilp.condsys.SolveWorkspace`.
 
     A probe applies a set of edits: deleted constraints' rows, clauses
     and forced supports are filtered exactly as in the diagnostics
@@ -498,35 +425,10 @@ class _RepairProbe:
         config: CheckerConfig,
         stats: RepairStats,
     ):
-        self._config = config
-        self.stats = stats
-        self.sigma = list(sigma)
-        self.parts: dict[Constraint, tuple[Constraint, ...]] = {
-            phi: tuple(expand_foreign_keys([phi])) for phi in sigma
-        }
-        union: list[Constraint] = []
-        seen: set[Constraint] = set()
-        for phi in sigma:
-            for part in self.parts[phi]:
-                if part not in seen:
-                    seen.add(part)
-                    union.append(part)
-        self.encoding = build_encoding(
-            dtd,
-            union,
-            max_setrep_attrs=config.max_setrep_attrs,
+        super().__init__(
+            dtd, sigma, config, with_negations=False, stats=stats,
             repair_sites=True,
         )
-        self._toggleable_clauses = frozenset(
-            clause_id
-            for toggle in self.encoding.toggles.values()
-            for clause_id in toggle.clause_ids
-        ) | frozenset(
-            clause_id
-            for toggle in self.encoding.site_toggles.values()
-            for clause_id in toggle.clause_ids
-        )
-        self.workspace = SolveWorkspace(self.encoding.condsys.base)
         self._sites_of: dict[str, list[int]] = {}
         for index, site in enumerate(self.encoding.sites):
             self._sites_of.setdefault(site.parent, []).append(index)
@@ -655,55 +557,20 @@ class _RepairProbe:
             self.stats.probe_cache_hits += 1
             return cached
         condsys = self.encoding.condsys
-        active_parts = frozenset(
-            part
-            for phi in self.sigma
-            if phi not in removed
-            for part in self.parts[phi]
-        )
-        toggles = [self.encoding.toggles[part] for part in active_parts]
-        site_toggles = [
-            toggle
-            for index, toggle in self.encoding.site_toggles.items()
-            if index not in loosened
-        ]
-        active_rows = frozenset(
-            row for toggle in toggles for row in toggle.rows
-        ) | frozenset(row for toggle in site_toggles for row in toggle.rows)
-        active_clauses = {
-            clause_id for toggle in toggles for clause_id in toggle.clause_ids
-        } | {
-            clause_id
-            for toggle in site_toggles
-            for clause_id in toggle.clause_ids
-        }
-        forced: frozenset[str] = (
-            frozenset().union(*(toggle.forced_true for toggle in toggles))
-            if toggles
-            else frozenset()
-        )
-        overrides: dict = {
-            "forced_true": forced,
-            "forced_false": self._forced_false(loosened),
-        }
+        overrides: dict = {"forced_false": self._forced_false(loosened)}
         if dropped:
             dropped_vars = {attr_var(tau, attr) for tau, attr in dropped}
             overrides["requires_if_present"] = {
                 tau: tuple(var for var in vars_ if var not in dropped_vars)
                 for tau, vars_ in condsys.requires_if_present.items()
             }
-        result, solve_stats = solve_conditional_system(
-            replace(condsys, **overrides),
-            backend=self._config.backend,
-            max_support_nodes=self._config.max_support_nodes,
-            lp_prune=self._config.lp_prune,
-            active_rows=active_rows,
-            workspace=self.workspace,
-            inactive_clauses=frozenset(self._toggleable_clauses - active_clauses),
+        feasible = self.solve(
+            self.active_parts(phi for phi in self.parts if phi not in removed),
+            loosened,
+            **overrides,
         )
-        self.stats.merge_solve(solve_stats)
-        self._probe_cache[key] = result.feasible
-        return result.feasible
+        self._probe_cache[key] = feasible
+        return feasible
 
 
 # ---------------------------------------------------------------------------
@@ -891,43 +758,38 @@ def minimal_repair(
     stats.candidates = len(universe)
     weight_list = _resolve_weights(universe, weights)
 
-    feasible = None
-    if _use_toggles(sigma):
-        try:
-            probe = _RepairProbe(dtd, sigma, config, stats)
-        except ComplexityLimitError:
-            probe = None  # union setrep block over cap: rebuild instead
-        if probe is not None:
-            compiled = [
-                _Candidate(
-                    action=candidate.action,
-                    removes=candidate.removes,
-                    sites=(
-                        probe.site_indices(
-                            candidate.action.element_type, candidate.action.child
-                        )
-                        if isinstance(candidate.action, LoosenChild)
-                        else frozenset()
-                    ),
-                    drops=candidate.drops,
-                )
-                for candidate in universe
-            ]
+    probe = _toggled(sigma, lambda: _RepairProbe(dtd, sigma, config, stats))
+    if probe is not None:
+        compiled = [
+            _Candidate(
+                action=candidate.action,
+                removes=candidate.removes,
+                sites=(
+                    probe.site_indices(
+                        candidate.action.element_type, candidate.action.child
+                    )
+                    if isinstance(candidate.action, LoosenChild)
+                    else frozenset()
+                ),
+                drops=candidate.drops,
+            )
+            for candidate in universe
+        ]
 
-            def feasible(applied: frozenset[int]) -> bool:
-                removed: set[Constraint] = set()
-                loosened: set[int] = set()
-                dropped: set[tuple[str, str]] = set()
-                for index in applied:
-                    entry = compiled[index]
-                    removed.update(entry.removes)
-                    loosened.update(entry.sites)
-                    dropped.update(entry.drops)
-                return probe.feasible(
-                    frozenset(removed), frozenset(loosened), frozenset(dropped)
-                )
+        def feasible(applied: frozenset[int]) -> bool:
+            removed: set[Constraint] = set()
+            loosened: set[int] = set()
+            dropped: set[tuple[str, str]] = set()
+            for index in applied:
+                entry = compiled[index]
+                removed.update(entry.removes)
+                loosened.update(entry.sites)
+                dropped.update(entry.drops)
+            return probe.feasible(
+                frozenset(removed), frozenset(loosened), frozenset(dropped)
+            )
 
-    if feasible is None:
+    else:
         stats.method = "rebuild"
         probe_config = replace(config, want_witness=False)
         rebuild_cache: dict[frozenset[int], bool] = {}
@@ -941,7 +803,7 @@ def minimal_repair(
                 dtd, sigma, [universe[index].action for index in sorted(applied)]
             )
             result = check_consistency(edited_dtd, edited_sigma, probe_config)
-            stats.merge_checker(result.stats)
+            stats.add_checker(result.stats)
             rebuild_cache[applied] = result.consistent
             return result.consistent
 

@@ -20,6 +20,7 @@ wrong answers.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import fields
 
 from repro.constraints.ast import Constraint
 from repro.constraints.classes import (
@@ -47,25 +48,23 @@ def dtd_has_valid_tree(dtd: DTD) -> bool:
     return has_valid_tree(dtd)
 
 
+#: The checker stats keys that differ from their :class:`CondSolveStats`
+#: attribute; every other counter is reported under its own name.
+STAT_RENAMES = {
+    "leaves_solved": "leaves",
+    "cuts_added": "cuts",
+    "shortcut_hit": "shortcut",
+}
+
+#: ``(stats key, CondSolveStats attribute)`` in reporting order.
+_STAT_FIELDS = tuple(
+    (STAT_RENAMES.get(f.name, f.name), f.name) for f in fields(CondSolveStats)
+)
+
+
 def _stat_map(stats: CondSolveStats) -> dict[str, int | bool]:
     """The solver counters a :class:`ConsistencyResult` reports."""
-    return {
-        "dfs_nodes": stats.dfs_nodes,
-        "leaves": stats.leaves_solved,
-        "cuts": stats.cuts_added,
-        "lp_prunes": stats.lp_prunes,
-        "shortcut": stats.shortcut_hit,
-        "assemblies": stats.assemblies,
-        "bound_patch_solves": stats.bound_patch_solves,
-        "lp_solves": stats.lp_solves,
-        "mip_solves": stats.mip_solves,
-        "cut_pool_hits": stats.cut_pool_hits,
-        "propagation_visits": stats.propagation_visits,
-        "lp_probe_decided": stats.lp_probe_decided,
-        "exact_nodes": stats.exact_nodes,
-        "exact_pivots": stats.exact_pivots,
-        "exact_warm_solves": stats.exact_warm_solves,
-    }
+    return {key: getattr(stats, name) for key, name in _STAT_FIELDS}
 
 
 def _verify(

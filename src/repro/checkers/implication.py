@@ -69,10 +69,6 @@ def negate_constraint(phi: Constraint) -> Constraint:
     )
 
 
-#: Backwards-compatible private alias (pre-service name).
-_negate = negate_constraint
-
-
 def _keys_only_counterexample(
     dtd: DTD, sigma: list[Key], phi: Key, config: CheckerConfig
 ):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.constraints.ast import (
@@ -99,6 +100,28 @@ class ConsistencyEncoding:
     #: The DTD's cached ``T |= D`` checker (shared by every encoding over
     #: an equal DTD), for re-verifying witnesses and counterexamples.
     validator: TreeValidator | None = None
+
+    def toggle_view(
+        self, active: Iterable[Constraint], loosened: frozenset[int] = frozenset()
+    ) -> tuple[frozenset[int], frozenset[int], frozenset[str]]:
+        """``(active_rows, inactive_clauses, forced_true)`` of a probe that
+        keeps the toggles of the ``active`` expanded constraints and of
+        every rule site not ``loosened``; the arguments a toggled
+        :func:`~repro.ilp.condsys.solve_conditional_system` call takes."""
+        toggles = [self.toggles[phi] for phi in active]
+        kept = toggles + [
+            toggle
+            for index, toggle in self.site_toggles.items()
+            if index not in loosened
+        ]
+        active_clauses = {
+            clause_id for toggle in kept for clause_id in toggle.clause_ids
+        }
+        return (
+            frozenset(row for toggle in kept for row in toggle.rows),
+            self.condsys.toggleable_clauses - active_clauses,
+            frozenset().union(*(toggle.forced_true for toggle in toggles)),
+        )
 
 
 @dataclass
