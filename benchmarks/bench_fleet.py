@@ -158,8 +158,7 @@ def test_two_backend_fleet_throughput_vs_single_backend(speedup_gate):
     throughput of a single backend on the disjoint-session stream.
 
     Hardware requirements (two effective cores) are decided by the
-    shared guard in ``benchmarks/conftest.py``, so this skips exactly
-    when ``bench_parallel``'s wall-clock gate would."""
+    shared guard in ``benchmarks/conftest.py``."""
     speedup_gate(2)
     single = min(_run_stream(1)[0] for _ in range(2))
     fleet = min(_run_stream(2)[0] for _ in range(2))

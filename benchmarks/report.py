@@ -397,11 +397,8 @@ def _solver_workloads() -> dict[str, Callable[[], list]]:
             assert report.stats.assemblies <= 1, "toggled path regressed"
             self.stats = report.stats.checker_stats()
 
-    # Parallel executor case (ISSUE 4): a multi-branch implication batch
-    # fanned across 2 workers.  Every query runs the ordinary sequential
-    # path inside one worker, so the tracked counters are byte-identical
-    # to jobs=1 — the entry regresses if either the search counters grow
-    # or the pool startup/dispatch overhead blows up the wall time.
+    # Multi-branch implication batch: twelve queries whose certified
+    # support searches branch (LP pruning off), answered in one process.
     par_dtd = _wide_dtd(5)
     par_sigma = parse_constraints(
         "\n".join(f"t{i}.x <= t{i + 1}.x" for i in range(3))
@@ -411,9 +408,7 @@ def _solver_workloads() -> dict[str, Callable[[], list]]:
         for j in range(i + 1, 4):
             par_phis.append(parse_constraint(f"t{i}.x <= t{j}.x"))
             par_phis.append(parse_constraint(f"t{j}.x <= t{i}.x"))
-    par_config = CheckerConfig(
-        want_witness=False, backend="exact", lp_prune=False, jobs=2
-    )
+    par_config = CheckerConfig(want_witness=False, backend="exact", lp_prune=False)
 
     # QuickXplain MUS case (ISSUE 4): the registrar conflict buried under
     # filler keys; probes must stay below the deletion filter's |Sigma|.
@@ -631,7 +626,9 @@ def _solver_workloads() -> dict[str, Callable[[], list]]:
         "diagnostics": lambda: [
             _DiagResult(diagnose(dtd, sigma, _FAST)) for dtd, sigma in diag_cases
         ],
-        "parallel": lambda: implies_all(par_dtd, par_sigma, par_phis, par_config),
+        "implication_batch": lambda: implies_all(
+            par_dtd, par_sigma, par_phis, par_config
+        ),
         "quickxplain": lambda: [_MusResult(qx_dtd, qx_sigma)],
         "repair": lambda: [_RepairResult(qx_dtd, qx_sigma)],
         "service": _service_workload,

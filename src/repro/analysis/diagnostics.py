@@ -14,9 +14,7 @@ XML specifications (Section 6). Two concrete tools toward that:
 * :func:`redundant_constraints` — constraints implied by the rest of the
   specification (over the DTD): safe to drop, or a hint that the author
   expected them to add strength they do not add. One implication probe per
-  expanded constraint; the per-constraint probes are independent, so
-  ``CheckerConfig(jobs=N)`` fans them across a worker pool, each worker
-  probing on its own assembled system.
+  expanded constraint.
 
 Both are **subset-probing** workloads: every probe decides consistency of
 the *same* specification with some constraints removed (and, for
@@ -24,7 +22,7 @@ implication, one negation added).  The default engine therefore assembles
 ``Psi(D, Sigma ∪ ¬Sigma)`` exactly once, with every constraint's rows
 registered as toggleable (DESIGN.md section 6), and serves each probe by
 row-bound flips on the persistent solver state — one base assembly per
-call (per worker, when parallel) instead of one per subset.
+call instead of one per subset.
 
 Each search is written once, against a probe that answers
 ``consistent(subset)`` and ``is_redundant(sigma, index)``.  The toggled
@@ -53,7 +51,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from collections.abc import Callable, Iterable
 from typing import ClassVar, TypeVar
 
@@ -68,16 +66,10 @@ from repro.checkers.consistency import (
 from repro.checkers.implication import implies, negate_constraint
 from repro.dtd.model import DTD
 from repro.encoding.combined import build_encoding
-from repro.errors import (
-    ComplexityLimitError,
-    InvalidConstraintError,
-    WorkerCrashError,
-)
+from repro.errors import ComplexityLimitError, InvalidConstraintError
 from repro.ilp.condsys import (
     CondSolveStats,
     SolveWorkspace,
-    WorkerPool,
-    fanout_map,
     solve_conditional_system,
 )
 
@@ -127,20 +119,6 @@ class SolverCounters:
         """The solver counters under a checker result's stats keys."""
         return {key: getattr(self, name) for key, name in _CHECKER_KEYS}
 
-    def absorb(self, other: "SolverCounters | dict") -> None:
-        """Fold another record's integer counters in (parallel workers).
-
-        String labels stay the caller's.  Keys this record does not
-        declare (a newer worker's counters, or namespaced ``repair.*``
-        counters riding along in a wire payload) are skipped rather than
-        folded into a same-named field.
-        """
-        values = other if isinstance(other, dict) else asdict(other)
-        for name, value in values.items():
-            if isinstance(value, str) or not hasattr(self, name):
-                continue
-            setattr(self, name, getattr(self, name) + int(value))
-
     def as_dict(self) -> dict[str, int | str]:
         """Flat rendering for ``--stats`` output, benchmarks and the wire;
         an unset label renders as ``"-"``."""
@@ -167,10 +145,8 @@ class DiagnosticsStats(SolverCounters):
     """Work counters for one diagnostics call.
 
     ``assemblies`` counts full base-matrix assemblies — exactly 1 on the
-    sequential toggled path no matter how many subsets are probed (the
-    acceptance invariant of DESIGN.md section 6; with ``jobs > 1`` each
-    worker pays one assembly for its own probe, so the count is at most
-    ``1 + workers_spawned``); the rebuild path pays one per
+    toggled path no matter how many subsets are probed (the acceptance
+    invariant of DESIGN.md section 6); the rebuild path pays one per
     consistency/implication call.  ``probes`` counts subset solves;
     ``mus_probes`` the subset probes spent inside the MUS filter alone,
     the counter the QuickXplain-vs-deletion benchmark gates on
@@ -179,12 +155,11 @@ class DiagnosticsStats(SolverCounters):
 
     mus_method: str = ""
     mus_probes: int = 0
-    workers_spawned: int = 0
 
     # SOLVER_COUNTERS[0] is ``assemblies``.
     _LAYOUT: ClassVar[tuple[str, ...]] = (
         "method", "mus_method", "assemblies", "probes", "mus_probes",
-        *SOLVER_COUNTERS[1:], "workers_spawned",
+        *SOLVER_COUNTERS[1:],
     )
 
 
@@ -428,79 +403,6 @@ def _redundancy_filter(
     ]
 
 
-#: Per-process state of a diagnostics worker: its own union probe over the
-#: full specification, built once by :func:`_init_diagnostics_worker`.
-_DIAGNOSTICS_WORKER: dict = {}
-
-
-def _init_diagnostics_worker(payload: tuple) -> None:
-    """Build this worker's own ``Psi(D, Sigma ∪ ¬Sigma)`` probe.
-
-    The parent constructed the identical probe before fanning out, so
-    this cannot fail in the worker only (same deterministic inputs).
-    """
-    dtd, sigma, config = payload
-    _DIAGNOSTICS_WORKER["sigma"] = sigma
-    _DIAGNOSTICS_WORKER["probe"] = _ToggleProbe(
-        dtd, sigma, config, with_negations=True, stats=DiagnosticsStats()
-    )
-
-
-def _diagnostics_task(indices: tuple[int, ...]) -> tuple[list[bool], dict]:
-    """Audit a chunk of constraint indices on this worker's probe."""
-    probe = _DIAGNOSTICS_WORKER["probe"]
-    sigma = _DIAGNOSTICS_WORKER["sigma"]
-    stats = DiagnosticsStats()
-    stats.assemblies = probe.workspace.take_assembly_charge()
-    probe.stats = stats
-    flags = [probe.is_redundant(sigma, index) for index in indices]
-    return flags, asdict(stats)
-
-
-def _redundancy_audit(
-    dtd: DTD,
-    probe: "_ToggleProbe | _RebuildProbe",
-    sigma: list[Constraint],
-    config: CheckerConfig,
-    stats: DiagnosticsStats,
-) -> list[Constraint]:
-    """The redundancy audit; toggled with ``config.jobs > 1``, its
-    per-constraint probes fan across a worker pool.
-
-    Each worker owns a full probe (its own assembly and workspace — the
-    single-owner rule of DESIGN.md section 7), so ``stats.assemblies``
-    grows to at most ``1 + workers``; the verdicts are the sequential
-    ones exactly, since every probe is independent and each worker runs
-    the identical sequential probe code.  The parent's ``probe`` answers
-    sequentially when the pool cannot be built, and always on the
-    rebuild path.
-    """
-    jobs = min(config.jobs, len(sigma))
-    if isinstance(probe, _RebuildProbe) or jobs < 2 or not WorkerPool.available():
-        return _redundancy_filter(probe, sigma)
-    chunks = [tuple(range(start, len(sigma), jobs)) for start in range(jobs)]
-    stats.workers_spawned += jobs
-    try:
-        results = fanout_map(
-            _diagnostics_task,
-            chunks,
-            jobs,
-            _init_diagnostics_worker,
-            (dtd, sigma, config),
-        )
-    except WorkerCrashError:
-        # Pool lost beyond recovery: the parent's probe answers the
-        # whole audit sequentially (identical verdicts by construction).
-        return _redundancy_filter(probe, sigma)
-    redundant_indices: set[int] = set()
-    for chunk, (flags, worker_stats) in zip(chunks, results):
-        stats.absorb(worker_stats)
-        redundant_indices.update(
-            index for index, flag in zip(chunk, flags) if flag
-        )
-    return [phi for index, phi in enumerate(sigma) if index in redundant_indices]
-
-
 def mus(
     dtd: DTD,
     constraints: Iterable[Constraint],
@@ -565,15 +467,13 @@ def redundant_constraints(
     two mutually-implied constraints can both be reported (either one may
     be dropped, not both).  Each implication is decided by activating the
     rest's rows plus the query's negated rows on the one assembled union
-    system.  The per-constraint probes are independent, so
-    ``config.jobs > 1`` fans them across a worker pool (each worker on its
-    own assembly) with identical verdicts.
+    system.
     """
     config = config or DEFAULT_CONFIG
     stats = stats if stats is not None else DiagnosticsStats()
     sigma = list(constraints)
     probe = _probe(dtd, sigma, config, stats, with_negations=True)
-    return _redundancy_audit(dtd, probe, sigma, config, stats)
+    return _redundancy_filter(probe, sigma)
 
 
 @dataclass
@@ -618,12 +518,9 @@ def diagnose(
     filter (QuickXplain by default; ``"deletion"`` for the linear
     reference filter).  The whole report — the initial consistency
     verdict plus every MUS/redundancy probe — is served from one
-    assembled system (``report.stats.assemblies == 1`` on the sequential
-    toggled path); the rebuild fallback drives the *same* filters through
-    full checker calls.  ``config.jobs > 1`` fans the redundancy audit's
-    independent probes across a worker pool (one assembly per worker);
-    the MUS filter stays sequential — each of its probes depends on the
-    answers before it.
+    assembled system (``report.stats.assemblies == 1`` on the toggled
+    path); the rebuild fallback drives the *same* filters through full
+    checker calls.
     """
     _require_mus_method(mus_method)
     config = config or DEFAULT_CONFIG
@@ -635,7 +532,7 @@ def diagnose(
         )
     probe = _probe(dtd, sigma, config, stats, with_negations=True)
     if probe.consistent(sigma):
-        redundant = _redundancy_audit(dtd, probe, sigma, config, stats)
+        redundant = _redundancy_filter(probe, sigma)
         return DiagnosticsReport(consistent=True, redundant=redundant, stats=stats)
     stats.mus_method = mus_method
     return DiagnosticsReport(

@@ -6,10 +6,7 @@ solver work; the support-branch DFS calls :func:`check_deadline` at
 every node and raises :class:`~repro.errors.BudgetExceededError` once
 the budget is spent.  The scope travels through a
 :class:`contextvars.ContextVar`, so it needs no parameter threading, is
-per-thread (each executor thread serves one request at a time), and is
-inherited by fork-based solver workers (``CLOCK_MONOTONIC`` is
-system-wide on the platforms the fork pool runs on, so the absolute
-expiry stays meaningful across the fork).
+and per-thread (each executor thread serves one request at a time).
 
 When no scope is open, :func:`check_deadline` is a single
 ``ContextVar.get`` — cheap enough for per-node use.

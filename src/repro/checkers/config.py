@@ -39,16 +39,6 @@ class CheckerConfig:
     lp_prune:
         Prune support branches whose LP relaxation is definitely
         infeasible (sound; large speedup on inconsistent instances).
-    jobs:
-        Worker processes for the batch fan-outs (DESIGN.md section 7):
-        with ``jobs > 1``, :func:`repro.checkers.implication.implies_all`
-        fans its queries, and the diagnostics redundancy audit its
-        probes, across a fork-based worker pool.  Each worker runs the
-        ordinary sequential solve, so results and per-query stats are
-        identical to ``jobs=1``.  A single consistency or implication
-        solve is always one sequential search and ignores ``jobs``.
-        ``1`` (the default) is fully sequential, and platforms without
-        ``fork`` degrade to it silently.
     """
 
     backend: str = "scipy"
@@ -57,7 +47,6 @@ class CheckerConfig:
     max_setrep_attrs: int = 12
     max_support_nodes: int = 20000
     lp_prune: bool = True
-    jobs: int = 1
 
 
 #: Default configuration used when callers pass ``None``.

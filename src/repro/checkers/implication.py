@@ -14,13 +14,8 @@ Batch queries should go through :func:`implies_all`, which validates the
 specification once and shares the per-DTD ``Psi_DN`` encoding block (see
 :mod:`repro.encoding.combined`) across the whole batch — the shape of
 every redundancy audit and implication benchmark, which otherwise re-derive
-an identical encoding per query.  The queries of a batch are independent
-of each other, so ``CheckerConfig(jobs=N)`` additionally fans them across
-a fork-based worker pool (DESIGN.md section 7): each worker validates
-nothing (the parent already did), holds its own ``Psi_DN`` cache and
-solver state, and runs the ordinary sequential per-query path — results
-and per-query statistics are therefore *identical* to ``jobs=1``, in the
-original query order.
+an identical encoding per query.  The queries run one after another in
+the caller's process (DESIGN.md section 7).
 """
 
 from __future__ import annotations
@@ -44,8 +39,8 @@ from repro.checkers.results import ImplicationResult
 from repro.dtd.model import DTD
 from repro.encoding.combined import build_encoding
 from repro.encoding.dtd_system import ext_var
-from repro.errors import SolverError, UndecidableProblemError, WorkerCrashError
-from repro.ilp.condsys import WorkerPool, fanout_map, solve_conditional_system
+from repro.errors import SolverError, UndecidableProblemError
+from repro.ilp.condsys import solve_conditional_system
 from repro.witness.synthesize import synthesize_witness
 from repro.witness.values import make_all_values_distinct
 
@@ -197,28 +192,6 @@ def implies_validated(
     )
 
 
-#: Per-process state of an implication worker: the validated batch it
-#: answers queries for, set once by :func:`_init_implication_worker`.
-_IMPLICATION_WORKER: dict = {}
-
-
-def _init_implication_worker(payload: tuple) -> None:
-    """Adopt the already-validated batch; each worker owns its caches."""
-    dtd, sigma, phis, config = payload
-    _IMPLICATION_WORKER["dtd"] = dtd
-    _IMPLICATION_WORKER["sigma"] = sigma
-    _IMPLICATION_WORKER["phis"] = phis
-    _IMPLICATION_WORKER["config"] = config
-
-
-def _implication_task(index: int) -> ImplicationResult:
-    """Answer query ``phis[index]`` with the ordinary sequential path."""
-    state = _IMPLICATION_WORKER
-    return implies_validated(
-        state["dtd"], state["sigma"], state["phis"][index], state["config"]
-    )
-
-
 def implies_all(
     dtd: DTD,
     sigma: Iterable[Constraint],
@@ -234,12 +207,6 @@ def implies_all(
     is answered once: a repeated ``phi`` gets the result of its first
     occurrence, in its own position.
 
-    With ``config.jobs > 1`` the distinct queries fan across a fork-based
-    worker pool (the one ``jobs`` entry point of the checkers); each
-    worker runs the identical sequential per-query code, so the returned
-    results, their order, and every per-query stats counter match the
-    sequential run exactly.
-
     >>> from repro.dtd.model import DTD
     >>> from repro.constraints.parser import parse_constraints
     >>> d = DTD.build("db", {"db": "(item)", "item": "EMPTY"},
@@ -251,22 +218,8 @@ def implies_all(
     sigma = list(sigma)
     phis = list(phis)
     validate_constraints(dtd, [*sigma, *phis])
-    distinct = list(dict.fromkeys(phis))
-    results: list[ImplicationResult] | None = None
-    if config.jobs > 1 and len(distinct) > 1 and WorkerPool.available():
-        try:
-            results = fanout_map(
-                _implication_task,
-                list(range(len(distinct))),
-                config.jobs,
-                _init_implication_worker,
-                (dtd, sigma, distinct, config),
-            )
-        except WorkerCrashError:
-            # Pool lost beyond recovery: fall through to the sequential
-            # loop, whose results the fan-out is pinned to anyway.
-            pass
-    if results is None:
-        results = [implies_validated(dtd, sigma, phi, config) for phi in distinct]
-    by_query = dict(zip(distinct, results))
+    by_query = {
+        phi: implies_validated(dtd, sigma, phi, config)
+        for phi in dict.fromkeys(phis)
+    }
     return [by_query[phi] for phi in phis]

@@ -10,8 +10,7 @@ Subcommands (also available as ``python -m repro``):
   With ``--counterexample FILE`` writes a refuting document;
 * ``diagnose DTD CONSTRAINTS`` — minimal inconsistent subset (QuickXplain
   divide-and-conquer) or redundancy report, probed by row toggles on one
-  assembled system (``--stats`` prints the work counters, ``--jobs N``
-  fans the redundancy audit across worker processes);
+  assembled system (``--stats`` prints the work counters);
 * ``fix DTD [CONSTRAINTS]`` — minimum-weight repair of an inconsistent
   specification: constraint deletions plus DTD edits (cardinality
   loosenings, attribute-requirement drops), searched by toggle probes
@@ -89,18 +88,7 @@ def _config_overrides(args: argparse.Namespace) -> dict | None:
     overrides: dict = {}
     if getattr(args, "backend", "scipy") != "scipy":
         overrides["backend"] = args.backend
-    if getattr(args, "jobs", 1) != 1:
-        # "auto" rides through as the adaptive marker; the session
-        # resolves it to a concrete level per request.
-        overrides["jobs"] = args.jobs
     return overrides or None
-
-
-def _jobs_value(text: str) -> "int | str":
-    """``--jobs`` accepts a worker count or the adaptive ``auto``."""
-    if text == "auto":
-        return "auto"
-    return int(text)
 
 
 def _session_for(args: argparse.Namespace) -> SpecSession:
@@ -355,16 +343,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # pool); the one-shot commands stay off that import cost.
     from repro.service.server import CheckingServer
 
-    auto_jobs = args.jobs == "auto"
-    config = CheckerConfig(
-        backend=args.backend,
-        jobs=1 if auto_jobs else args.jobs,
-    )
     registry = SessionRegistry(
         max_sessions=args.max_sessions,
         max_bytes=args.max_bytes,
-        config=config,
-        auto_jobs=auto_jobs,
+        config=CheckerConfig(backend=args.backend),
     )
     server = CheckingServer(
         registry,
@@ -390,14 +372,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     processes: list = []
     try:
         if args.spawn:
-            extra: list[str] = []
-            if args.jobs != 1:
-                extra += ["--jobs", str(args.jobs)]
-            processes, spawned = spawn_backends(
-                args.spawn,
-                host=args.host,
-                extra_args=tuple(extra),
-            )
+            processes, spawned = spawn_backends(args.spawn, host=args.host)
             backends += spawned
         router = FleetRouter(
             backends,
@@ -480,19 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default) or the certified rational simplex",
         )
 
-    def add_jobs_flag(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--jobs",
-            type=_jobs_value,
-            default=1,
-            metavar="N",
-            help="worker processes for the batch fan-outs (implies_all "
-            "queries and redundancy-audit probes fan across N fork-based "
-            "workers; answers are identical to --jobs 1), or 'auto' to "
-            "grow/shrink the level from observed solve latency (never "
-            "beyond the effective CPU count)",
-        )
-
     p_check = sub.add_parser("check", help="consistency of (DTD, constraints)")
     p_check.add_argument("dtd")
     p_check.add_argument("constraints", nargs="?", default=None)
@@ -555,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         "edits) — the `repro fix` engine riding on the health report",
     )
     add_solver_flags(p_diagnose)
-    add_jobs_flag(p_diagnose)
     add_session_flag(p_diagnose)
     add_via_flag(p_diagnose)
     p_diagnose.set_defaults(func=_cmd_diagnose)
@@ -695,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --state-file; default: only at shutdown)",
     )
     add_solver_flags(p_serve)
-    add_jobs_flag(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_fleet = sub.add_parser(
@@ -770,13 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="phis per chunk when fanning an implies_all batch across "
         "the fleet in waves (default: 4)",
-    )
-    p_fleet.add_argument(
-        "--jobs",
-        type=_jobs_value,
-        default=1,
-        metavar="N",
-        help="worker processes per --spawn backend (or 'auto')",
     )
     p_fleet.set_defaults(func=_cmd_fleet)
 

@@ -113,19 +113,3 @@ class OverloadedError(ReproError):
     def __init__(self, message: str, retry_after: float = 0.05):
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class WorkerCrashError(SolverError):
-    """Raised when the batch worker pool is lost beyond recovery.
-
-    The pool detects dead workers by exitcode, requeues their in-flight
-    tasks and respawns replacements; only when crashes exhaust the
-    respawn budget *and* no live worker remains does this escape — and
-    then ``implies_all`` and the redundancy audit fall back to their
-    sequential loops, whose results the fan-out is pinned to.
-    """
-
-    def __init__(self, message: str, crashes: int = 0, respawns: int = 0):
-        super().__init__(message)
-        self.crashes = crashes
-        self.respawns = respawns

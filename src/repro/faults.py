@@ -1,13 +1,13 @@
 """Deterministic fault injection for the service's failure paths.
 
-Every hardening claim of DESIGN.md section 9 — worker-crash recovery,
-deadline cancellation, load shedding, snapshot resilience — needs its
+Every hardening claim of DESIGN.md section 9 — deadline cancellation,
+load shedding, dropped connections, snapshot resilience — needs its
 failure to be *triggerable on demand*, or the recovery code rots
 untested.  This registry names the fault points and arms them from one
 environment variable, so the chaos suite (and an operator reproducing
 an incident) can inject exactly one failure, deterministically::
 
-    REPRO_FAULTS="worker.kill*1"          # kill one worker, once
+    REPRO_FAULTS="conn.drop*1"            # drop one connection, once
     REPRO_FAULTS="drain.delay=0.2"        # every drain sleeps 200ms
     REPRO_FAULTS="conn.drop*2,solve.delay=0.01"
 
@@ -16,8 +16,6 @@ Grammar: comma-separated ``point``, ``point*N`` (fire at most N times),
 seconds).  Fault points currently wired:
 
 ========================  ====================================================
-``worker.kill``           a pool worker ``os._exit``\\ s holding a task
-                          (:func:`repro.ilp.condsys._pool_worker`)
 ``solve.delay``           the DFS sleeps ``value`` seconds per node (used to
                           force deadline expiry mid-solve)
 ``drain.delay``           the server's session drainer sleeps ``value``
@@ -28,12 +26,11 @@ seconds).  Fault points currently wired:
                           wrote atomically (load must cold-start cleanly)
 ========================  ====================================================
 
-Armed counts must survive process boundaries: a killed worker's
-*respawned* replacement must not re-fire a ``*1`` fault, even though it
-is a fresh fork.  Limited faults therefore consume *token files* from a
-shared directory — ``os.unlink`` is atomic, so exactly one process wins
-each token, whichever side of a fork it is on.  The directory travels in
-``REPRO_FAULTS_DIR`` so spawned subprocesses share it too.
+Armed counts must survive process boundaries: the backends a fleet
+spawns must not each re-fire a ``*1`` fault.  Limited faults therefore
+consume *token files* from a shared directory — ``os.unlink`` is atomic,
+so exactly one process wins each token.  The directory travels in
+``REPRO_FAULTS_DIR`` so spawned subprocesses share it.
 
 When ``REPRO_FAULTS`` is unset every probe is a no-op costing one
 ``None`` check — the production hot path pays nothing.
@@ -69,9 +66,9 @@ class FaultSpec:
 def parse_faults(text: str) -> dict[str, FaultSpec]:
     """Parse the ``REPRO_FAULTS`` grammar; raise ``ValueError`` on junk.
 
-    >>> parse_faults("worker.kill*1,drain.delay=0.25")
+    >>> parse_faults("conn.drop*1,drain.delay=0.25")
     ... # doctest: +NORMALIZE_WHITESPACE
-    {'worker.kill': FaultSpec(point='worker.kill', times=1, value=None),
+    {'conn.drop': FaultSpec(point='conn.drop', times=1, value=None),
      'drain.delay': FaultSpec(point='drain.delay', times=None, value=0.25)}
     """
     specs: dict[str, FaultSpec] = {}
@@ -145,7 +142,7 @@ class FaultRegistry:
 
 
 #: Process-wide registry.  ``None`` with ``_INITIALIZED`` True means no
-#: faults are armed; forked children inherit whatever the parent held.
+#: faults are armed.
 _REGISTRY: FaultRegistry | None = None
 _INITIALIZED = False
 
@@ -171,9 +168,8 @@ def _current() -> FaultRegistry | None:
 def install(text: str, token_dir: str | None = None) -> FaultRegistry:
     """Arm fault points for this process tree (the chaos suite's entry).
 
-    Also exports ``REPRO_FAULTS``/``REPRO_FAULTS_DIR`` so forked workers
-    and spawned subprocesses observe the same armed set and share token
-    counts.  Call :func:`reset` when done.
+    Also exports ``REPRO_FAULTS``/``REPRO_FAULTS_DIR`` so spawned
+    subprocesses observe the same armed set and share token counts.  Call :func:`reset` when done.
     """
     global _REGISTRY, _INITIALIZED
     reset()
@@ -202,7 +198,7 @@ def reset() -> None:
 def fault_active(point: str) -> bool:
     """Should ``point`` fire now?  Consumes one armed firing.
 
-    >>> fault_active("worker.kill")   # nothing armed: never fires
+    >>> fault_active("conn.drop")   # nothing armed: never fires
     False
     """
     registry = _current()

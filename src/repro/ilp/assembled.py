@@ -59,13 +59,12 @@ one assembled system instead of re-encoding it per subset.
 
 An :class:`AssembledSystem` — like the persistent HiGHS instances it
 drives — is **single-owner state**: it is never shared across processes
-or threads.  Every batch worker (DESIGN.md section 7) assembles its own
-instance, and connectivity cuts never leave the process that learned
-them.  The one HiGHS instance that outlives a solve, a block's
+or threads, and connectivity cuts never leave the solve state that
+learned them.  The one HiGHS instance that outlives a solve, a block's
 :class:`BlockEngine`, is shared only by lease: its lock admits one solve
-at a time, the others (other threads, or a forked child that copied the
-lock while held) build private instances, and the lease returns the
-instance to exactly ``Psi_DN`` before the lock is released.
+at a time, the others (other threads) build private instances, and the
+lease returns the instance to exactly ``Psi_DN`` before the lock is
+released.
 
 >>> from repro.ilp.model import LinearSystem
 >>> sys = LinearSystem()
@@ -443,7 +442,7 @@ class LiveEngines:
             self._live.move_to_end(engine)
             for victim in list(self._live)[: max(0, len(self._live) - self.limit)]:
                 # Never drop an instance in use; a held lock means the
-                # victim is leased (or this is a forked copy), so skip it.
+                # victim is leased, so skip it.
                 if victim.lock.acquire(blocking=False):
                     victim._h = None
                     victim.lock.release()
@@ -465,9 +464,8 @@ class BlockEngine:
     and rows (basic slacks), so the first solve is a warm start instead of
     a model build plus a cold run.  :meth:`release` deletes the appended
     rows and columns again and restores the prefix bounds.  While the
-    engine is leased — to another thread, or to a thread of the parent
-    process if this one is a forked child that copied the held lock — a
-    solve builds a :meth:`private` instance instead: the full model plus
+    engine is leased to another thread, a solve builds a :meth:`private`
+    instance instead: the full model plus
     the same extended basis.  Both start from the same model and basis,
     so no answer depends on contention, on what the engine solved
     before, or on whether ``live`` dropped its instance in between.
@@ -502,8 +500,7 @@ class BlockEngine:
         instance that solved it, or ``None`` if that happened before.
 
         No lock: threads that race here solve the same model to the same
-        basis, and ``_solved`` is set last.  (A lock held across the
-        solve could be copied held into a forked worker and hang it.)
+        basis, and ``_solved`` is set last.
         """
         if self._solved:
             return None

@@ -51,26 +51,18 @@ the subset to keep — plus a :class:`SolveWorkspace` that shares the
 assembled system, the certified twin and the cut pool across calls.  This
 is the diagnostics workload: one assembly of ``Psi(D, Sigma ∪ ¬Sigma)``,
 then one patched re-solve per probed constraint subset.
-
-Every solve runs this one sequential search.  :class:`WorkerPool` and
-:func:`fanout_map` are the executor of the batch callers (DESIGN.md
-section 7): independent ``implies_all`` queries and redundancy-audit
-probes fan across fork-based workers, each of which runs ordinary
-sequential solves on state it owns.
 """
 
 from __future__ import annotations
 
-import os
-import queue
 import time
 from dataclasses import dataclass, field
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from typing import TYPE_CHECKING
 
 from repro.budget import check_deadline
-from repro.errors import ComplexityLimitError, SolverError, WorkerCrashError
-from repro.service.faults import fault_active, fault_seconds
+from repro.errors import ComplexityLimitError, SolverError
+from repro.faults import fault_seconds
 from repro.ilp.assembled import AssembledSystem, BlockEngine
 from repro.ilp.model import (
     BoundPatch,
@@ -468,318 +460,6 @@ class SolveWorkspace:
             return 0
         self._assembly_charged = True
         return self.assembled.assemblies
-
-
-def _pool_worker(
-    task_queue, result_queue, initializer: Callable, payload: object
-) -> None:
-    """Worker main loop (the fork target of :class:`WorkerPool`).
-
-    Initializes once, then serves ``(index, fn, task)`` items from its
-    *own* task queue until the ``None`` sentinel.  Task attribution is
-    parent-side (the parent records what it assigned to whom before the
-    worker ever sees it), so a worker that dies without answering leaves
-    no ambiguity about which task it took down — even when it dies too
-    abruptly to flush any message (``os._exit``, SIGKILL, segfault).  The
-    ``worker.kill`` fault point dies exactly that way, holding a task.
-    """
-    try:
-        initializer(payload)
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        result_queue.put(
-            ("init_failed", os.getpid(), type(exc).__name__, str(exc))
-        )
-        return
-    while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        index, fn, task = item
-        if fault_active("worker.kill"):
-            os._exit(113)
-        try:
-            value = fn(task)
-        except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-            result_queue.put(
-                ("failed", os.getpid(), index, type(exc).__name__, str(exc))
-            )
-        else:
-            result_queue.put(("done", os.getpid(), index, value))
-
-
-def _rebuild_exception(kind: str, message: str) -> Exception:
-    """A worker exception, reconstructed by class name on the parent side.
-
-    Library exception types round-trip (so callers' ``except`` clauses
-    behave as they would have under in-process execution); anything else
-    is wrapped in :class:`SolverError`.
-    """
-    from repro import errors as errors_module
-
-    cls = getattr(errors_module, kind, None)
-    if isinstance(cls, type) and issubclass(cls, Exception):
-        try:
-            return cls(message)
-        except Exception:  # noqa: BLE001 - exotic signature
-            pass
-    return SolverError(f"worker task failed: {kind}: {message}")
-
-
-class _WorkerSlot:
-    """One pool slot: its process, its private task queue, and the index
-    of the task currently assigned to it (``None`` when idle)."""
-
-    __slots__ = ("process", "tasks", "busy")
-
-    def __init__(self, process, tasks):
-        self.process = process
-        self.tasks = tasks
-        self.busy: int | None = None
-
-
-class WorkerPool:
-    """Fork-based pool of solver worker processes (DESIGN.md sections 7/9).
-
-    Owns raw ``fork``-context processes, one private task queue each —
-    not ``multiprocessing.Pool``, whose ``map`` blocks forever when a
-    worker dies mid-task — and pins the process-ownership rules of the
-    parallel executor:
-
-    * every worker is initialized exactly once with a pickled payload
-      (``initializer(payload)``) and builds its own single-owner solver
-      state there, never shared handles, because neither the persistent
-      HiGHS instances nor the live exact factorization are safe to share
-      across processes;
-    * tasks are dispatched with :meth:`map`, which preserves task order
-      in its results, so callers get deterministic result alignment
-      regardless of which worker ran which task;
-    * a worker that dies (any exitcode: segfault, OOM kill, ``os._exit``)
-      is detected by reaping its exitcode.  Attribution is parent-side
-      — the parent assigns one task at a time per worker and remembers
-      the assignment — so the lost task is known without relying on any
-      message the dying worker managed to flush; it is requeued for the
-      surviving workers, and a replacement is forked while the respawn
-      budget (one respawn per original slot) lasts.  Only when every
-      worker is dead with work still outstanding does :meth:`map` raise
-      :class:`~repro.errors.WorkerCrashError` — the signal for callers
-      to degrade to their sequential path.  ``crashes``, ``respawns``
-      and ``requeues`` count the recovery work for the stats surface.
-
-    Fork is required (workers must inherit the imported solver stack
-    cheaply); on platforms without it callers degrade to the sequential
-    path — :meth:`available` is the gate.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        initializer: Callable,
-        payload: object,
-        respawn_limit: int | None = None,
-    ):
-        if jobs < 2:
-            raise SolverError("WorkerPool needs at least 2 workers")
-        self.jobs = jobs
-        self.crashes = 0
-        self.respawns = 0
-        self.requeues = 0
-        self._respawn_limit = jobs if respawn_limit is None else respawn_limit
-        # Deferred like the exact backend: a one-worker search never forks.
-        import multiprocessing
-
-        self._ctx = multiprocessing.get_context("fork")
-        self._initializer = initializer
-        self._payload = payload
-        self._results = self._ctx.Queue()
-        self._slots = [self._spawn() for _ in range(jobs)]
-
-    def _spawn(self) -> _WorkerSlot:
-        tasks = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_pool_worker,
-            args=(tasks, self._results, self._initializer, self._payload),
-            daemon=True,
-        )
-        process.start()
-        return _WorkerSlot(process, tasks)
-
-    @staticmethod
-    def available() -> bool:
-        """Can a fork pool be built on this platform?"""
-        import multiprocessing
-
-        return (
-            hasattr(os, "fork")
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-
-    def map(self, fn: Callable, tasks: Sequence) -> list:
-        """Run ``fn`` over ``tasks``; results come back in task order.
-
-        Survives worker deaths per the class recovery policy; raises
-        :class:`~repro.errors.WorkerCrashError` only when the pool is
-        lost beyond recovery (every verdict already collected stays
-        collected — the caller's sequential fallback recomputes, it
-        never double-counts).
-        """
-        tasks = list(tasks)
-        if not self._slots:
-            raise WorkerCrashError(
-                "worker pool has no live workers", self.crashes, self.respawns
-            )
-        results: list = [None] * len(tasks)
-        finished: set[int] = set()
-        pending: list[int] = list(reversed(range(len(tasks))))
-        self._dispatch(fn, tasks, pending)
-        while len(finished) < len(tasks):
-            try:
-                message = self._results.get(timeout=0.05)
-            except queue.Empty:
-                self._reap(pending)
-                self._dispatch(fn, tasks, pending)
-                continue
-            tag = message[0]
-            if tag == "done":
-                _, pid, index, value = message
-                self._release(pid)
-                # A task can legitimately complete twice: its first
-                # worker died *after* answering but before the answer
-                # was read, so the task was conservatively requeued.
-                # First answer wins (both are the same deterministic
-                # computation).
-                if index not in finished:
-                    finished.add(index)
-                    results[index] = value
-                self._dispatch(fn, tasks, pending)
-            elif tag == "failed":
-                _, pid, _, kind, text = message
-                self._release(pid)
-                raise _rebuild_exception(kind, text)
-            elif tag == "init_failed":
-                _, _, kind, text = message
-                raise SolverError(
-                    f"worker initialization failed: {kind}: {text}"
-                )
-        return results
-
-    def _dispatch(self, fn: Callable, tasks: list, pending: list[int]) -> None:
-        """Hand each idle worker its next task (one at a time per worker,
-        so a crash forfeits at most one task)."""
-        for slot in self._slots:
-            if not pending:
-                return
-            if slot.busy is None:
-                index = pending.pop()
-                slot.busy = index
-                slot.tasks.put((index, fn, tasks[index]))
-
-    def _release(self, pid: int) -> None:
-        """Mark the slot that answered from ``pid`` idle again."""
-        for slot in self._slots:
-            if slot.process.pid == pid:
-                slot.busy = None
-                return
-
-    def _reap(self, pending: list[int]) -> None:
-        """Collect dead workers: requeue their tasks, respawn replacements.
-
-        Raises :class:`WorkerCrashError` when no worker survives and the
-        respawn budget is spent — the unrecoverable case.
-        """
-        survivors = []
-        for slot in self._slots:
-            if slot.process.exitcode is None:
-                survivors.append(slot)
-                continue
-            slot.process.join()
-            self.crashes += 1
-            if slot.busy is not None:
-                self.requeues += 1
-                pending.append(slot.busy)
-            slot.tasks.close()
-            slot.tasks.cancel_join_thread()
-            if self.respawns < self._respawn_limit:
-                self.respawns += 1
-                survivors.append(self._spawn())
-        self._slots = survivors
-        if not survivors:
-            raise WorkerCrashError(
-                f"all workers died ({self.crashes} crash(es); "
-                "respawn budget spent)",
-                self.crashes,
-                self.respawns,
-            )
-
-    def close(self) -> None:
-        for slot in self._slots:
-            slot.process.terminate()
-        for slot in self._slots:
-            slot.process.join(timeout=5.0)
-            slot.tasks.close()
-            slot.tasks.cancel_join_thread()
-        self._slots = []
-        self._results.close()
-        self._results.cancel_join_thread()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def effective_parallelism() -> int:
-    """CPU cores actually available to this process.
-
-    The one detection primitive every parallel gate derives from —
-    benchmark speedup skips (``benchmarks/conftest.py``), the jobs
-    sweeps of the differential fuzz harness, and the serving benchmarks
-    all consult it, so local runs and CI's cgroup-limited 2-core runners
-    skip (or downscale) the same way.  Prefers ``os.sched_getaffinity``
-    (which sees CPU-set limits the way container runtimes apply them)
-    and falls back to ``os.cpu_count()``.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
-
-
-def parallel_sweep_allowed(jobs: int) -> bool:
-    """Should a correctness sweep run a ``jobs``-worker configuration here?
-
-    Worker counts up to 2 always run (pool-engagement coverage must
-    survive single-core containers); beyond that, counts above twice the
-    effective cores are pure oversubscription — they exercise no new
-    schedule and dominate CI wall clock on 2-core runners — and are
-    skipped.  Wall-clock *speedup* gates are stricter (they need
-    ``effective_parallelism() >= jobs``; see ``benchmarks/conftest.py``).
-    Both guards read :func:`effective_parallelism`, so local runs and CI
-    runners skip the same way.
-    """
-    return jobs <= 2 or jobs <= 2 * effective_parallelism()
-
-
-def fanout_map(
-    fn: Callable,
-    tasks: Sequence,
-    jobs: int,
-    initializer: Callable,
-    payload: object,
-) -> list:
-    """One-shot fan-out of independent tasks over a :class:`WorkerPool`.
-
-    The shared executor entry point for batch callers
-    (:func:`repro.checkers.implication.implies_all`, the diagnostics
-    audit): build a pool of at most ``min(jobs, len(tasks))`` workers,
-    initialize each with ``payload``, map, tear down.  Results are in
-    task order.  Callers gate on :meth:`WorkerPool.available` and fall
-    back to their sequential loop when it is false.
-    """
-    workers = min(jobs, len(tasks))
-    if workers < 2:
-        raise SolverError("fanout_map needs >= 2 workers and >= 2 tasks")
-    with WorkerPool(workers, initializer, payload) as pool:
-        return pool.map(fn, tasks)
 
 
 class _ClauseIndex:

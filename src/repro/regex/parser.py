@@ -43,6 +43,11 @@ _TOKEN_RE = re.compile(
 #: Token sentinel appended at end of input.
 _END = ("end", "", -1)
 
+#: Deepest parenthesis nesting a content model may use.  The parser
+#: recurses once per group, so a deeper model is refused with a
+#: :class:`ParseError` before it can exhaust the interpreter's stack.
+MAX_NESTING = 256
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Split ``text`` into ``(kind, value, position)`` tokens."""
@@ -76,6 +81,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self._tokens = tokens
         self._index = 0
+        self._depth = 0
 
     def _peek(self) -> tuple[str, str, int]:
         return self._tokens[self._index]
@@ -147,8 +153,14 @@ class _Parser:
                 raise ParseError("ANY content is not supported by the paper's model", pos)
             return Name(value)
         if kind == "punct" and value == "(":
+            if self._depth == MAX_NESTING:
+                raise ParseError(
+                    f"content model nests deeper than {MAX_NESTING} groups", pos
+                )
+            self._depth += 1
             expr = self._parse_level()
             self._expect(")")
+            self._depth -= 1
             return expr
         raise ParseError(f"unexpected token {value or 'end of input'!r}", pos)
 

@@ -22,9 +22,7 @@ change rarely.  This package turns the pipeline into a resident engine
   backend servers, ``implies_all`` batches fanned out in waves, dead
   backends rerouted with byte-identical answers (DESIGN.md section 11);
 * :mod:`~repro.service.persist` — crash-safe session snapshots
-  (atomic writes, self-verifying envelope, corrupt file = cold start);
-* :mod:`~repro.service.faults` — the deterministic fault-injection
-  registry behind the chaos suite (DESIGN.md section 9).
+  (atomic writes, self-verifying envelope, corrupt file = cold start).
 
 The CLI's ``check``/``implies``/``diagnose`` commands are thin clients
 of the same session API, so the service and the one-shot path cannot

@@ -16,9 +16,8 @@ Three responsibilities live here (DESIGN.md section 11):
   only holds its own ring segment's working set and the fleet's total
   session capacity scales with N;
 * **wave fan-out** — a multi-``phi`` ``implies_all`` batch is split into
-  chunks dispatched across the live backends like the in-process
-  :class:`~repro.ilp.condsys.WorkerPool` fans a batch's queries across
-  forked workers.  If any chunk answers an error, the router falls back
+  chunks dispatched across the live backends, each of which answers its
+  chunk in its own process.  If any chunk answers an error, the router falls back
   to forwarding the whole batch to the ring owner: one authoritative,
   byte-identical answer;
 * **fault tolerance** — a dead backend (connect refused, connection
@@ -216,8 +215,7 @@ class FleetRouter(RequestServer):
 
     ``backends`` are ``HOST:PORT`` specs of running ``repro serve``
     processes.  ``wave_chunk`` is the number of ``phis`` per fan-out
-    chunk (the wire analogue of the worker pool's per-task support
-    branch); ``shutdown_backends`` makes the router's own ``shutdown``
+    chunk; ``shutdown_backends`` makes the router's own ``shutdown``
     propagate to the fleet (the ``--spawn`` mode owns its backends).
     """
 
@@ -498,7 +496,6 @@ def spawn_backends(
     count: int,
     *,
     host: str = "127.0.0.1",
-    extra_args: tuple[str, ...] = (),
     env: dict[str, str] | None = None,
     startup_timeout: float = 30.0,
 ) -> tuple[list[subprocess.Popen], list[str]]:
@@ -531,7 +528,6 @@ def spawn_backends(
         host,
         "--port",
         "0",
-        *extra_args,
     ]
     processes: list[subprocess.Popen] = []
     specs: list[str] = []

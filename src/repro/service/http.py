@@ -32,7 +32,7 @@ import math
 import threading
 
 from repro.service import protocol
-from repro.service.faults import fault_active
+from repro.faults import fault_active
 from repro.service.server import CheckingServer, RequestServer
 
 #: Largest accepted request body; a localhost guard, not a DoS defence.

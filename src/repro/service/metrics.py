@@ -6,9 +6,9 @@ stats dicts — :class:`~repro.service.server.ServerStats`, the registry's
 aggregates into one flat dict), and the solver's
 :class:`~repro.ilp.condsys.CondSolveStats` riding on responses.  The
 :class:`StatsCollector` absorbs them behind namespaced keys —
-``server.*``, ``registry.*``, ``session.*``, ``pool.*`` — so no key can
-shadow another, and adds the two things a scrape surface needs that
-point-in-time dicts cannot give:
+``server.*``, ``registry.*``, ``session.*``, ``repair.*``, ``router.*`` —
+so no key can shadow another, and adds the two things a scrape surface
+needs that point-in-time dicts cannot give:
 
 * **latency histograms** — fixed-bucket per-op request latency
   (:class:`LatencyHistogram`);
@@ -23,11 +23,6 @@ front end; the scrape is a pure read (no locks shared with the solver
 hot path beyond the collector's own mutex).  The shape follows scrapy's
 engine/stats split: components push increments into one process-wide
 collector; the exporter only ever reads.
-
-This module also closes the adaptive-parallelism loop
-(:class:`AdaptiveJobsController`): observed solve latency grows or
-shrinks a session's effective ``jobs``, complementing the server's
-adaptive batch width (DESIGN.md section 10).
 """
 
 from __future__ import annotations
@@ -35,8 +30,6 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-
-from repro.ilp.condsys import effective_parallelism
 
 #: Histogram bucket upper bounds, in seconds.  Spaced for a service whose
 #: warm cache hits answer in well under a millisecond and whose cold
@@ -235,15 +228,6 @@ METRICS: dict[str, MetricSpec] = {
             GAUGE,
             "1 while the router admits requests, 0 once shutdown began.",
         ),
-        # -- pool.*: the fork-based solver pool + adaptive jobs --------
-        _spec("pool.workers_spawned", COUNTER, "Worker processes forked."),
-        _spec("pool.jobs_grown", COUNTER, "Adaptive-jobs growth steps."),
-        _spec("pool.jobs_shrunk", COUNTER, "Adaptive-jobs shrink steps."),
-        _spec(
-            "pool.effective_jobs",
-            GAUGE,
-            "Current adaptive jobs level (auto sessions; 0 = never engaged).",
-        ),
     )
 }
 
@@ -308,7 +292,7 @@ class StatsCollector:
     """The process-wide sink for pushed counters and histograms.
 
     Components *push* (``inc``/``set_gauge``/``observe_op``/
-    ``absorb_solver_stats``/``retire_session``); the
+    ``absorb_repair_stats``/``retire_session``); the
     exporter *pulls* (:meth:`counters`, :meth:`render`).  All methods
     are thread-safe: sessions mutate from executor threads while the
     event loop renders a scrape.
@@ -338,14 +322,6 @@ class StatsCollector:
             if histogram is None:
                 histogram = self._op_latency[op] = LatencyHistogram()
             histogram.observe(seconds)
-
-    def absorb_solver_stats(self, stats: dict | None) -> None:
-        """Fold one solved response's ``workers_spawned`` (the diagnostics
-        audit's fan-out) into ``pool.workers_spawned``; cache hits carry
-        no new solver work and are never absorbed."""
-        spawned = (stats or {}).get("workers_spawned", 0)
-        if spawned:
-            self.inc("pool.workers_spawned", spawned)
 
     def absorb_repair_stats(self, payload: dict) -> None:
         """Fold one solved repair response into the ``repair.*`` counters.
@@ -438,76 +414,3 @@ def render_prometheus(counters, op_histograms=None) -> str:
         lines.append(f'{name}_sum{{op="{op}"}} {_format_value(total)}')
         lines.append(f'{name}_count{{op="{op}"}} {count}')
     return "\n".join(lines) + "\n"
-
-
-class AdaptiveJobsController:
-    """Latency-driven ``jobs`` tuning for one session (``--jobs auto``).
-
-    The AutoThrottle-shaped AIMD loop, one level up from the server's
-    adaptive batch width: when a solve runs longer
-    than ``target_latency``, there is enough work outstanding to justify
-    another worker — grow additively.  When solves come back fast, the
-    spec is cheap and forked workers are overhead — decay multiplicatively
-    toward 1.  The level is clamped to ``[1, ceiling]`` where ``ceiling``
-    is :func:`~repro.ilp.condsys.effective_parallelism` (the CPUs this
-    process may actually use), so auto mode can never oversubscribe.
-
-    The controller only ever *suggests* a concrete integer
-    (:meth:`current`); sessions resolve it into the per-request
-    ``CheckerConfig`` before cache keys are formed, so the fixed-jobs
-    path and response byte-identity are untouched.
-
-    >>> ctl = AdaptiveJobsController(target_latency=0.1, ceiling=4)
-    >>> for _ in range(8):
-    ...     ctl.observe_solve(1.0)
-    >>> ctl.current()
-    4
-    >>> for _ in range(8):
-    ...     ctl.observe_solve(0.001)
-    >>> ctl.current()
-    1
-    """
-
-    def __init__(
-        self,
-        target_latency: float = 0.25,
-        ceiling: int | None = None,
-        collector: StatsCollector | None = None,
-    ):
-        if target_latency < 0:
-            raise ValueError("target_latency cannot be negative")
-        self.target_latency = target_latency
-        self.ceiling = max(1, ceiling if ceiling is not None else effective_parallelism())
-        self.collector = collector
-        self._lock = threading.Lock()
-        self._level = 1.0
-        self.grown = 0
-        self.shrunk = 0
-
-    def current(self) -> int:
-        """The jobs level a new request should solve with (in ``[1, ceiling]``)."""
-        with self._lock:
-            return max(1, min(self.ceiling, int(self._level)))
-
-    def _adjust(self, slow: bool) -> None:
-        with self._lock:
-            before = max(1, min(self.ceiling, int(self._level)))
-            if slow:
-                self._level = min(float(self.ceiling), self._level + 1.0)
-            else:
-                self._level = max(1.0, self._level * 0.75)
-            after = max(1, min(self.ceiling, int(self._level)))
-            if after > before:
-                self.grown += 1
-            elif after < before:
-                self.shrunk += 1
-        if self.collector is not None:
-            if after > before:
-                self.collector.inc("pool.jobs_grown")
-            elif after < before:
-                self.collector.inc("pool.jobs_shrunk")
-            self.collector.set_gauge("pool.effective_jobs", self.current())
-
-    def observe_solve(self, seconds: float) -> None:
-        """One full solve completed (any jobs level)."""
-        self._adjust(slow=seconds > self.target_latency)

@@ -18,7 +18,7 @@ to one JSON snapshot file:
   session's.  Everything else is rebuilt on demand, exactly as a cold
   session would.
 
-The ``persist.corrupt`` fault point (:mod:`repro.service.faults`)
+The ``persist.corrupt`` fault point (:mod:`repro.faults`)
 deliberately garbles the file *after* the atomic rename, so the chaos
 suite can prove the load path's corruption tolerance end to end.
 """
@@ -34,13 +34,13 @@ from dataclasses import asdict
 from repro.checkers.config import CheckerConfig
 from repro.dtd.serializer import dtd_to_string
 from repro.errors import ReproError
-from repro.service.faults import fault_active
+from repro.faults import fault_active
 
 __all__ = ["SNAPSHOT_VERSION", "save_snapshot", "load_snapshot"]
 
 #: Bump on any change to the payload shape; a mismatched snapshot is
 #: silently treated as absent (cold start), never migrated in place.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 # -- value packing -----------------------------------------------------------

@@ -29,8 +29,7 @@ connection overlap — the ``id`` is the correlation key.
 
 Any session operation may carry a ``config`` object of
 :class:`~repro.checkers.config.CheckerConfig` overrides, each value of
-its field's type (``"jobs"`` may also be ``"auto"``, and may not exceed
-the larger of 2, the cores available and the server's own ``jobs``).
+its field's type.
 
 Any session operation may carry ``"deadline": <seconds>`` — a
 wall-clock budget for that request.  Work that outlives its budget is
@@ -46,7 +45,6 @@ from __future__ import annotations
 import json
 
 from repro.errors import ReproError
-from repro.ilp.condsys import effective_parallelism
 from repro.service.registry import SessionRegistry
 from repro.service.session import SpecSession, _error_payload
 
@@ -104,31 +102,10 @@ def resolve_session(registry: SessionRegistry, request: dict) -> SpecSession:
     )
 
 
-def check_jobs_cap(session: SpecSession, config: object) -> None:
-    """Refuse a ``jobs`` override above what this server would fork.
-
-    A batch forks ``min(jobs, len(phis))`` workers, so an unbounded
-    override lets one request start as many processes as it lists
-    queries.  The cap is the larger of 2, the cores available and the
-    server's own configured ``jobs``.  :func:`perform` applies it to
-    every op; the server's coalesced ``implies`` batches, which bypass
-    :func:`perform`, apply it themselves.
-    """
-    jobs = config.get("jobs") if isinstance(config, dict) else None
-    if not isinstance(jobs, int) or isinstance(jobs, bool):
-        return  # absent, "auto", or a type merge_config rejects
-    cap = max(2, effective_parallelism(), session.config.jobs)
-    if jobs > cap:
-        raise ProtocolError(
-            f"config override 'jobs' = {jobs} exceeds this server's cap of {cap}"
-        )
-
-
 def perform(session: SpecSession, request: dict) -> dict:
     """Run one session operation; returns the result payload."""
     op = request["op"]
     config = request.get("config")
-    check_jobs_cap(session, config)
     if op == "open":
         return session.describe()
     if op == "check":

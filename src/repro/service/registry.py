@@ -107,14 +107,12 @@ class SessionRegistry:
         max_bytes: int = 256 * 1024 * 1024,
         config: CheckerConfig | None = None,
         max_cached_responses: int = 512,
-        auto_jobs: bool = False,
     ):
         if max_sessions < 1:
             raise ReproError("the registry needs room for at least one session")
         self.max_sessions = max_sessions
         self.max_bytes = max_bytes
         self.config = config
-        self.auto_jobs = auto_jobs
         self.collector = None
         self._max_cached_responses = max_cached_responses
         self._lock = threading.Lock()
@@ -171,7 +169,6 @@ class SessionRegistry:
                 sigma,
                 config=self.config,
                 max_cached_responses=self._max_cached_responses,
-                auto_jobs=self.auto_jobs,
                 collector=self.collector,
                 dtd_text=dtd_text,
             )

@@ -15,8 +15,8 @@ scheduling rules:
 * **batch coalescing** — while a queue is busy, newly arrived
   ``implies`` requests with the same config (and deadline) pile up in
   its queue; the drainer pops them *together* and answers them with one
-  ``implies_batch`` call (which validates once, shares the encoding
-  block, and fans across the PR-4 worker pool when ``jobs > 1``).
+  ``implies_batch`` call (which validates once and shares the encoding
+  block).
   ``batches_coalesced`` counts multi-request batches and
   ``batch_width`` the widest one.  Batch width adapts to observed
   drain latency (the AutoThrottle shape): when batches take longer
@@ -64,12 +64,23 @@ from dataclasses import dataclass
 
 from repro.budget import Deadline, deadline_scope
 from repro.errors import BudgetExceededError, OverloadedError
-from repro.ilp.condsys import effective_parallelism
+from repro.faults import fault_active, fault_seconds
 from repro.service import persist, protocol
-from repro.service.faults import fault_active, fault_seconds
 from repro.service.metrics import StatsCollector
 from repro.service.registry import SessionRegistry
 from repro.service.session import SpecSession
+
+
+def effective_parallelism() -> int:
+    """CPU cores actually available to this process (the executor's
+    default size).
+
+    Prefers ``os.sched_getaffinity`` (which sees CPU-set limits the way
+    container runtimes apply them) and falls back to ``os.cpu_count()``.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 @contextlib.contextmanager
@@ -239,7 +250,6 @@ class _SessionQueue:
         config: dict | None,
         deadline: Deadline | None,
     ) -> list[dict]:
-        protocol.check_jobs_cap(session, config)
         with deadline_scope(deadline):
             return session.implies_batch(phis, config)
 
@@ -697,7 +707,7 @@ class CheckingServer(RequestServer):
         self.registry = registry or SessionRegistry()
         self.stats = ServerStats()
         #: The process-wide metrics sink (DESIGN.md section 10): sessions
-        #: push pool counters into it, the server adds
+        #: push repair counters into it, the server adds
         #: per-op request latency, and ``GET /metrics`` / the ``stats``
         #: op's ``counters`` payload read from it.
         self.collector = collector or self.registry.collector or StatsCollector()

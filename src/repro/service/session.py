@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable
 
@@ -47,7 +45,7 @@ from repro.xmltree.serialize import tree_to_string
 from repro.xmltree.validate import TreeValidator
 
 if TYPE_CHECKING:  # a server attaches these; a one-shot call never does
-    from repro.service.metrics import AdaptiveJobsController, StatsCollector
+    from repro.service.metrics import StatsCollector
 
 #: CheckerConfig fields a request may override per call.
 _CONFIG_FIELDS = frozenset(f.name for f in fields(CheckerConfig))
@@ -108,7 +106,6 @@ def merge_config(base: CheckerConfig, overrides: dict | None) -> CheckerConfig:
     never be asked for again).  Booleans must be booleans, counts must
     be integers (never booleans) of at least 1 — 0 for
     ``max_setrep_attrs`` — and ``backend`` must name a backend.
-    ``"jobs": "auto"`` is resolved by the session before this runs.
     """
     overrides = _overrides_object(overrides)
     if not overrides:
@@ -120,16 +117,6 @@ def merge_config(base: CheckerConfig, overrides: dict | None) -> CheckerConfig:
     for name, value in overrides.items():
         _check_override(name, value)
     return replace(base, **overrides)
-
-
-def _solve_key(effective: CheckerConfig) -> CheckerConfig:
-    """The config part of a ``check`` or ``implies`` response key.
-
-    ``jobs`` is pinned to 1: a single solve ignores it, and
-    ``implies_all`` answers each query exactly as at ``jobs=1``, so a
-    request at any level replays the one cached answer.
-    """
-    return effective if effective.jobs == 1 else replace(effective, jobs=1)
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -178,7 +165,6 @@ class SpecSession:
         config: CheckerConfig | None = None,
         max_cached_responses: int = 512,
         max_response_bytes: int = 64 * 1024 * 1024,
-        auto_jobs: bool = False,
         collector: StatsCollector | None = None,
         dtd_text: str | None = None,
     ):
@@ -197,15 +183,9 @@ class SpecSession:
         canonical = canonical_spec(dtd, self.sigma, dtd_text)
         self.fingerprint = fingerprint_of(canonical)
         self.stats = SessionStats()
-        #: ``--jobs auto``: requests without an explicit jobs override
-        #: solve at the controller's current level (see
-        #: :meth:`_effective_config`); ``False`` leaves the fixed-jobs
-        #: path byte-for-byte untouched.
-        self.auto_jobs = bool(auto_jobs)
         #: Optional :class:`~repro.service.metrics.StatsCollector` the
-        #: session pushes pool counters into.
+        #: session pushes repair counters into.
         self.collector = collector
-        self._jobs_controller: AdaptiveJobsController | None = None
         self._spec_bytes = len(canonical.encode("utf-8"))
         self._max_cached_responses = max_cached_responses
         #: Per-session cap on the response cache's resident bytes (keys
@@ -246,62 +226,7 @@ class SpecSession:
             payload = self.stats.as_dict()
             payload["cached_responses"] = len(self._responses)
             payload["approx_bytes"] = self.approx_bytes()
-            if self._jobs_controller is not None:
-                payload["effective_jobs"] = self._jobs_controller.current()
             return payload
-
-    @property
-    def jobs_controller(self) -> AdaptiveJobsController:
-        """The session's adaptive-jobs controller (created on first use)."""
-        if self._jobs_controller is None:
-            from repro.service.metrics import AdaptiveJobsController
-
-            self._jobs_controller = AdaptiveJobsController(collector=self.collector)
-        return self._jobs_controller
-
-    def _effective_config(self, overrides: dict | None) -> CheckerConfig:
-        """:func:`merge_config` plus resolution of ``"jobs": "auto"``.
-
-        The adaptive marker — from a per-request override or the
-        session-wide ``auto_jobs`` flag — becomes the controller's
-        *current* concrete level before the config object is built, so
-        :class:`~repro.checkers.config.CheckerConfig` (and every response
-        cache key derived from it) only ever holds plain ints and the
-        fixed-jobs path is untouched.
-        """
-        overrides = _overrides_object(overrides)
-        auto = overrides.get("jobs") == "auto"
-        if auto:
-            overrides = dict(overrides)
-        elif self.auto_jobs and "jobs" not in overrides:
-            overrides = dict(overrides)
-            auto = True
-        if auto:
-            overrides["jobs"] = self.jobs_controller.current()
-        return merge_config(self.config, overrides)
-
-    @contextmanager
-    def _solve_scope(self):
-        """Time one genuinely-solved request (cache hits skip this) for
-        the adaptive-jobs controller — on every exit path, including
-        solver errors (a budget-exceeded solve was slow; the controller
-        should hear about it).
-        """
-        controller = self._jobs_controller
-        if controller is None:
-            yield
-            return
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            controller.observe_solve(time.perf_counter() - started)
-
-    def _absorb(self, payload: dict) -> dict:
-        """Forward a solved payload's pool counters to the collector."""
-        if self.collector is not None:
-            self.collector.absorb_solver_stats(payload.get("stats"))
-        return payload
 
     @staticmethod
     def _entry_bytes(key: tuple, rendered: str) -> int:
@@ -337,13 +262,12 @@ class SpecSession:
         """Consistency of the session's specification."""
         with self._lock:
             self.stats.requests += 1
-            effective = self._effective_config(config)
-            key = ("check", _solve_key(effective))
+            effective = merge_config(self.config, config)
+            key = ("check", effective)
             cached = self._recall(key)
             if cached is not None:
                 return cached
-            with self._solve_scope():
-                result = api.check(self.spec, config=effective)
+            result = api.check(self.spec, config=effective)
             payload = {
                 "consistent": result.consistent,
                 "method": result.method,
@@ -355,30 +279,28 @@ class SpecSession:
                     else None
                 ),
             }
-            return self._absorb(self._remember(key, payload))
+            return self._remember(key, payload)
 
     def implies(self, phi: str | Constraint, config: dict | None = None) -> dict:
         """Is ``phi`` implied by the session's specification?"""
         with self._lock:
             self.stats.requests += 1
-            return self._implies_locked(phi, self._effective_config(config))
+            return self._implies_locked(phi, merge_config(self.config, config))
 
     def implies_batch(self, phis: list, config: dict | None = None) -> list[dict]:
         """Batch implication — the coalesced form the server's batcher uses.
 
         Per-query responses are identical to asking :meth:`implies` one
         by one (``implies_all`` runs the same validated per-query path),
-        but the batch validates once, shares the per-DTD encoding block,
-        and — with ``jobs > 1`` in the session config — fans the misses
-        across the PR-4 worker pool in one ``implies_all`` call.
+        but the batch validates once and answers the misses in one
+        ``implies_all`` call over the shared per-DTD encoding block.
         """
         with self._lock:
             # Each coalesced query is one served operation: session.requests
             # must not depend on how the batcher happened to group them.
             self.stats.requests += len(phis)
             self.stats.batch_requests += 1
-            effective = self._effective_config(config)
-            key_config = _solve_key(effective)
+            effective = merge_config(self.config, config)
             responses: list[dict] = []
             misses: list[tuple[int, Constraint]] = []
             for phi in phis:
@@ -387,16 +309,15 @@ class SpecSession:
                 except ReproError as exc:
                     responses.append(_error_payload(exc))
                     continue
-                key = ("implies", str(parsed), key_config)
+                key = ("implies", str(parsed), effective)
                 cached = self._recall(key)
                 if cached is None:
                     misses.append((len(responses), parsed))
                 responses.append(cached)  # placeholder when None
             if len(misses) > 1:
                 # The coalesced path: one ``implies_all`` call over the
-                # batch's *distinct* missed queries — it validates once,
-                # shares the per-DTD encoding block, and fans over the
-                # PR-4 worker pool when ``jobs > 1``; queries repeated
+                # batch's *distinct* missed queries — it validates once
+                # and shares the per-DTD encoding block; queries repeated
                 # within the batch are solved once and the duplicates
                 # replay the recorded response (counted as cache hits,
                 # exactly as the sequential loop would have served
@@ -408,23 +329,22 @@ class SpecSession:
                 for _, parsed in misses:
                     unique.setdefault(str(parsed), parsed)
                 try:
-                    with self._solve_scope():
-                        results = implies_all(
-                            self.dtd, self.sigma, list(unique.values()), effective
-                        )
+                    results = implies_all(
+                        self.dtd, self.sigma, list(unique.values()), effective
+                    )
                 except ReproError:
                     pass
                 else:
                     first: dict[str, dict] = {}
                     for parsed, result in zip(unique.values(), results):
-                        key = ("implies", str(parsed), key_config)
-                        first[str(parsed)] = self._absorb(
-                            self._remember(key, self._implication_payload(result))
+                        key = ("implies", str(parsed), effective)
+                        first[str(parsed)] = self._remember(
+                            key, self._implication_payload(result)
                         )
                     for index, parsed in misses:
                         payload = first.pop(str(parsed), None)
                         if payload is None:  # an intra-batch repeat
-                            payload = self._recall(("implies", str(parsed), key_config))
+                            payload = self._recall(("implies", str(parsed), effective))
                         responses[index] = payload
                     misses = []
             for index, parsed in misses:
@@ -442,17 +362,16 @@ class SpecSession:
         """Specification health report (MUS / redundancy audit)."""
         with self._lock:
             self.stats.requests += 1
-            effective = self._effective_config(config)
+            effective = merge_config(self.config, config)
             key = ("diagnose", mus_method, effective)
             cached = self._recall(key)
             if cached is not None:
                 return cached
-            with self._solve_scope():
-                report = api.diagnose(
-                    self.spec,
-                    config=effective,
-                    mus_method=mus_method,
-                )
+            report = api.diagnose(
+                self.spec,
+                config=effective,
+                mus_method=mus_method,
+            )
             payload = {
                 "consistent": report.consistent,
                 "dtd_satisfiable": report.dtd_satisfiable,
@@ -461,7 +380,7 @@ class SpecSession:
                 "summary": report.summary(),
                 "stats": report.stats.as_dict(),
             }
-            return self._absorb(self._remember(key, payload))
+            return self._remember(key, payload)
 
     def repair(
         self,
@@ -479,20 +398,19 @@ class SpecSession:
         """
         with self._lock:
             self.stats.requests += 1
-            effective = self._effective_config(config)
+            effective = merge_config(self.config, config)
             weight_key = tuple(sorted((weights or {}).items()))
             key = ("repair", core_method, weight_key, effective)
             cached = self._recall(key)
             if cached is not None:
                 return cached
             try:
-                with self._solve_scope():
-                    result = api.repair(
-                        self.spec,
-                        config=effective,
-                        weights=weights,
-                        core_method=core_method,
-                    )
+                result = api.repair(
+                    self.spec,
+                    config=effective,
+                    weights=weights,
+                    core_method=core_method,
+                )
             except ValueError as exc:
                 # A bad weights mapping is a client error, not a crash:
                 # surface it with the structured wire contract.
@@ -501,7 +419,7 @@ class SpecSession:
             payload["summary"] = result.summary()
             if self.collector is not None:
                 self.collector.absorb_repair_stats(payload)
-            return self._absorb(self._remember(key, payload))
+            return self._remember(key, payload)
 
     def validate(self, document: str) -> dict:
         """Does a concrete document conform to the DTD and satisfy Sigma?"""
@@ -574,11 +492,10 @@ class SpecSession:
 
     def _implies_locked(self, phi: str | Constraint, effective: CheckerConfig) -> dict:
         parsed = self._parse_phi(phi)
-        key = ("implies", str(parsed), _solve_key(effective))
+        key = ("implies", str(parsed), effective)
         cached = self._recall(key)
         if cached is not None:
             return cached
         validate_constraints(self.dtd, [*self.sigma, parsed])
-        with self._solve_scope():
-            result = implies_validated(self.dtd, self.sigma, parsed, effective)
-        return self._absorb(self._remember(key, self._implication_payload(result)))
+        result = implies_validated(self.dtd, self.sigma, parsed, effective)
+        return self._remember(key, self._implication_payload(result))

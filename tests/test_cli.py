@@ -137,6 +137,18 @@ class TestCheck:
             main([command, d1_file, sigma1_file, *extra, "--jobs", "2"])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("value", ["2", "auto"])
+    @pytest.mark.parametrize("command", ["diagnose", "serve", "fleet"])
+    def test_jobs_flag_is_gone_from_batch_commands(
+        self, d1_file, sigma1_file, command, value
+    ):
+        # Every batch runs in the caller's process: there is no worker
+        # count to set, so `--jobs` is a usage error everywhere.
+        files = [d1_file, sigma1_file] if command == "diagnose" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *files, "--jobs", value])
+        assert exit_info.value.code == 2
+
     @pytest.mark.parametrize("command", ["serve", "fleet"])
     def test_session_mode_flag_is_gone(self, command):
         # Sessions have one mode (replay); `--mode` is a usage error.
@@ -176,18 +188,6 @@ class TestVia:
         host, port = server.start_background()
         yield f"{host}:{port}"
         server.close()
-
-    def test_jobs_reaches_the_server_cap(
-        self, d1_file, sigma1_file, server_address, capsys
-    ):
-        code = main(
-            ["diagnose", d1_file, sigma1_file, "--via", server_address,
-             "--jobs", "100000"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "service answered ProtocolError" in err
-        assert "config override 'jobs' = 100000 exceeds" in err
 
     def test_backend_reaches_the_server(
         self, d1_file, sigma1_file, server_address, capsys

@@ -47,6 +47,20 @@ def test_import_cli_skips_scipy_optimize():
     assert proc.stdout.split() == ["False"]
 
 
+def test_solver_layers_import_no_service_module():
+    """The library facade and the checkers never load the service layer:
+    the fault registry they consult lives in :mod:`repro.faults`."""
+    proc = _python(
+        """
+        import sys
+        import repro.api
+        import repro.checkers.implication
+        print(sorted(m for m in sys.modules if m.startswith("repro.service")))
+        """
+    )
+    assert proc.stdout.split() == ["[]"]
+
+
 def test_check_skips_scipy_optimize(tmp_path):
     dtd_path = tmp_path / "d1.dtd"
     dtd_path.write_text(dtd_to_string(teachers_dtd_d1()))

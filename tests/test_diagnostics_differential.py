@@ -26,7 +26,6 @@ from repro.checkers.consistency import check_consistency
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
 from repro.errors import ComplexityLimitError, InvalidConstraintError
-from repro.ilp.condsys import WorkerPool
 from repro.workloads.generators import (
     random_dtd,
     random_unary_constraints,
@@ -274,30 +273,3 @@ def test_diagnose_mus_method_selects_the_filter():
         _assert_valid_mus(dtd, sigma, deletion.mus, "diagnose-deletion")
         assert default.stats.mus_method == "quickxplain"
         assert deletion.stats.mus_method == "deletion"
-
-
-# ---------------------------------------------------------------------------
-# Parallel audit probes (jobs sweep)
-# ---------------------------------------------------------------------------
-
-
-def test_redundancy_audit_jobs_sweep():
-    """The parallel audit returns the sequential answers at every worker
-    count; each worker pays its own assembly (the single-owner rule)."""
-    dtd = DTD.build(
-        "r", {"r": "(a*, b*, c*, d*)", "a": "EMPTY", "b": "EMPTY",
-              "c": "EMPTY", "d": "EMPTY"},
-        attrs={t: ["x"] for t in "abcd"},
-    )
-    sigma = parse_constraints(
-        "a.x <= b.x\nb.x <= c.x\na.x <= c.x\nc.x <= d.x\nb.x <= d.x"
-    )
-    baseline = _canonical(redundant_constraints(dtd, sigma))
-    for jobs in (2, 4):
-        stats = DiagnosticsStats()
-        config = CheckerConfig(want_witness=False, jobs=jobs)
-        parallel = redundant_constraints(dtd, sigma, config, stats=stats)
-        assert _canonical(parallel) == baseline, f"jobs={jobs}"
-        if WorkerPool.available():
-            assert stats.workers_spawned == min(jobs, len(sigma))
-            assert 1 <= stats.assemblies <= 1 + stats.workers_spawned

@@ -36,7 +36,6 @@ import pytest
 from repro.checkers.config import CheckerConfig
 from repro.checkers.consistency import check_consistency
 from repro.errors import InvalidConstraintError
-from repro.ilp.condsys import parallel_sweep_allowed
 from repro.workloads.generators import random_dtd, random_unary_constraints
 from tests.oracles import exact_cold, legacy_rebuild
 
@@ -156,22 +155,6 @@ def test_configs_cover_the_advertised_matrix():
     assert stats["legacy-reb"]["assemblies"] > 1
 
 
-# ---------------------------------------------------------------------------
-# Parallel executor sweep (DESIGN.md section 7): jobs ∈ {1, 2, 4}
-# ---------------------------------------------------------------------------
-
-#: Worker counts under differential test — every answer must equal the
-#: ``jobs=1`` answer at each of them.  Counts that are pure
-#: oversubscription for this container's cores are dropped by the shared
-#: guard (the same ``effective_parallelism`` arithmetic the benchmark
-#: timing gates in ``benchmarks/conftest.py`` use, so local and CI runs
-#: skip identically; ``jobs=2`` always stays for pool-engagement
-#: coverage).
-JOBS_SWEEP = tuple(
-    jobs for jobs in (1, 2, 4) if parallel_sweep_allowed(jobs)
-)
-
-
 def _branchy_cases():
     """Instances whose support search genuinely branches (the certified
     pipeline with LP pruning off)."""
@@ -188,172 +171,3 @@ def _branchy_cases():
             )
         )
     return cases
-
-
-def test_jobs_sweep_verdicts_match_sequential():
-    """A single solve is one sequential search at every ``jobs`` value:
-    ``SpecSession.check()`` payloads — verdict, witness and stats — are
-    byte-identical to ``jobs=1``, on the branchy instances and on a slice
-    of the random fuzz family, on both backends."""
-    from repro.service.registry import SessionRegistry
-
-    cases = _branchy_cases() + [_instance(seed) for seed in (1, 5, 9, 14)]
-    bases = (
-        CheckerConfig(backend="exact", lp_prune=False),
-        CheckerConfig(),
-    )
-    compared = 0
-    for base in bases:
-        registry = SessionRegistry(config=base)
-        for dtd, sigma in cases:
-            try:
-                session = registry.session_for(dtd, sigma)
-            except InvalidConstraintError:
-                continue
-            expected = json.dumps(session.check(), sort_keys=True)
-            for jobs in JOBS_SWEEP[1:]:
-                got = session.check({"jobs": jobs})
-                assert json.dumps(got, sort_keys=True) == expected, (
-                    f"jobs={jobs} payload diverged from jobs=1"
-                )
-                compared += 1
-    assert compared > 0
-
-
-def test_jobs_sweep_witnesses_stay_verified():
-    """Feasible answers at ``jobs=4`` synthesize and re-verify like any
-    sequential one, and — the search being the same sequential search —
-    carry the ``jobs=1`` witness unchanged."""
-    from repro.xmltree.serialize import tree_to_string
-
-    checked = 0
-    for seed in (2, 4, 8):
-        dtd, sigma = _instance(seed)
-        witnesses = {}
-        for jobs in (1, 4):
-            verifying = CheckerConfig(
-                want_witness=True, verify_witness=True, lp_prune=False, jobs=jobs
-            )
-            try:
-                result = check_consistency(dtd, sigma, verifying)
-            except InvalidConstraintError:
-                break
-            if not result.consistent:
-                break
-            assert result.witness is not None  # verified inside the checker
-            witnesses[jobs] = tree_to_string(result.witness)
-        if len(witnesses) == 2:
-            assert witnesses[4] == witnesses[1], f"seed {seed}: witness diverged"
-            checked += 1
-    assert checked > 0
-
-
-def test_implies_all_jobs_sweep_verdicts_and_stats_identical():
-    """Batch implication under the worker pool: every worker runs the
-    identical sequential per-query path, so not only the verdicts but the
-    complete per-query stats dicts must match ``jobs=1`` exactly."""
-    from repro.checkers.implication import implies_all
-    from repro.constraints.parser import parse_constraint
-    from repro.workloads.generators import star_schema_family
-
-    dtd, sigma = star_schema_family(3, consistent=True)
-    phis = [parse_constraint(f"dim{i}.id -> dim{i}") for i in range(3)]
-    phis += [parse_constraint(f"fact.ref{i} <= dim{i}.id") for i in range(3)]
-    baseline = implies_all(
-        dtd, sigma, phis, CheckerConfig(want_witness=False, jobs=1)
-    )
-    for jobs in JOBS_SWEEP[1:]:
-        parallel = implies_all(
-            dtd, sigma, phis, CheckerConfig(want_witness=False, jobs=jobs)
-        )
-        assert [r.implied for r in parallel] == [r.implied for r in baseline]
-        for query, (seq, par) in enumerate(zip(baseline, parallel)):
-            assert par.stats == seq.stats, (
-                f"jobs={jobs} query={query}: stats diverged from sequential"
-            )
-
-
-# ---------------------------------------------------------------------------
-# ``--jobs auto``: the adaptive level never changes an answer (ISSUE 8)
-# ---------------------------------------------------------------------------
-
-
-def test_auto_jobs_sessions_match_jobs1_and_stay_clamped():
-    """The ``--jobs auto`` property: adaptive sessions return the jobs=1
-    verdicts across branchy and random fuzz instances, and the
-    controller's level stays inside ``[1, effective_parallelism()]``
-    throughout.  Levels resolve to concrete ints per request, so while
-    the controller sits at 1 the response is *byte-identical* to the
-    fixed jobs=1 session (same cache key, same stats block); above 1 the
-    jobs-sweep contract applies (same verdict and method — a worker may
-    surface a different branch's witness)."""
-    from repro.ilp.condsys import effective_parallelism
-    from repro.service.metrics import AdaptiveJobsController
-    from repro.service.registry import SessionRegistry
-
-    base = CheckerConfig(
-        want_witness=False, backend="exact", lp_prune=False, jobs=1
-    )
-    baseline = SessionRegistry(config=base)
-    adaptive = SessionRegistry(config=base, auto_jobs=True)
-    ceiling = max(1, effective_parallelism())
-    cases = _branchy_cases() + [_instance(seed) for seed in (1, 3, 5, 9, 14)]
-    compared = 0
-    for dtd, sigma in cases:
-        try:
-            ref = baseline.session_for(dtd, sigma)
-        except InvalidConstraintError:
-            # Out-of-class draws are rejected uniformly on both sides,
-            # before any controller is consulted.
-            with pytest.raises(InvalidConstraintError):
-                adaptive.session_for(dtd, sigma)
-            continue
-        session = adaptive.session_for(dtd, sigma)
-        # A zero target marks every solve slow, so the controller climbs
-        # as far as this container's CPU ceiling allows during the sweep.
-        session._jobs_controller = AdaptiveJobsController(target_latency=0.0)
-        for _ in range(3):
-            level = session.jobs_controller.current()
-            assert 1 <= level <= ceiling
-            expected = ref.check()
-            got = session.check()
-            if level == 1:
-                assert json.dumps(got, sort_keys=True) == json.dumps(
-                    expected, sort_keys=True
-                )
-            else:
-                assert got["consistent"] == expected["consistent"]
-                assert got["method"] == expected["method"]
-            compared += 1
-        assert 1 <= session.jobs_controller.current() <= ceiling
-    assert compared > 0
-
-
-def test_auto_jobs_controller_moves_and_keeps_the_verdict():
-    """Movement, independent of this container's CPU count: a two-level
-    ceiling with a hair-trigger target must actually grow the controller
-    after the first solve, and the request at jobs=2 replays the jobs=1
-    answer from the response cache (``jobs`` cannot change a single
-    solve, so it is not part of the key) with the direct verdict."""
-    from repro.service.metrics import AdaptiveJobsController
-    from repro.service.registry import SessionRegistry
-
-    base = CheckerConfig(
-        want_witness=False, backend="exact", lp_prune=False, jobs=1
-    )
-    dtd, sigma = _branchy_cases()[0]
-    registry = SessionRegistry(config=base, auto_jobs=True)
-    session = registry.session_for(dtd, sigma)
-    session._jobs_controller = AdaptiveJobsController(
-        target_latency=0.0, ceiling=2
-    )
-    first = session.check()
-    assert session.jobs_controller.grown >= 1
-    assert session.jobs_controller.current() == 2
-    second = session.check()
-    assert session.stats.cache_hits == 1, "every level shares one answer"
-    assert second == first
-    baseline = check_consistency(dtd, sigma, base)
-    assert first["consistent"] == baseline.consistent
-    assert second["consistent"] == baseline.consistent
-    assert second["method"] == first["method"]

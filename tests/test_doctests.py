@@ -56,14 +56,14 @@ def _surface_examples(obj) -> int:
 
 def test_parallel_surface_keeps_examples():
     """The section-7 public surface documents itself with runnable
-    examples: the ``jobs`` entry point and the QuickXplain MUS.  The
+    examples: the batch entry point and the QuickXplain MUS.  The
     module sweep above executes them; this guard keeps them from being
     silently dropped."""
     from repro.analysis.diagnostics import mus
     from repro.checkers.implication import implies_all
 
     for obj, needle in (
-        (implies_all, "jobs"),
+        (implies_all, "distinct query"),
         (mus, "quickxplain"),
     ):
         assert _surface_examples(obj) > 0, f"{obj.__qualname__} lost its example"

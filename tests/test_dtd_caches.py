@@ -672,42 +672,6 @@ class TestBlockEngine:
         assert encoding_cache_stats()["engine_private"] == 0
         clear_encoding_cache()
 
-    def test_forked_workers_under_a_held_lease_answer_alike(self):
-        """``implies_all`` workers fork while the parent holds the lease,
-        so every worker's copy of the lock is held: they solve on
-        private stand-ins, and the answers equal the sequential ones."""
-        from repro.checkers.config import CheckerConfig
-        from repro.checkers.implication import implies_all
-        from repro.ilp.condsys import WorkerPool
-        from repro.xmltree.serialize import tree_to_string
-
-        if not WorkerPool.available():
-            pytest.skip("no fork-based worker pool on this platform")
-
-        def rendered(results):
-            return [
-                (
-                    r.implied,
-                    r.stats,
-                    tree_to_string(r.counterexample) if r.counterexample else None,
-                )
-                for r in results
-            ]
-
-        dtd = parse_dtd(DTD_TEXT)
-        sigma = parse_constraints(SIGMAS[1])
-        phis = parse_constraints(
-            "subject.taught_by => teacher.name\nteacher.name <= subject.taught_by\n"
-            "teacher.name -> teacher"
-        )
-        clear_encoding_cache()
-        want = rendered(implies_all(dtd, sigma, phis))
-        engine = combined._dtd_block(dtd).engine
-        with engine.lock:
-            got = rendered(implies_all(dtd, sigma, phis, CheckerConfig(jobs=2)))
-        assert got == want
-        clear_encoding_cache()
-
     def test_a_served_replay_leases_once_per_solved_request(self, monkeypatch):
         from repro.checkers import consistency
 

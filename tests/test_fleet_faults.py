@@ -1,9 +1,8 @@
-"""Fleet chaos: backend death, dropped connections, crashing workers.
+"""Fleet chaos: backend death and dropped connections.
 
 The router's fault contract (DESIGN.md section 11): a backend that dies
-— SIGKILL mid-wave, a connection dropped by the ``conn.drop`` fault
-point, a solver worker crashing under ``worker.kill`` — must never
-change what a client observes beyond latency.  In-flight requests are
+— SIGKILL mid-wave, or a connection dropped by the ``conn.drop`` fault
+point — must never change what a client observes beyond latency.  In-flight requests are
 idempotent and replay; a lost backend's ring segment reroutes to the
 survivors; verdicts stay pinned to the single-backend answer; and no
 request is dropped or answered twice.
@@ -20,22 +19,15 @@ import signal
 import threading
 import time
 
-import pytest
-
 from repro.dtd.serializer import dtd_to_string
-from repro.ilp.condsys import WorkerPool
 from repro.service.fleet import FleetRouter, spawn_backends
 from repro.service.registry import SessionRegistry
 from repro.service.server import CheckingServer
 from repro.workloads.generators import wide_flat_dtd
 
-needs_fork = pytest.mark.skipif(
-    not WorkerPool.available(), reason="worker pool needs fork start method"
-)
-
 #: The branchy chaos instance (same family as tests/test_service_faults):
 #: range constraints force the ILP path, so ``solve.delay`` has DFS nodes
-#: to stretch and a pool-worker kill has queries to land in.
+#: to stretch.
 _ACTIVE = 3
 
 
@@ -237,53 +229,6 @@ def test_kill_under_concurrent_load_answers_every_request_exactly_once():
             for request, expected in zip(requests, pinned):
                 assert ours_by_id[request["id"]] == expected, request["id"]
             assert router.stats.backends_lost <= 1
-        finally:
-            router.close()
-    finally:
-        _cleanup(procs)
-
-
-@needs_fork
-def test_backend_worker_crash_is_invisible_through_the_fleet(tmp_path):
-    """``worker.kill*1`` crashes one ``implies_all`` pool worker *inside*
-    a backend; the backend's pool respawns it and the fleet's answer
-    matches an unfaulted ``jobs=1`` run.
-
-    The token file is seeded here and shared via ``REPRO_FAULTS_DIR``
-    so the fault fires exactly once across the backend's whole fork
-    tree (parent, workers, respawns); its disappearance proves the
-    kill happened."""
-    (tmp_path / "worker.kill.0").touch()
-    procs, specs = spawn_backends(
-        1,
-        env={
-            "REPRO_FAULTS": "worker.kill*1",
-            "REPRO_FAULTS_DIR": str(tmp_path),
-        },
-    )
-    try:
-        router = FleetRouter(specs)
-        router.start_background()
-        try:
-            config = {
-                "jobs": 2,
-                "backend": "exact",
-                "lp_prune": False,
-                "want_witness": False,
-            }
-            request = {**_batch_request("crashy"), "config": config}
-            [raw] = _line_exchange(router.address, [request])
-            payload = json.loads(raw)
-            assert payload["ok"], payload
-            assert not (tmp_path / "worker.kill.0").exists(), (
-                "no pool worker was killed"
-            )
-            [pinned_raw] = _reference_bytes(
-                [{**request, "config": {**config, "jobs": 1}}]
-            )
-            pinned = json.loads(pinned_raw)
-            assert payload["result"] == pinned["result"]
-            assert router.stats.backends_lost == 0
         finally:
             router.close()
     finally:

@@ -49,12 +49,10 @@ def test_readme_flags_exist_in_cli():
 
     parser = build_parser()
     args = parser.parse_args(
-        ["diagnose", "d.dtd", "s.txt", "--stats", "--backend", "exact",
-         "--jobs", "4"]
+        ["diagnose", "d.dtd", "s.txt", "--stats", "--backend", "exact"]
     )
     assert args.stats
     assert args.backend == "exact"
-    assert args.jobs == 4
 
 
 def test_readme_serving_section_is_executable():
@@ -119,31 +117,27 @@ def test_readme_observability_section_is_executable():
     assert "/v1/implies" in text
     assert "/metrics" in text
     assert "metrics_golden.prom" in text
-    for flag in ("--http", "--metrics-port", "--jobs auto"):
+    for flag in ("--http", "--metrics-port"):
         assert flag in text, f"README lost the {flag} knob"
 
 
 def test_readme_observability_knobs_parse_in_cli():
-    """The HTTP/metrics/adaptive-jobs flags the README documents parse
-    on `serve` (and a numeric --jobs still parses as an int)."""
+    """The HTTP/metrics flags the README documents parse on `serve`."""
     from repro.cli import build_parser
 
     parser = build_parser()
     args = parser.parse_args(
-        ["serve", "--port", "7801", "--http", "8080",
-         "--metrics-port", "9102", "--jobs", "auto"]
+        ["serve", "--port", "7801", "--http", "8080", "--metrics-port", "9102"]
     )
     assert args.http == 8080
     assert args.metrics_port == 9102
-    assert args.jobs == "auto"
-    assert parser.parse_args(["serve", "--jobs", "4"]).jobs == 4
 
 
 def test_readme_scaling_section_is_executable():
     """The Scaling quickstart is a real doctest session: the README must
-    keep a `diagnose --jobs` shell example (which must parse) and a
-    `jobs=` Python example, and the doctest runner above executes the
-    latter."""
+    keep a `diagnose` shell example (which must parse) and an
+    `implies_all` Python example, and the doctest runner above executes
+    the latter."""
     from repro.cli import build_parser
 
     text = README.read_text()
@@ -151,12 +145,12 @@ def test_readme_scaling_section_is_executable():
     scaling = text.split("## Scaling", 1)[1].split("\n## ", 1)[0]
     [line] = [
         row for row in scaling.splitlines()
-        if row.startswith("python -m repro") and "--jobs 4" in row
+        if row.startswith("python -m repro diagnose")
     ]
     argv = line.split()[3:]
     assert argv[0] == "diagnose"
-    assert build_parser().parse_args(argv).jobs == 4
-    assert "jobs=2" in text
+    assert build_parser().parse_args(argv).stats
+    assert "implies_all(d1, sigma1" in scaling
     assert "mus(wide, bloated" in text
 
 

@@ -1,5 +1,8 @@
 """Unit tests for the content-model parser."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ParseError
@@ -13,7 +16,7 @@ from repro.regex.ast import (
     Star,
     Union,
 )
-from repro.regex.parser import parse_content_model
+from repro.regex.parser import MAX_NESTING, parse_content_model
 
 
 class TestBasicForms:
@@ -87,6 +90,75 @@ class TestErrors:
     def test_bad_character_rejected(self):
         with pytest.raises(ParseError):
             parse_content_model("a & b")
+
+
+def _nested_spec(depth: int) -> tuple[str, str]:
+    """A spec that takes the ILP path, its content model wrapped in
+    ``depth`` levels of parentheses."""
+    model = "(" * (depth - 1) + "(a*, b+)" + ")" * (depth - 1)
+    dtd = (
+        f"<!ELEMENT r {model}>\n<!ELEMENT a EMPTY>\n<!ELEMENT b EMPTY>\n"
+        "<!ATTLIST a id CDATA #REQUIRED>\n<!ATTLIST b id CDATA #REQUIRED>\n"
+    )
+    return dtd, "a.id -> a\nb.id -> b\nb.id <= a.id\n"
+
+
+class TestNestingLimit:
+    """Content models nest at most ``MAX_NESTING`` groups deep; deeper
+    ones are a :class:`ParseError`, never a ``RecursionError``."""
+
+    def test_limit_parses_and_one_more_is_refused(self):
+        inner = "(a*, b+)"
+        model = "(" * (MAX_NESTING - 1) + inner + ")" * (MAX_NESTING - 1)
+        assert parse_content_model(model) == parse_content_model(inner)
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_content_model(f"({model})")
+
+    @pytest.mark.parametrize(
+        "depth, code, answer",
+        [(MAX_NESTING, 0, "consistent: True"),
+         (MAX_NESTING + 1, 2, "nests deeper"),
+         (3000, 2, "nests deeper")],
+    )
+    def test_cli(self, tmp_path, depth, code, answer):
+        dtd, sigma = _nested_spec(depth)
+        (tmp_path / "d.dtd").write_text(dtd)
+        (tmp_path / "s.txt").write_text(sigma)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "check",
+             str(tmp_path / "d.dtd"), str(tmp_path / "s.txt")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert answer in proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_wire(self):
+        """Served from the server's executor thread: the limit answers,
+        anything deeper is a structured ``ParseError``."""
+        from repro.service.client import ServiceClient
+        from repro.service.registry import SessionRegistry
+        from repro.service.server import CheckingServer
+
+        server = CheckingServer(SessionRegistry())
+        host, port = server.start_background()
+        try:
+            with ServiceClient(host, port) as client:
+                dtd, sigma = _nested_spec(MAX_NESTING)
+                response = client.call(
+                    {"op": "check", "dtd": dtd, "constraints": sigma}
+                )
+                assert response["ok"], response
+                assert response["result"]["consistent"] is True
+                for depth in (MAX_NESTING + 1, 3000):
+                    dtd, sigma = _nested_spec(depth)
+                    response = client.call(
+                        {"op": "check", "dtd": dtd, "constraints": sigma}
+                    )
+                    assert response["ok"] is False
+                    assert response["error"]["type"] == "ParseError"
+        finally:
+            server.close()
 
 
 class TestRoundTrip:

@@ -1,14 +1,9 @@
 """Chaos suite: armed faults, structured answers, identical verdicts.
 
 Every hardening claim of DESIGN.md section 9 is exercised by arming its
-failure through :mod:`repro.service.faults` and asserting the recovery
-story end to end:
+failure through :mod:`repro.faults` and asserting the recovery story
+end to end:
 
-* ``worker.kill`` — a pool worker dies holding a task; the pool detects
-  it by exitcode, requeues the task and respawns; a kill *storm*
-  exhausts the respawn budget and ``implies_all`` degrades to its
-  sequential loop — in both cases the answers equal the fault-free
-  ``jobs=1`` baseline;
 * deadlines — expired requests answer ``budget_exceeded`` (pre-queue
   and mid-solve via ``solve.delay``), never wedging the drainer;
 * overload (``drain.delay`` + a tiny in-flight cap) — shed requests
@@ -22,46 +17,30 @@ story end to end:
 import asyncio
 import json
 import os
-from dataclasses import replace
-
 import pytest
 
 from repro.budget import Deadline, deadline_scope
 from repro.checkers.config import CheckerConfig
 from repro.checkers.consistency import check_consistency
-from repro.checkers.implication import (
-    _implication_task,
-    _init_implication_worker,
-    implies_all,
-)
+from repro.checkers.implication import implies_all
 from repro.constraints.parser import parse_constraints
 from repro.dtd.serializer import dtd_to_string
-from repro.errors import BudgetExceededError, WorkerCrashError
-from repro.ilp import condsys
-from repro.ilp.condsys import WorkerPool, fanout_map
-from repro.service import faults
-from repro.service.faults import FaultRegistry, parse_faults
+from repro import faults
+from repro.errors import BudgetExceededError
+from repro.faults import FaultRegistry, parse_faults
 from repro.service.registry import SessionRegistry
 from repro.service.server import CheckingServer
 from repro.workloads.generators import wide_flat_dtd
-
-needs_fork = pytest.mark.skipif(
-    not WorkerPool.available(), reason="worker pool needs fork start method"
-)
 
 #: The differential-fuzz branchy instance: its support search genuinely
 #: branches (certified pipeline, LP pruning off), so DFS nodes are
 #: guaranteed to exist for faults to hit.
 _ACTIVE = 3
-PARALLEL = CheckerConfig(
-    want_witness=False, backend="exact", lp_prune=False, jobs=2
-)
-SEQUENTIAL = replace(PARALLEL, jobs=1)
+SEQUENTIAL = CheckerConfig(want_witness=False, backend="exact", lp_prune=False)
 _CONFIG_WIRE = {
     "want_witness": False,
     "backend": "exact",
     "lp_prune": False,
-    "jobs": 2,
 }
 
 
@@ -75,8 +54,7 @@ def _branchy_spec():
     return dtd, sigma
 
 
-#: Every pairwise inclusion over the chain: six independent queries, so
-#: ``jobs=2`` forks a real pool for ``worker.kill`` to hit.
+#: Every pairwise inclusion over the chain: six independent queries.
 _PHIS_TEXT = [
     f"t{i}.x <= t{j}.x"
     for i in range(_ACTIVE)
@@ -91,9 +69,12 @@ def _batch():
     return dtd, sigma, parse_constraints("\n".join(_PHIS_TEXT))
 
 
-def _kill_fired(registry) -> bool:
-    """Did the armed ``worker.kill*1`` consume its token?"""
-    return not os.path.exists(os.path.join(registry.token_dir, "worker.kill.0"))
+def _fired(registry, point: str, times: int) -> bool:
+    """Did the armed ``point*times`` consume every one of its tokens?"""
+    return not any(
+        os.path.exists(os.path.join(registry.token_dir, f"{point}.{index}"))
+        for index in range(times)
+    )
 
 
 @pytest.fixture
@@ -126,9 +107,9 @@ async def _roundtrip(host, port, requests):
 
 
 def test_fault_grammar_round_trips():
-    specs = parse_faults("worker.kill*2, drain.delay=0.25, conn.drop")
-    assert specs["worker.kill"].times == 2
-    assert specs["worker.kill"].value is None
+    specs = parse_faults("persist.corrupt*2, drain.delay=0.25, conn.drop")
+    assert specs["persist.corrupt"].times == 2
+    assert specs["persist.corrupt"].value is None
     assert specs["drain.delay"].times is None
     assert specs["drain.delay"].value == 0.25
     assert specs["conn.drop"].times is None
@@ -139,83 +120,33 @@ def test_fault_grammar_round_trips():
 
 def test_fault_grammar_rejects_junk():
     with pytest.raises(ValueError):
-        parse_faults("worker.kill*-1")
+        parse_faults("conn.drop*-1")
     with pytest.raises(ValueError):
-        parse_faults("worker.kill*soon")
+        parse_faults("conn.drop*soon")
     with pytest.raises(ValueError):
         parse_faults("=0.5")
 
 
 def test_limited_faults_fire_exactly_n_times_across_registries(tmp_path):
     """Token files make ``*N`` counts global to every process sharing the
-    directory: two registries (standing in for parent + forked child)
-    jointly consume exactly N firings."""
+    directory: two registries (standing in for two processes) jointly
+    consume exactly N firings."""
     token_dir = str(tmp_path / "tokens")
-    specs = parse_faults("worker.kill*3")
+    specs = parse_faults("conn.drop*3")
     parent = FaultRegistry(specs, token_dir=token_dir, create_tokens=True)
     child = FaultRegistry(specs, token_dir=token_dir, create_tokens=False)
     fired = sum(
         1
         for registry in (parent, child, parent, child, parent, child)
-        if registry.fire("worker.kill") is not None
+        if registry.fire("conn.drop") is not None
     )
     assert fired == 3
 
 
 def test_unarmed_probes_are_noops():
     faults.reset()
-    assert faults.fault_active("worker.kill") is False
+    assert faults.fault_active("conn.drop") is False
     assert faults.fault_seconds("drain.delay") is None
-
-
-# ---------------------------------------------------------------------------
-# Worker-crash recovery (DESIGN.md section 9: detect, requeue, respawn)
-# ---------------------------------------------------------------------------
-
-
-@needs_fork
-def test_single_worker_kill_recovers_without_degrading(arm, monkeypatch):
-    """One kill inside ``implies_all``'s pool: the pool reaps the dead
-    worker, requeues its task and respawns, and the batch answers with
-    the jobs=1 results (verdicts and per-query stats)."""
-    pools = []
-
-    class RecordingPool(WorkerPool):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            pools.append(self)
-
-    monkeypatch.setattr(condsys, "WorkerPool", RecordingPool)
-    dtd, sigma, phis = _batch()
-    arm("worker.kill*1")
-    results = implies_all(dtd, sigma, phis, PARALLEL)
-    faults.reset()
-    baseline = implies_all(dtd, sigma, phis, SEQUENTIAL)
-    [pool] = pools
-    assert pool.crashes == 1
-    assert pool.respawns == 1
-    assert pool.requeues >= 1
-    assert results == baseline
-
-
-@needs_fork
-def test_kill_storm_degrades_to_sequential_with_identical_verdict(arm):
-    """When every worker (and every respawn) dies, ``fanout_map`` raises
-    :class:`WorkerCrashError`, and ``implies_all`` falls back to its
-    sequential loop and still returns the jobs=1 results."""
-    dtd, sigma, phis = _batch()
-    arm("worker.kill*100")
-    with pytest.raises(WorkerCrashError):
-        fanout_map(
-            _implication_task,
-            list(range(len(phis))),
-            2,
-            _init_implication_worker,
-            (dtd, sigma, phis, PARALLEL),
-        )
-    results = implies_all(dtd, sigma, phis, PARALLEL)
-    faults.reset()
-    assert results == implies_all(dtd, sigma, phis, SEQUENTIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +377,14 @@ def test_corrupt_snapshot_is_a_cold_start_that_still_answers(arm, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@needs_fork
 def test_faulted_service_still_matches_fault_free_verdicts(arm):
-    """Worker kills and drain delays at once: every ``implies_all``
-    request answers, and the verdicts equal the fault-free sequential
-    baseline."""
+    """Solve and drain delays at once: every ``implies_all`` request
+    answers, and the verdicts equal the fault-free baseline."""
     dtd, sigma, phis = _batch()
     dtd_text = dtd_to_string(dtd)
     sigma_text = "\n".join(str(phi) for phi in sigma)
     baseline = [r.implied for r in implies_all(dtd, sigma, phis, SEQUENTIAL)]
-    armed = arm("worker.kill*1,drain.delay=0.02*2")
+    armed = arm("solve.delay=0.001*3,drain.delay=0.02*2")
     server = CheckingServer(SessionRegistry())
     host, port = server.start_background()
     try:
@@ -483,6 +412,7 @@ def test_faulted_service_still_matches_fault_free_verdicts(arm):
             assert verdicts == baseline, (
                 "faulted verdict diverged from the fault-free baseline"
             )
-        assert _kill_fired(armed), "no pool worker was killed"
+        assert _fired(armed, "solve.delay", 3), "no solve was delayed"
+        assert _fired(armed, "drain.delay", 2), "no drain was delayed"
     finally:
         server.close()

@@ -24,14 +24,12 @@ from repro.service.metrics import (
     GAUGE,
     HISTOGRAM_BUCKETS,
     METRICS,
-    AdaptiveJobsController,
     LatencyHistogram,
     StatsCollector,
     render_prometheus,
 )
 from repro.service.registry import SessionRegistry
 from repro.service.server import CheckingServer
-from repro.ilp.condsys import effective_parallelism
 
 GOLDEN = Path(__file__).parent / "data" / "metrics_golden.prom"
 
@@ -200,7 +198,7 @@ def test_stats_op_counters_are_namespaced_and_match_scrape(served):
     counters = payload["counters"]
     assert counters, "stats op lost its namespaced counters"
     prefixes = {key.split(".", 1)[0] for key in counters}
-    assert prefixes <= {"server", "registry", "session", "pool"}, prefixes
+    assert prefixes <= {"server", "registry", "session"}, prefixes
     # No flat-merge shadowing: the nested legacy sections carry a
     # 'sessions'/'session_hits' collision surface; the flat view cannot.
     assert all("." in key for key in counters)
@@ -240,7 +238,7 @@ def test_session_counters_stay_monotone_across_eviction():
         front.close()
 
 
-# -- unit: histogram, collector, controller -------------------------------
+# -- unit: histogram, collector -------------------------------------------
 
 
 def test_latency_histogram_buckets():
@@ -258,43 +256,13 @@ def test_latency_histogram_buckets():
 
 def test_collector_absorbs_solver_stats_and_retires_sessions():
     collector = StatsCollector()
-    collector.absorb_solver_stats({"workers_spawned": 2, "dfs_nodes": 99})
-    collector.absorb_solver_stats({"workers_spawned": 1})
-    collector.absorb_solver_stats(None)
+    collector.absorb_repair_stats(
+        {"found": True, "stats": {"probes": 4, "dfs_nodes": 99}}
+    )
+    collector.absorb_repair_stats({"found": False, "stats": {"probes": 1}})
     collector.retire_session({"requests": 5, "cache_hits": 2})
     counters = collector.counters()
-    assert counters["pool.workers_spawned"] == 3
-    assert "pool.dfs_nodes" not in counters  # only pool counters cross over
+    assert (counters["repair.requests"], counters["repair.found"]) == (2, 1)
+    assert counters["repair.probes"] == 5
+    assert "repair.dfs_nodes" not in counters  # only repair counters cross over
     assert counters["session.requests"] == 5
-
-
-def test_adaptive_controller_clamps_to_effective_parallelism():
-    ceiling = effective_parallelism()
-    controller = AdaptiveJobsController(target_latency=0.01)
-    assert controller.ceiling == max(1, ceiling)
-    for _ in range(64):
-        controller.observe_solve(10.0)
-        assert 1 <= controller.current() <= ceiling
-    for _ in range(64):
-        controller.observe_solve(0.0)
-        assert 1 <= controller.current() <= ceiling
-    assert controller.current() == 1
-
-
-def test_adaptive_controller_grows_and_shrinks_with_latency():
-    collector = StatsCollector()
-    controller = AdaptiveJobsController(
-        target_latency=0.1, ceiling=4, collector=collector
-    )
-    for _ in range(6):
-        controller.observe_solve(1.0)
-    assert controller.current() == 4
-    assert controller.grown >= 3
-    for _ in range(12):
-        controller.observe_solve(0.001)
-    assert controller.current() == 1
-    assert controller.shrunk >= 1
-    counters = collector.counters()
-    assert counters["pool.jobs_grown"] == controller.grown
-    assert counters["pool.jobs_shrunk"] == controller.shrunk
-    assert counters["pool.effective_jobs"] == 1

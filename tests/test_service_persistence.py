@@ -128,14 +128,14 @@ def test_checksum_mismatch_restores_nothing(tmp_path):
     assert load_snapshot(registry, state) == 0
 
 
-def _with_version1_configs(value):
-    """Give every packed config the two fields version-1 snapshots carried."""
+def _with_config_fields(value, fields):
+    """Give every packed config the ``fields`` an older snapshot carried."""
     if isinstance(value, list):
         if len(value) == 2 and value[0] == "config" and isinstance(value[1], dict):
-            return ["config", {**value[1], "incremental": True, "exact_warm": True}]
-        return [_with_version1_configs(item) for item in value]
+            return ["config", {**value[1], **fields}]
+        return [_with_config_fields(item, fields) for item in value]
     if isinstance(value, dict):
-        return {key: _with_version1_configs(item) for key, item in value.items()}
+        return {key: _with_config_fields(item, fields) for key, item in value.items()}
     return value
 
 
@@ -153,7 +153,9 @@ def test_version_skew_restores_nothing(tmp_path):
     # left CheckerConfig: its configs name fields that no longer exist.
     # It is a clean cold start, and the registry answers as if there had
     # never been a file.
-    payload = _with_version1_configs(written["payload"])
+    payload = _with_config_fields(
+        written["payload"], {"incremental": True, "exact_warm": True}
+    )
     assert "exact_warm" in json.dumps(payload)
     envelope = {"version": 1, "checksum": _checksum(payload), "payload": payload}
     with open(state, "w", encoding="utf-8") as handle:
@@ -173,6 +175,20 @@ def test_version_skew_restores_nothing(tmp_path):
         for entry in payload["sessions"]
     ]
     envelope = {"version": 2, "checksum": _checksum(payload), "payload": payload}
+    with open(state, "w", encoding="utf-8") as handle:
+        json.dump(envelope, handle)
+    registry = SessionRegistry()
+    assert load_snapshot(registry, state) == 0
+    session = registry.session_for(dtd_to_string(teachers_dtd_d1()), KEYS)
+    assert session.check()["consistent"] is True
+    assert session.stats.cache_hits == 0
+
+    # A version-3 snapshot, written while CheckerConfig still had a
+    # ``jobs`` field: every packed config carries it.  It cold-starts the
+    # same way.
+    payload = _with_config_fields(written["payload"], {"jobs": 2})
+    assert '"jobs": 2' in json.dumps(payload)
+    envelope = {"version": 3, "checksum": _checksum(payload), "payload": payload}
     with open(state, "w", encoding="utf-8") as handle:
         json.dump(envelope, handle)
     registry = SessionRegistry()

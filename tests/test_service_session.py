@@ -12,7 +12,7 @@ from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
 from repro.encoding.combined import spec_fingerprint
 from repro.errors import ReproError
-from repro.ilp.condsys import effective_parallelism
+from repro.service.server import effective_parallelism
 from repro.service.registry import SessionRegistry, default_registry
 from repro.service.session import SpecSession, merge_config
 from repro.workloads.generators import wide_flat_dtd
@@ -89,12 +89,12 @@ class TestResponseCache:
         "overrides, match",
         [
             (5, "config must be an object"),
-            (["jobs", 2], "config must be an object"),
+            (["backend", "exact"], "config must be an object"),
             ({"max_setrep_attrs": "3"}, "'max_setrep_attrs' must be an integer >= 0"),
             ({"max_setrep_attrs": -1}, "'max_setrep_attrs' must be an integer >= 0"),
-            ({"jobs": "2"}, "'jobs' must be an integer >= 1"),
-            ({"jobs": 0}, "'jobs' must be an integer >= 1"),
-            ({"jobs": True}, "'jobs' must be an integer >= 1"),
+            ({"max_support_nodes": "2"}, "'max_support_nodes' must be an integer >= 1"),
+            ({"max_support_nodes": 0}, "'max_support_nodes' must be an integer >= 1"),
+            ({"max_support_nodes": True}, "'max_support_nodes' must be an integer >= 1"),
             ({"max_support_nodes": "x"}, "'max_support_nodes' must be an integer"),
             ({"want_witness": "no"}, "'want_witness' must be a boolean"),
             ({"lp_prune": 1}, "'lp_prune' must be a boolean"),
@@ -108,49 +108,33 @@ class TestResponseCache:
     def test_merge_config_accepts_well_typed_values(self):
         merged = merge_config(
             CheckerConfig(),
-            {"max_setrep_attrs": 0, "jobs": 3, "backend": "exact", "lp_prune": False},
+            {"max_setrep_attrs": 0, "max_support_nodes": 3, "backend": "exact",
+             "lp_prune": False},
         )
-        assert (merged.max_setrep_attrs, merged.jobs) == (0, 3)
+        assert (merged.max_setrep_attrs, merged.max_support_nodes) == (0, 3)
         assert (merged.backend, merged.lp_prune) == ("exact", False)
 
     def test_session_rejects_a_non_object_config(self):
         session = SpecSession(*_spec())
         with pytest.raises(ReproError, match="config must be an object"):
             session.check(5)
-        with pytest.raises(ReproError, match="'jobs' must be an integer"):
-            session.implies_batch(["a.id -> a"], {"jobs": "2"})
-        # The adaptive marker is still a valid jobs value.
-        assert session.check({"jobs": "auto"})["consistent"] is True
+        with pytest.raises(ReproError, match="'max_support_nodes' must be an integer"):
+            session.implies_batch(["a.id -> a"], {"max_support_nodes": "2"})
 
-    def test_perform_caps_jobs_without_forking(self, monkeypatch):
-        import repro.checkers.implication as implication
-        import repro.ilp.condsys as condsys
-        from repro.service.protocol import ProtocolError, perform
+    @pytest.mark.parametrize("jobs", [2, "auto"])
+    def test_jobs_override_is_unknown(self, jobs):
+        """``jobs`` is no longer a config field: the wire answers it like
+        any other unknown override, on every op."""
+        from repro.service.protocol import perform
 
-        class _NoPool(condsys.WorkerPool):
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a worker pool was built")
-
-        monkeypatch.setattr(condsys, "WorkerPool", _NoPool)
-        monkeypatch.setattr(implication, "WorkerPool", _NoPool)
         session = SpecSession(*_spec())
-        cap = max(2, effective_parallelism(), session.config.jobs)
-        request = {
-            "op": "implies_all",
-            "phis": ["a.id -> a"] * (cap + 8),
-            "config": {"jobs": cap + 1},
-        }
-        with pytest.raises(ProtocolError, match=f"cap of {cap}"):
-            perform(session, request)
-        request["config"] = {"jobs": 1}
-        results = perform(session, request)["results"]
-        assert all(result["implied"] for result in results)
-        # Coalesced `implies` batches skip perform; they apply the cap too.
-        from repro.service.server import CheckingServer, _SessionQueue
-
-        queue = _SessionQueue(CheckingServer(SessionRegistry()), "key")
-        with pytest.raises(ProtocolError, match=f"cap of {cap}"):
-            queue._run_batch(session, ["a.id -> a"] * 3, {"jobs": cap + 1}, None)
+        for request in (
+            {"op": "check"},
+            {"op": "implies_all", "phis": ["a.id -> a"] * 3},
+            {"op": "diagnose"},
+        ):
+            with pytest.raises(ReproError, match="unknown config override"):
+                perform(session, {**request, "config": {"jobs": jobs}})
 
 
 class TestBatch:

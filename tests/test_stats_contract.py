@@ -17,7 +17,7 @@ DIAGNOSTICS_KEYS = [
     "method", "mus_method", "assemblies", "probes", "mus_probes",
     "dfs_nodes", "leaves_solved", "bound_patch_solves", "lp_solves",
     "mip_solves", "cuts_added", "cut_pool_hits", "lp_prunes",
-    "lp_probe_decided", "exact_nodes", "exact_pivots", "workers_spawned",
+    "lp_probe_decided", "exact_nodes", "exact_pivots",
 ]
 
 REPAIR_KEYS = [
@@ -58,7 +58,7 @@ def test_toggled_diagnose_stats_on_d1_sigma1(d1, sigma1):
         ("dfs_nodes", 0), ("leaves_solved", 0), ("bound_patch_solves", 5),
         ("lp_solves", 5), ("mip_solves", 0), ("cuts_added", 0),
         ("cut_pool_hits", 0), ("lp_prunes", 0), ("lp_probe_decided", 5),
-        ("exact_nodes", 0), ("exact_pivots", 0), ("workers_spawned", 0),
+        ("exact_nodes", 0), ("exact_pivots", 0),
     ]
 
 
