@@ -44,20 +44,31 @@ DTD files use ``<!ELEMENT>``/``<!ATTLIST>`` syntax; constraint files use
 the library's text syntax (one constraint per line, ``#`` comments).
 Exit codes: 0 = positive answer (consistent / valid / implied),
 1 = negative answer, 2 = usage or input error.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the caller
+already set it, so every CLI process (and every ``fleet`` backend it
+spawns) runs numpy's OpenBLAS on one thread: repro never calls BLAS, and
+the per-core workers OpenBLAS would otherwise start spin ~70 ms of CPU
+per cold call.  The library itself leaves its host's BLAS threading alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from repro.checkers.config import CheckerConfig
-from repro.constraints.parser import parse_constraints
-from repro.dtd.parser import parse_dtd
-from repro.errors import ReproError
-from repro.service.registry import SessionRegistry, default_registry
-from repro.service.session import SpecSession
+# One BLAS thread (see above), set before the first import that loads
+# numpy: ``repro.checkers.config`` reaches ``repro.ilp.assembled``.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from repro.checkers.config import CheckerConfig  # noqa: E402
+from repro.constraints.parser import parse_constraints  # noqa: E402
+from repro.dtd.parser import parse_dtd  # noqa: E402
+from repro.errors import ReproError  # noqa: E402
+from repro.service.registry import SessionRegistry, default_registry  # noqa: E402
+from repro.service.session import SpecSession  # noqa: E402
 
 
 def _load_dtd(path: str, root: str | None):

@@ -59,11 +59,58 @@ class Name(Regex):
         return self.symbol
 
 
-def _wrap(item: Regex) -> str:
-    """Parenthesize compound children for unambiguous printing."""
-    if isinstance(item, (Concat, Union)):
-        return f"({item})"
-    return str(item)
+def _render(root: Regex) -> str:
+    """Print a compound expression with an explicit stack of pending
+    pieces (strings and unexpanded nodes), so models nested up to the
+    parser's ``MAX_NESTING`` print at the default recursion limit.
+    Compound children are parenthesized for unambiguous printing."""
+    out: list[str] = []
+    stack: list[Regex | str] = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        if isinstance(node, (Concat, Union)):
+            separator, items = node._separator, node.items
+        elif isinstance(node, (Star, Plus, Optional)):
+            stack.append(node._suffix)
+            separator, items = "", (node.item,)
+        else:
+            out.append(str(node))
+            continue
+        for index in range(len(items) - 1, -1, -1):
+            item = items[index]
+            if isinstance(item, (Concat, Union)):
+                stack += (")", item, "(")
+            else:
+                stack.append(item)
+            if index:
+                stack.append(separator)
+    return "".join(out)
+
+
+def _equal(left: Regex, right: object) -> bool:
+    """Structural equality of two compound expressions, walked with an
+    explicit stack of pending pairs for the same reason as :func:`_render`."""
+    if right.__class__ is not left.__class__:
+        return NotImplemented
+    pending = [(left, right)]
+    while pending:
+        mine, theirs = pending.pop()
+        if mine is theirs:
+            continue
+        if mine.__class__ is not theirs.__class__:
+            return False
+        if isinstance(mine, (Concat, Union)):
+            if len(mine.items) != len(theirs.items):
+                return False
+            pending += zip(mine.items, theirs.items)
+        elif isinstance(mine, (Star, Plus, Optional)):
+            pending.append((mine.item, theirs.item))
+        elif mine != theirs:
+            return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +123,9 @@ class Concat(Regex):
         if len(self.items) < 2:
             raise ValueError("Concat requires at least two items")
 
-    def __str__(self) -> str:
-        return ", ".join(_wrap(item) for item in self.items)
+    _separator = ", "
+    __str__ = _render
+    __eq__ = _equal
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +138,9 @@ class Union(Regex):
         if len(self.items) < 2:
             raise ValueError("Union requires at least two items")
 
-    def __str__(self) -> str:
-        return " | ".join(_wrap(item) for item in self.items)
+    _separator = " | "
+    __str__ = _render
+    __eq__ = _equal
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,8 +149,9 @@ class Star(Regex):
 
     item: Regex
 
-    def __str__(self) -> str:
-        return f"{_wrap(self.item)}*"
+    _suffix = "*"
+    __str__ = _render
+    __eq__ = _equal
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,8 +160,9 @@ class Plus(Regex):
 
     item: Regex
 
-    def __str__(self) -> str:
-        return f"{_wrap(self.item)}+"
+    _suffix = "+"
+    __str__ = _render
+    __eq__ = _equal
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,8 +171,9 @@ class Optional(Regex):
 
     item: Regex
 
-    def __str__(self) -> str:
-        return f"{_wrap(self.item)}?"
+    _suffix = "?"
+    __str__ = _render
+    __eq__ = _equal
 
 
 #: Shared instance of the empty-word expression.

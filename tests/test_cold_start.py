@@ -3,10 +3,14 @@ loaded by :mod:`repro.ilp.assembled` is the one scipy itself uses.  A
 positive ``check`` or a negative ``implies`` — both re-verify an integer
 point — import no scipy Python package and none of the analysis layer.
 
+The CLI also starts numpy's OpenBLAS on one thread, while the library leaves
+its host's BLAS threading alone.
+
 Each check runs in a fresh interpreter, because ``sys.modules`` of the test
 process has long since imported everything.
 """
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -24,13 +28,16 @@ SIGMA1 = (
 )
 
 
-def _python(code: str, *argv: str, stdin: str = "") -> subprocess.CompletedProcess:
+def _python(
+    code: str, *argv: str, stdin: str = "", env: dict | None = None
+) -> subprocess.CompletedProcess:
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code), *argv],
         capture_output=True,
         input=stdin,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -250,3 +257,95 @@ def test_missing_core_names_the_scipy_requirement(tmp_path):
     )
     assert "scipy>=1.15" in proc.stdout
     assert "scipy.optimize._highspy._core" in proc.stdout
+
+
+_BLAS_VARIABLE = "OPENBLAS_NUM_THREADS"
+
+needs_proc_tasks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="no /proc/<pid>/task to count"
+)
+
+
+def _env_without_blas_setting(**extra: str) -> dict:
+    """This process's environment minus ``OPENBLAS_NUM_THREADS``: once the
+    test process has imported ``repro.cli`` its children would inherit it."""
+    env = {key: value for key, value in os.environ.items() if key != _BLAS_VARIABLE}
+    env.update(extra)
+    return env
+
+
+@needs_proc_tasks
+def test_import_cli_starts_no_blas_threads():
+    proc = _python(
+        """
+        import os
+        import repro.cli
+        import numpy
+        print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+        """,
+        env=_env_without_blas_setting(),
+    )
+    assert proc.stdout.split() == ["1", "1"]
+
+
+def test_import_cli_keeps_a_callers_blas_setting():
+    proc = _python(
+        """
+        import os
+        import repro.cli
+        print(os.environ["OPENBLAS_NUM_THREADS"])
+        """,
+        env=_env_without_blas_setting(**{_BLAS_VARIABLE: "3"}),
+    )
+    assert proc.stdout.split() == ["3"]
+
+
+def test_library_leaves_blas_threading_alone():
+    proc = _python(
+        """
+        import os, sys
+        import repro.api
+        from repro.workloads.examples import sigma1_constraints, teachers_dtd_d1
+
+        result = repro.api.check_consistency(teachers_dtd_d1(), sigma1_constraints())
+        print(result.consistent, "numpy" in sys.modules)
+        print(os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
+        """,
+        env=_env_without_blas_setting(),
+    )
+    assert proc.stdout.split() == ["False", "True", "unset"]
+
+
+def _served_thread_count(env: dict) -> int:
+    """Threads of a ``repro serve --port 0`` process once it has announced
+    its port; the server is then shut down over its own protocol."""
+    from repro.service.client import ServiceClient
+
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        announced = server.stdout.readline()
+        assert announced.startswith("listening on "), announced
+        threads = len(os.listdir(f"/proc/{server.pid}/task"))
+        host, port = announced.split()[-1].rsplit(":", 1)
+        with ServiceClient(host, int(port)) as client:
+            assert client.call({"id": 1, "op": "shutdown"})["ok"]
+        assert server.wait(timeout=60) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()
+    return threads
+
+
+@needs_proc_tasks
+def test_served_process_starts_no_blas_threads():
+    scrubbed = _served_thread_count(_env_without_blas_setting())
+    pinned = _served_thread_count(_env_without_blas_setting(**{_BLAS_VARIABLE: "1"}))
+    assert scrubbed == pinned

@@ -103,6 +103,37 @@ def _nested_spec(depth: int) -> tuple[str, str]:
     return dtd, "a.id -> a\nb.id -> b\nb.id <= a.id\n"
 
 
+def _deep_model(depth: int) -> str:
+    """``(a*, (a*, ... (a*, b+) ...))``: ``depth`` real groups, not
+    redundant parentheses."""
+    model = "(a*, b+)"
+    for _ in range(depth - 1):
+        model = f"(a*, {model})"
+    return model
+
+
+def _deep_spec(depth: int) -> tuple[str, str]:
+    """A spec that takes the ILP path, its content model ``_deep_model``."""
+    dtd = (
+        f"<!ELEMENT r {_deep_model(depth)}>\n<!ELEMENT a EMPTY>\n"
+        "<!ELEMENT b EMPTY>\n"
+        "<!ATTLIST a k CDATA #REQUIRED>\n<!ATTLIST b m CDATA #REQUIRED>\n"
+    )
+    return dtd, "a.k -> a\nb.m -> b\nb.m => a.k\n"
+
+
+def _cli_check(tmp_path, spec: tuple[str, str]) -> subprocess.CompletedProcess:
+    """``python -m repro check`` on ``spec`` in a fresh interpreter."""
+    dtd, sigma = spec
+    (tmp_path / "d.dtd").write_text(dtd)
+    (tmp_path / "s.txt").write_text(sigma)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "check",
+         str(tmp_path / "d.dtd"), str(tmp_path / "s.txt")],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestNestingLimit:
     """Content models nest at most ``MAX_NESTING`` groups deep; deeper
     ones are a :class:`ParseError`, never a ``RecursionError``."""
@@ -121,21 +152,15 @@ class TestNestingLimit:
          (3000, 2, "nests deeper")],
     )
     def test_cli(self, tmp_path, depth, code, answer):
-        dtd, sigma = _nested_spec(depth)
-        (tmp_path / "d.dtd").write_text(dtd)
-        (tmp_path / "s.txt").write_text(sigma)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "check",
-             str(tmp_path / "d.dtd"), str(tmp_path / "s.txt")],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = _cli_check(tmp_path, _nested_spec(depth))
         assert proc.returncode == code, proc.stderr
         assert answer in proc.stdout + proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_wire(self):
         """Served from the server's executor thread: the limit answers,
-        anything deeper is a structured ``ParseError``."""
+        in redundant parentheses or in real groups, anything deeper is a
+        structured ``ParseError``."""
         from repro.service.client import ServiceClient
         from repro.service.registry import SessionRegistry
         from repro.service.server import CheckingServer
@@ -144,12 +169,14 @@ class TestNestingLimit:
         host, port = server.start_background()
         try:
             with ServiceClient(host, port) as client:
-                dtd, sigma = _nested_spec(MAX_NESTING)
-                response = client.call(
-                    {"op": "check", "dtd": dtd, "constraints": sigma}
-                )
-                assert response["ok"], response
-                assert response["result"]["consistent"] is True
+                for dtd, sigma in (
+                    _nested_spec(MAX_NESTING), _deep_spec(MAX_NESTING)
+                ):
+                    response = client.call(
+                        {"op": "check", "dtd": dtd, "constraints": sigma}
+                    )
+                    assert response["ok"], response
+                    assert response["result"]["consistent"] is True
                 for depth in (MAX_NESTING + 1, 3000):
                     dtd, sigma = _nested_spec(depth)
                     response = client.call(
@@ -159,6 +186,19 @@ class TestNestingLimit:
                     assert response["error"]["type"] == "ParseError"
         finally:
             server.close()
+
+    def test_deep_groups_print_and_reparse(self):
+        """Real nesting (not redundant parentheses) up to the limit prints
+        at the default recursion limit, and the text parses back."""
+        expr = parse_content_model(_deep_model(MAX_NESTING))
+        assert parse_content_model(str(expr)) == expr
+
+    @pytest.mark.parametrize("depth", [170, MAX_NESTING])
+    def test_deep_groups_cli(self, tmp_path, depth):
+        proc = _cli_check(tmp_path, _deep_spec(depth))
+        assert proc.returncode == 0, proc.stderr
+        assert "consistent: True" in proc.stdout
+        assert "Traceback" not in proc.stderr
 
 
 class TestRoundTrip:
