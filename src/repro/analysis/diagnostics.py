@@ -503,6 +503,17 @@ class DiagnosticsReport:
                 lines.append(f"  - {phi}")
         return "\n".join(lines)
 
+    def as_dict(self) -> dict:
+        """JSON-able rendering — the ``diagnose`` wire payload body."""
+        return {
+            "consistent": self.consistent,
+            "dtd_satisfiable": self.dtd_satisfiable,
+            "mus": [str(phi) for phi in self.mus],
+            "redundant": [str(phi) for phi in self.redundant],
+            "summary": self.summary(),
+            "stats": self.stats.as_dict(),
+        }
+
 
 def diagnose(
     dtd: DTD,

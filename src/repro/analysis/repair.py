@@ -283,6 +283,7 @@ class Repair:
             "diff": self.diff,
             "dtd": dtd_to_string(self.dtd),
             "constraints": [str(phi) for phi in self.constraints],
+            "summary": self.summary(),
             "stats": self.stats.as_dict(),
         }
 

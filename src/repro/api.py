@@ -4,13 +4,17 @@ The library grew four entry layers (checkers, analysis, the session
 engine, the wire protocol), each with its own calling convention.  This
 module is the narrow waist the CLI subcommands and the service's
 :class:`~repro.service.session.SpecSession` dispatch both route
-through: four verbs over one :class:`Spec` value, keyword-only
-configuration, typed results.
+through: five verbs over one :class:`Spec` value, keyword-only
+configuration, typed results.  Each result's ``as_dict()`` is its wire
+form: ``repro serve`` sends it and the one-shot CLI prints it, so the
+two cannot drift apart.
 
 * :func:`check` — is the specification consistent?  Returns the
   checker's :class:`~repro.checkers.results.ConsistencyResult`.
 * :func:`implies` — does the specification imply ``phi``?  Returns an
   :class:`~repro.checkers.results.ImplicationResult`.
+* :func:`validate` — does a concrete document conform to the DTD and
+  satisfy Sigma?  Returns the wire dict directly.
 * :func:`diagnose` — why is it broken / what is redundant?  Returns a
   :class:`~repro.analysis.diagnostics.DiagnosticsReport`.
 * :func:`repair` — what is the cheapest edit after which it is
@@ -49,9 +53,12 @@ from repro.checkers.implication import implies as _implies
 from repro.checkers.results import ConsistencyResult, ImplicationResult
 from repro.constraints.ast import Constraint
 from repro.constraints.parser import parse_constraint, parse_constraints
+from repro.constraints.satisfaction import violations
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
+from repro.xmltree.parse import parse_xml
+from repro.xmltree.validate import TreeValidator
 
 if TYPE_CHECKING:  # the analysis layer loads on first diagnose/mus/repair
     from repro.analysis.diagnostics import DiagnosticsReport, DiagnosticsStats
@@ -61,6 +68,7 @@ __all__ = [
     "Spec",
     "check",
     "implies",
+    "validate",
     "diagnose",
     "mus",
     "repair",
@@ -134,6 +142,34 @@ def implies(
     return _implies(
         resolved.dtd, list(resolved.constraints), parsed, config or DEFAULT_CONFIG
     )
+
+
+def validate(
+    spec: "Spec | DTD | tuple",
+    document: str,
+    *,
+    validator: TreeValidator | None = None,
+) -> dict:
+    """Does the XML ``document`` text conform to the DTD and satisfy Sigma?
+
+    Returns the ``validate`` wire dict: ``conforms`` and its ``errors``,
+    ``satisfies`` and the ``violations``.  A caller validating many
+    documents against one DTD passes its own ``validator`` (the DTD's
+    :class:`~repro.xmltree.validate.TreeValidator`), which keeps its
+    automata across calls.  Sigma is evaluated as given: check it
+    against the DTD first (``validate_constraints``), as the CLI and
+    :class:`~repro.service.session.SpecSession` do.
+    """
+    resolved = as_spec(spec)
+    tree = parse_xml(document)
+    report = (validator or TreeValidator(resolved.dtd)).validate(tree)
+    violated = violations(tree, resolved.constraints)
+    return {
+        "conforms": bool(report),
+        "errors": list(report.errors),
+        "satisfies": not violated,
+        "violations": [str(phi) for phi in violated],
+    }
 
 
 def diagnose(

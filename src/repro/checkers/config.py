@@ -19,9 +19,14 @@ class CheckerConfig:
     ----------
     backend:
         ``"scipy"`` (default: HiGHS, through the binding scipy vendors,
-        loaded directly) or ``"exact"`` (rational simplex; certified,
-        slower). The HiGHS backend already falls back to the exact one
-        when float rounding is in doubt.
+        loaded directly) or ``"exact"`` (every leaf ILP solved by the
+        rational simplex; slower). The HiGHS backend already falls back
+        to the exact one when float rounding is in doubt. ``"exact"``
+        alone does not certify a verdict end to end: while ``lp_prune``
+        is on, the support search still drops branches on HiGHS's float
+        LP infeasibility, so a negative answer may rest on a float
+        prune. ``backend="exact", lp_prune=False`` is the configuration
+        certified end to end: it makes no HiGHS call at all.
     want_witness:
         Synthesize an actual witness tree for consistent instances (and
         counterexample trees for refuted implications). Disable for pure
@@ -37,8 +42,10 @@ class CheckerConfig:
         Cap on support-search nodes before giving up with
         :class:`ComplexityLimitError`.
     lp_prune:
-        Prune support branches whose LP relaxation is definitely
-        infeasible (sound; large speedup on inconsistent instances).
+        Prune support branches whose LP relaxation HiGHS reports
+        infeasible (large speedup on inconsistent instances), under
+        either backend.  The prune trusts a float verdict; turn it off
+        with ``backend="exact"`` for a search in rational arithmetic.
     """
 
     backend: str = "scipy"

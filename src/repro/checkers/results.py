@@ -5,6 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.xmltree.model import XMLTree
+from repro.xmltree.serialize import tree_to_string
+
+
+def _tree_text(tree: XMLTree | None) -> str | None:
+    return tree_to_string(tree) if tree is not None else None
 
 
 @dataclass
@@ -26,6 +31,16 @@ class ConsistencyResult:
     def __bool__(self) -> bool:
         return self.consistent
 
+    def as_dict(self) -> dict:
+        """JSON-able rendering — the ``check`` wire payload body."""
+        return {
+            "consistent": self.consistent,
+            "method": self.method,
+            "message": self.message,
+            "stats": dict(self.stats),
+            "witness": _tree_text(self.witness),
+        }
+
 
 @dataclass
 class ImplicationResult:
@@ -44,3 +59,13 @@ class ImplicationResult:
 
     def __bool__(self) -> bool:
         return self.implied
+
+    def as_dict(self) -> dict:
+        """JSON-able rendering — the ``implies`` wire payload body."""
+        return {
+            "implied": self.implied,
+            "method": self.method,
+            "message": self.message,
+            "stats": dict(self.stats),
+            "counterexample": _tree_text(self.counterexample),
+        }

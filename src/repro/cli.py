@@ -32,13 +32,12 @@ Subcommands (also available as ``python -m repro``):
 ``--via HOST:PORT`` to route through a running ``serve`` or ``fleet``
 endpoint instead of solving in-process.
 
-``check``/``implies``/``diagnose``/``fix``/``validate`` are thin clients of the
-same session API the server runs on: each command resolves its
-``(DTD, Sigma)`` through the process-wide
-:func:`~repro.service.registry.default_registry`, so one-shot
-invocations behave exactly as before while embedders calling
-:func:`main` repeatedly get session reuse for free (``--session`` prints
-the fingerprint and hit counters).
+Solved in-process, ``check``/``implies``/``validate``/``diagnose``/``fix``
+parse the spec, call the matching :mod:`repro.api` verb and print its
+result's ``as_dict()`` — the same wire dict ``repro serve`` answers
+with, so the two cannot drift apart.  No session, registry or response
+cache is built for a one-shot command; a spec's fingerprint comes from
+the wire ``open`` op.
 
 DTD files use ``<!ELEMENT>``/``<!ATTLIST>`` syntax; constraint files use
 the library's text syntax (one constraint per line, ``#`` comments).
@@ -63,12 +62,12 @@ from pathlib import Path
 # numpy: ``repro.checkers.config`` reaches ``repro.ilp.assembled``.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from repro import api  # noqa: E402
 from repro.checkers.config import CheckerConfig  # noqa: E402
+from repro.constraints.classes import validate_constraints  # noqa: E402
 from repro.constraints.parser import parse_constraints  # noqa: E402
 from repro.dtd.parser import parse_dtd  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
-from repro.service.registry import SessionRegistry, default_registry  # noqa: E402
-from repro.service.session import SpecSession  # noqa: E402
 
 
 def _load_dtd(path: str, root: str | None):
@@ -81,6 +80,23 @@ def _load_constraints(path: str | None):
     return parse_constraints(Path(path).read_text())
 
 
+def _load_spec(args: argparse.Namespace) -> api.Spec:
+    """The command's ``(DTD, Sigma)``.
+
+    Sigma is checked against the DTD here, before any solve, so every
+    command rejects an ill-fitting Sigma the same way (``validate``
+    would not check it otherwise).
+    """
+    dtd = _load_dtd(args.dtd, args.root)
+    sigma = _load_constraints(getattr(args, "constraints", None))
+    validate_constraints(dtd, sigma)
+    return api.Spec(dtd=dtd, constraints=tuple(sigma))
+
+
+def _config(args: argparse.Namespace) -> CheckerConfig:
+    return CheckerConfig(backend=args.backend)
+
+
 def _print_stats(stats: dict) -> None:
     """Render the solver counters carried by a checker result."""
     if not stats:
@@ -91,22 +107,15 @@ def _print_stats(stats: dict) -> None:
 
 
 def _config_overrides(args: argparse.Namespace) -> dict | None:
-    """The per-request config overrides selected by the solver flags.
+    """The wire config overrides selected by the solver flags.
 
     Only non-default selections are sent, so a plain invocation shares
-    the session's (default-config) response-cache entries.
+    the service's (default-config) response-cache entries.
     """
     overrides: dict = {}
     if getattr(args, "backend", "scipy") != "scipy":
         overrides["backend"] = args.backend
     return overrides or None
-
-
-def _session_for(args: argparse.Namespace) -> SpecSession:
-    """Resolve the command's spec through the process-wide registry."""
-    dtd = _load_dtd(args.dtd, args.root)
-    sigma = _load_constraints(getattr(args, "constraints", None))
-    return default_registry().session_for(dtd, sigma)
 
 
 def _wire_spec(args: argparse.Namespace) -> dict:
@@ -120,12 +129,12 @@ def _wire_spec(args: argparse.Namespace) -> dict:
     return request
 
 
-def _via_payload(args: argparse.Namespace, request: dict) -> tuple[dict, str]:
+def _via_payload(args: argparse.Namespace, request: dict) -> dict:
     """Run one wire request against the ``--via`` service.
 
-    Returns ``(result, session_fingerprint)``; a structured error
-    answer is surfaced as a :class:`ReproError` (exit code 2), the same
-    contract as a local parse or solve failure.
+    Returns the answer's wire dict; a structured error answer is
+    surfaced as a :class:`ReproError` (exit code 2), the same contract
+    as a local parse or solve failure.
     """
     from repro.service.client import ServiceClient
 
@@ -146,34 +155,19 @@ def _via_payload(args: argparse.Namespace, request: dict) -> tuple[dict, str]:
             f"service answered {error.get('type', 'error')}: "
             f"{error.get('message', 'remote call failed')}"
         )
-    return response["result"], response.get("service", {}).get("session", "")
-
-
-def _print_session(session: SpecSession) -> None:
-    """The ``--session`` line: fingerprint plus cross-request counters."""
-    stats = session.stats
-    print(
-        f"session: {session.fingerprint}  "
-        f"[requests={stats.requests} cache_hits={stats.cache_hits}]"
-    )
+    return response["result"]
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.via:
-        payload, fingerprint = _via_payload(args, {**_wire_spec(args), "op": "check"})
+        payload = _via_payload(args, {**_wire_spec(args), "op": "check"})
     else:
-        session = _session_for(args)
-        payload = session.check(_config_overrides(args))
+        payload = api.check(_load_spec(args), config=_config(args)).as_dict()
     print(f"consistent: {payload['consistent']}   [{payload['method']}]")
     if payload["message"]:
         print(f"note: {payload['message']}")
     if args.stats:
         _print_stats(payload["stats"])
-    if args.session_info:
-        if args.via:
-            print(f"session: {fingerprint}  [via={args.via}]")
-        else:
-            _print_session(session)
     if payload["consistent"] and args.witness:
         assert payload["witness"] is not None
         Path(args.witness).write_text(payload["witness"] + "\n")
@@ -184,14 +178,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     document = Path(args.document).read_text()
     if args.via:
-        payload, _ = _via_payload(
+        payload = _via_payload(
             args, {**_wire_spec(args), "op": "validate", "document": document}
         )
         has_sigma = args.constraints is not None
     else:
-        session = _session_for(args)
-        payload = session.validate(document)
-        has_sigma = bool(session.sigma)
+        spec = _load_spec(args)
+        payload = api.validate(spec, document)
+        has_sigma = bool(spec.constraints)
     print(f"conforms to DTD: {payload['conforms']}")
     for error in payload["errors"]:
         print(f"  - {error}")
@@ -204,22 +198,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_implies(args: argparse.Namespace) -> int:
     if args.via:
-        payload, fingerprint = _via_payload(
+        payload = _via_payload(
             args, {**_wire_spec(args), "op": "implies", "phi": args.phi}
         )
     else:
-        session = _session_for(args)
-        payload = session.implies(args.phi, _config_overrides(args))
+        result = api.implies(_load_spec(args), args.phi, config=_config(args))
+        payload = result.as_dict()
     print(f"implied: {payload['implied']}   [{payload['method']}]")
     if payload["message"]:
         print(f"note: {payload['message']}")
     if args.stats:
         _print_stats(payload["stats"])
-    if args.session_info:
-        if args.via:
-            print(f"session: {fingerprint}  [via={args.via}]")
-        else:
-            _print_session(session)
     if not payload["implied"] and payload["counterexample"] is not None:
         if args.counterexample:
             Path(args.counterexample).write_text(
@@ -232,50 +221,36 @@ def _cmd_implies(args: argparse.Namespace) -> int:
     return 0 if payload["implied"] else 1
 
 
-def _repair_payload(args: argparse.Namespace, session=None) -> tuple[dict, str]:
-    """One repair answer, via the service or the local session."""
+def _repair_payload(args: argparse.Namespace, spec=None) -> dict:
+    """One repair answer, via the service or solved in-process."""
     if args.via:
         return _via_payload(args, {**_wire_spec(args), "op": "repair"})
-    session = session if session is not None else _session_for(args)
-    payload = session.repair(_config_overrides(args))
-    return payload, session.fingerprint
+    spec = spec if spec is not None else _load_spec(args)
+    return api.repair(spec, config=_config(args)).as_dict()
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    spec = None
     if args.via:
-        payload, fingerprint = _via_payload(
-            args, {**_wire_spec(args), "op": "diagnose"}
-        )
-        session = None
+        payload = _via_payload(args, {**_wire_spec(args), "op": "diagnose"})
     else:
-        session = _session_for(args)
-        payload = session.diagnose(_config_overrides(args))
+        spec = _load_spec(args)
+        payload = api.diagnose(spec, config=_config(args)).as_dict()
     print(payload["summary"])
     if args.repair and not payload["consistent"]:
-        fix, _ = _repair_payload(args, session)
-        print(fix["summary"])
+        print(_repair_payload(args, spec)["summary"])
     if args.stats:
         _print_stats(payload["stats"])
-    if args.session_info:
-        if args.via:
-            print(f"session: {fingerprint}  [via={args.via}]")
-        else:
-            _print_session(session)
     return 0 if payload["consistent"] else 1
 
 
 def _cmd_fix(args: argparse.Namespace) -> int:
-    payload, fingerprint = _repair_payload(args)
+    payload = _repair_payload(args)
     print(payload["summary"])
     if payload["found"] and not payload["verified"]:  # pragma: no cover
         print("warning: repaired specification failed re-verification")
     if args.stats:
         _print_stats(payload["stats"])
-    if args.session_info:
-        if args.via:
-            print(f"session: {fingerprint}  [via={args.via}]")
-        else:
-            print(f"session: {fingerprint}")
     if payload["found"] and args.output:
         Path(args.output).write_text(payload["dtd"] + "\n")
         print(f"repaired DTD written to {args.output}")
@@ -352,6 +327,7 @@ def _run_transports(
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Deferred: only `serve` needs the asyncio server (and its thread
     # pool); the one-shot commands stay off that import cost.
+    from repro.service.registry import SessionRegistry
     from repro.service.server import CheckingServer
 
     registry = SessionRegistry(
@@ -437,16 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_session_flag(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--session",
-            action="store_true",
-            dest="session_info",
-            help="print the spec's session fingerprint and cross-request "
-            "cache counters (the command resolves through the same "
-            "session API `repro serve` runs on)",
-        )
-
     def add_via_flag(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--via",
@@ -463,7 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["scipy", "exact"],
             default="scipy",
             help="ILP backend: HiGHS floats with exact re-verification "
-            "(default) or the certified rational simplex",
+            "(default) or the rational simplex for every leaf solve; "
+            "support branches are still pruned on HiGHS float LP "
+            "verdicts, so only the library's CheckerConfig(backend='exact', "
+            "lp_prune=False) is certified end to end",
         )
 
     p_check = sub.add_parser("check", help="consistency of (DTD, constraints)")
@@ -479,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         "assembly/cut-pool/propagation and exact node/pivot counters)",
     )
     add_solver_flags(p_check)
-    add_session_flag(p_check)
     add_via_flag(p_check)
     p_check.set_defaults(func=_cmd_check)
 
@@ -505,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print solver statistics for the underlying consistency solve",
     )
     add_solver_flags(p_implies)
-    add_session_flag(p_implies)
     add_via_flag(p_implies)
     p_implies.set_defaults(func=_cmd_implies)
 
@@ -528,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         "edits) — the `repro fix` engine riding on the health report",
     )
     add_solver_flags(p_diagnose)
-    add_session_flag(p_diagnose)
     add_via_flag(p_diagnose)
     p_diagnose.set_defaults(func=_cmd_diagnose)
 
@@ -558,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         "assemblies, verification checks)",
     )
     add_solver_flags(p_fix)
-    add_session_flag(p_fix)
     add_via_flag(p_fix)
     p_fix.set_defaults(func=_cmd_fix)
 

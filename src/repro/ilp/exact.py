@@ -30,8 +30,9 @@ and exceeding it raises :class:`SolverError` rather than returning a
 wrong answer.
 
 An :class:`ExactAssembledSystem` carries a live factorized basis across
-calls and is therefore **single-owner state**, never shared between
-processes: a batch worker (DESIGN.md section 7) lazily builds its own.
+calls and is therefore **single-owner state**: each support search's
+float engine lazily builds its own twin (``condsys._ExactTwin``) on its
+first exact solve.
 Cut rows learned before the twin was built are replayed through
 ``add_cut``, which extends the live factorization exactly like a cut
 learned after it.

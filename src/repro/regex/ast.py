@@ -90,6 +90,31 @@ def _render(root: Regex) -> str:
     return "".join(out)
 
 
+def _repr(root: Regex) -> str:
+    """The dataclass ``repr`` of a compound expression, e.g.
+    ``Star(item=Name(symbol='a'))``, built with an explicit stack of
+    pending pieces for the same reason as :func:`_render`."""
+    out: list[str] = []
+    stack: list[Regex | str] = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, (Concat, Union)):
+            items = node.items
+            stack.append("))")
+            for index in range(len(items) - 1, -1, -1):
+                stack.append(items[index])
+                if index:
+                    stack.append(", ")
+            stack.append(f"{type(node).__qualname__}(items=(")
+        elif isinstance(node, (Star, Plus, Optional)):
+            stack += (")", node.item, f"{type(node).__qualname__}(item=")
+        else:
+            out.append(repr(node))
+    return "".join(out)
+
+
 def _equal(left: Regex, right: object) -> bool:
     """Structural equality of two compound expressions, walked with an
     explicit stack of pending pairs for the same reason as :func:`_render`."""
@@ -125,6 +150,7 @@ class Concat(Regex):
 
     _separator = ", "
     __str__ = _render
+    __repr__ = _repr
     __eq__ = _equal
 
 
@@ -140,6 +166,7 @@ class Union(Regex):
 
     _separator = " | "
     __str__ = _render
+    __repr__ = _repr
     __eq__ = _equal
 
 
@@ -151,6 +178,7 @@ class Star(Regex):
 
     _suffix = "*"
     __str__ = _render
+    __repr__ = _repr
     __eq__ = _equal
 
 
@@ -162,6 +190,7 @@ class Plus(Regex):
 
     _suffix = "+"
     __str__ = _render
+    __repr__ = _repr
     __eq__ = _equal
 
 
@@ -173,6 +202,7 @@ class Optional(Regex):
 
     _suffix = "?"
     __str__ = _render
+    __repr__ = _repr
     __eq__ = _equal
 
 

@@ -14,7 +14,7 @@ change rarely.  This package turns the pipeline into a resident engine
 * :class:`~repro.service.server.CheckingServer` — the asyncio front end
   (``repro serve``): line-delimited JSON over stdio or a localhost TCP
   socket, with a per-session batcher that coalesces concurrent
-  ``implies`` requests into single ``implies_all`` fan-outs;
+  ``implies`` requests into single ``implies_all`` calls;
 * :class:`~repro.service.client.ServiceClient` — a small synchronous
   client for scripts, benchmarks and the README quickstart;
 * :class:`~repro.service.fleet.FleetRouter` — the distributed fleet's
@@ -24,10 +24,11 @@ change rarely.  This package turns the pipeline into a resident engine
 * :mod:`~repro.service.persist` — crash-safe session snapshots
   (atomic writes, self-verifying envelope, corrupt file = cold start).
 
-The CLI's ``check``/``implies``/``diagnose`` commands are thin clients
-of the same session API, so the service and the one-shot path cannot
-drift: a request replayed through ``repro serve`` returns byte-identical
-verdicts, witnesses and solver stats to the direct
+A session answers with each :mod:`repro.api` result's ``as_dict()``,
+and the CLI's one-shot commands print the same dicts without building a
+session, so the service and the one-shot path cannot drift: a request
+replayed through ``repro serve`` returns byte-identical verdicts,
+witnesses and solver stats to the direct
 :class:`~repro.checkers.config.CheckerConfig` path
 (``tests/test_service_differential.py`` enforces this).
 """
@@ -45,10 +46,9 @@ __all__ = [
 ]
 
 #: Exported name -> defining submodule.  Resolution is lazy (PEP 562) so
-#: that the CLI's one-shot commands — thin clients of the session layer
-#: only — never pay for importing the asyncio server or its thread-pool
-#: machinery on their cold path (the exact path the serving benchmarks
-#: compare against).
+#: that importing one submodule never pays for the asyncio server or its
+#: thread-pool machinery (the CLI's one-shot commands import no part of
+#: this package at all).
 _EXPORTS = {
     "CheckingServer": "repro.service.server",
     "FleetRouter": "repro.service.fleet",

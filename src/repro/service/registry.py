@@ -40,25 +40,6 @@ from repro.errors import ReproError
 from repro.service.session import SpecSession
 
 
-#: Lazily-created process-wide registry (the CLI's thin-client backing).
-_DEFAULT_REGISTRY: "SessionRegistry | None" = None
-
-
-def default_registry() -> "SessionRegistry":
-    """The process-wide registry the CLI commands resolve through.
-
-    One-shot command invocations see a cold session each (their results
-    are byte-identical to the pre-service CLI), while embedders that
-    call :func:`repro.cli.main` repeatedly in one process — test
-    harnesses, notebooks, driver scripts — get cross-call session reuse
-    for free.
-    """
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = SessionRegistry()
-    return _DEFAULT_REGISTRY
-
-
 @lru_cache(maxsize=1024)
 def _fingerprint_text(dtd_text: str, constraints_text: str, root: str | None) -> str:
     dtd = parse_dtd(dtd_text, root=root)
@@ -146,9 +127,8 @@ class SessionRegistry:
         """The resident session for ``(dtd, constraints)``; admit if absent.
 
         Accepts parsed objects or text (``<!ELEMENT ...>`` declarations
-        and constraint lines), so the wire layer and the CLI resolve
-        through the same entry point.  DTD text goes through the
-        registry's parsed-DTD memo (:meth:`parsed_dtd`).
+        and constraint lines).  DTD text goes through the registry's
+        parsed-DTD memo (:meth:`parsed_dtd`).
         """
         if isinstance(dtd, str):
             dtd, dtd_text = self.parsed_dtd(dtd, root)

@@ -20,7 +20,7 @@ scheduling rules:
   ``batches_coalesced`` counts multi-request batches and
   ``batch_width`` the widest one.  Batch width adapts to observed
   drain latency (the AutoThrottle shape): when batches take longer
-  than ``batch_target_latency`` per drain, the width limit shrinks
+  than ``BATCH_TARGET_LATENCY`` per drain, the width limit shrinks
   toward keeping each drain responsive, and grows back when drains are
   fast — so a slow spec cannot turn coalescing into head-of-line
   blocking.
@@ -69,6 +69,12 @@ from repro.service import persist, protocol
 from repro.service.metrics import StatsCollector
 from repro.service.registry import SessionRegistry
 from repro.service.session import SpecSession
+
+#: The adaptive coalescing controller's target per-drain latency (seconds).
+BATCH_TARGET_LATENCY = 0.5
+
+#: The coalescing controller's hard batch-width ceiling.
+MAX_BATCH_WIDTH = 32
 
 
 def effective_parallelism() -> int:
@@ -679,9 +685,6 @@ class CheckingServer(RequestServer):
     ``state_file``
         Path for crash-safe session snapshots: loaded on serve start,
         written on shutdown and every ``autosave_interval`` seconds.
-    ``batch_target_latency`` / ``max_batch_width``
-        The adaptive coalescing controller's target per-drain latency
-        and hard width ceiling.
     """
 
     def __init__(
@@ -694,8 +697,6 @@ class CheckingServer(RequestServer):
         default_deadline: float | None = None,
         state_file: str | None = None,
         autosave_interval: float | None = None,
-        batch_target_latency: float = 0.5,
-        max_batch_width: int = 32,
         collector: StatsCollector | None = None,
     ):
         super().__init__(max_connections=max_connections)
@@ -721,9 +722,7 @@ class CheckingServer(RequestServer):
         self.default_deadline = default_deadline
         self.state_file = state_file
         self.autosave_interval = autosave_interval
-        self.batch_target_latency = batch_target_latency
-        self.max_batch_width = max_batch_width
-        self._batch_limit = float(max_batch_width)
+        self._batch_limit = float(MAX_BATCH_WIDTH)
         self._state_loaded = False
         self._queues: dict[str, _SessionQueue] = {}
         self._autosave: "asyncio.Future | None" = None
@@ -740,13 +739,13 @@ class CheckingServer(RequestServer):
         The AutoThrottle averaging shape: the next limit is the mean of
         the current limit and the width that would hit the target
         latency at the observed per-item cost — fast drains grow the
-        window toward ``max_batch_width``, slow drains shrink it toward
+        window toward ``MAX_BATCH_WIDTH``, slow drains shrink it toward
         answering each request promptly.
         """
         per_item = max(elapsed / max(width, 1), 1e-6)
         self._per_item_latency = 0.5 * self._per_item_latency + 0.5 * per_item
-        proposed = (self._batch_limit + self.batch_target_latency / per_item) / 2.0
-        self._batch_limit = min(float(self.max_batch_width), max(1.0, proposed))
+        proposed = (self._batch_limit + BATCH_TARGET_LATENCY / per_item) / 2.0
+        self._batch_limit = min(float(MAX_BATCH_WIDTH), max(1.0, proposed))
 
     def _admit(self) -> None:
         """Admission control: raise :class:`OverloadedError` to shed."""
@@ -836,7 +835,7 @@ class CheckingServer(RequestServer):
         The nested sections are the original wire shape; ``registry``
         holds registry counters only, and the session aggregates live in
         ``counters``, the namespaced flat view (``server.*``,
-        ``registry.*``, ``session.*``, ``pool.*``) in which no key can
+        ``registry.*``, ``session.*``, ``repair.*``) in which no key can
         shadow another — the same dict a ``/metrics`` scrape renders.
         """
         sessions = {}
@@ -862,7 +861,7 @@ class CheckingServer(RequestServer):
         ``server.*`` from :class:`ServerStats` plus the live gauges,
         ``registry.*`` from the registry's own counters (no session
         aggregates mixed in), ``session.*`` aggregated monotonically
-        across live *and* evicted sessions, and ``pool.*`` / gauges from
+        across live *and* evicted sessions, and ``repair.*`` counters from
         the pushed collector state.
         """
         snapshot = dict(self.collector.counters())

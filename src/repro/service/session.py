@@ -4,9 +4,10 @@ A session pins one ``(DTD, Sigma)`` pair — identified by its canonical
 :func:`~repro.encoding.combined.spec_fingerprint` — and answers
 ``check`` / ``implies`` / ``diagnose`` / ``repair`` / ``validate``
 requests against it, dispatching each solve through the
-:mod:`repro.api` facade.  Requests and responses are JSON-ready dicts (the wire form of
-``repro serve``), so a session *is* the service engine; the asyncio
-layer only schedules calls into it.
+:mod:`repro.api` facade.  Requests and responses are JSON-ready dicts:
+each response is the api result's ``as_dict()``, the wire form of
+``repro serve`` and of the one-shot CLI alike.  A session *is* the
+service engine; the asyncio layer only schedules calls into it.
 
 The session keeps deterministic cross-request state only: the parsed
 spec, its validation, the per-DTD ``Psi_DN`` encoding block, and a
@@ -32,16 +33,13 @@ from typing import TYPE_CHECKING, Callable
 
 from repro import api
 from repro.checkers.config import DEFAULT_CONFIG, CheckerConfig
-from repro.checkers.implication import implies_all, implies_validated
+from repro.checkers.implication import implies_all
 from repro.constraints.ast import Constraint
 from repro.constraints.classes import validate_constraints
 from repro.constraints.parser import parse_constraint
-from repro.constraints.satisfaction import violations
 from repro.dtd.model import DTD
 from repro.encoding.combined import canonical_spec, fingerprint_of
 from repro.errors import ReproError
-from repro.xmltree.parse import parse_xml
-from repro.xmltree.serialize import tree_to_string
 from repro.xmltree.validate import TreeValidator
 
 if TYPE_CHECKING:  # a server attaches these; a one-shot call never does
@@ -267,18 +265,7 @@ class SpecSession:
             cached = self._recall(key)
             if cached is not None:
                 return cached
-            result = api.check(self.spec, config=effective)
-            payload = {
-                "consistent": result.consistent,
-                "method": result.method,
-                "message": result.message,
-                "stats": dict(result.stats),
-                "witness": (
-                    tree_to_string(result.witness)
-                    if result.witness is not None
-                    else None
-                ),
-            }
+            payload = api.check(self.spec, config=effective).as_dict()
             return self._remember(key, payload)
 
     def implies(self, phi: str | Constraint, config: dict | None = None) -> dict:
@@ -338,9 +325,7 @@ class SpecSession:
                     first: dict[str, dict] = {}
                     for parsed, result in zip(unique.values(), results):
                         key = ("implies", str(parsed), effective)
-                        first[str(parsed)] = self._remember(
-                            key, self._implication_payload(result)
-                        )
+                        first[str(parsed)] = self._remember(key, result.as_dict())
                     for index, parsed in misses:
                         payload = first.pop(str(parsed), None)
                         if payload is None:  # an intra-batch repeat
@@ -367,20 +352,8 @@ class SpecSession:
             cached = self._recall(key)
             if cached is not None:
                 return cached
-            report = api.diagnose(
-                self.spec,
-                config=effective,
-                mus_method=mus_method,
-            )
-            payload = {
-                "consistent": report.consistent,
-                "dtd_satisfiable": report.dtd_satisfiable,
-                "mus": [str(phi) for phi in report.mus],
-                "redundant": [str(phi) for phi in report.redundant],
-                "summary": report.summary(),
-                "stats": report.stats.as_dict(),
-            }
-            return self._remember(key, payload)
+            report = api.diagnose(self.spec, config=effective, mus_method=mus_method)
+            return self._remember(key, report.as_dict())
 
     def repair(
         self,
@@ -416,7 +389,6 @@ class SpecSession:
                 # surface it with the structured wire contract.
                 raise ReproError(str(exc)) from None
             payload = result.as_dict()
-            payload["summary"] = result.summary()
             if self.collector is not None:
                 self.collector.absorb_repair_stats(payload)
             return self._remember(key, payload)
@@ -429,15 +401,7 @@ class SpecSession:
             cached = self._recall(key)
             if cached is not None:
                 return cached
-            tree = parse_xml(document)
-            report = self._validator.validate(tree)
-            violated = violations(tree, self.sigma)
-            payload = {
-                "conforms": bool(report),
-                "errors": list(report.errors),
-                "satisfies": not violated,
-                "violations": [str(phi) for phi in violated],
-            }
+            payload = api.validate(self.spec, document, validator=self._validator)
             return self._remember(key, payload)
 
     def describe(self) -> dict:
@@ -477,25 +441,11 @@ class SpecSession:
     def _parse_phi(self, phi: str | Constraint) -> Constraint:
         return parse_constraint(phi) if isinstance(phi, str) else phi
 
-    def _implication_payload(self, result) -> dict:
-        return {
-            "implied": result.implied,
-            "method": result.method,
-            "message": result.message,
-            "stats": dict(result.stats),
-            "counterexample": (
-                tree_to_string(result.counterexample)
-                if result.counterexample is not None
-                else None
-            ),
-        }
-
     def _implies_locked(self, phi: str | Constraint, effective: CheckerConfig) -> dict:
         parsed = self._parse_phi(phi)
         key = ("implies", str(parsed), effective)
         cached = self._recall(key)
         if cached is not None:
             return cached
-        validate_constraints(self.dtd, [*self.sigma, parsed])
-        result = implies_validated(self.dtd, self.sigma, parsed, effective)
-        return self._remember(key, self._implication_payload(result))
+        payload = api.implies(self.spec, parsed, config=effective).as_dict()
+        return self._remember(key, payload)

@@ -1,15 +1,22 @@
 """CLI tests: every subcommand, exit codes, file outputs."""
 
+import json
+
 import pytest
 
+from repro import api
+from repro.checkers.config import CheckerConfig
 from repro.cli import main
 from repro.dtd.serializer import dtd_to_string
+from repro.service.session import SpecSession
 from repro.workloads.examples import (
     figure1_tree,
     school_document,
     school_dtd_d3,
+    sigma1_constraints,
     teachers_dtd_d1,
 )
+from repro.workloads.realistic import bibliography_constraints, bibliography_dtd
 from repro.xmltree.parse import parse_xml
 from repro.xmltree.serialize import tree_to_string
 
@@ -149,6 +156,20 @@ class TestCheck:
             main([command, *files, "--jobs", value])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("check", []), ("implies", ["a.x -> a"]), ("diagnose", []), ("fix", [])],
+    )
+    def test_session_flag_is_gone_from_one_shot_commands(
+        self, d1_file, sigma1_file, command, extra
+    ):
+        # A one-shot command builds no session, so there is no session
+        # fingerprint or cache counter to print: `--session` is a usage
+        # error.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, d1_file, sigma1_file, *extra, "--session"])
+        assert exit_info.value.code == 2
+
     @pytest.mark.parametrize("command", ["serve", "fleet"])
     def test_session_mode_flag_is_gone(self, command):
         # Sessions have one mode (replay); `--mode` is a usage error.
@@ -221,6 +242,16 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "conforms to DTD: True" in out
         assert "violated" in out
+
+    def test_sigma_that_does_not_fit_the_dtd_is_usage_error(
+        self, d1_file, tmp_path, capsys
+    ):
+        doc = tmp_path / "doc.xml"
+        doc.write_text(tree_to_string(figure1_tree()))
+        sigma = tmp_path / "bad.txt"
+        sigma.write_text("teacher.nosuch -> teacher\n")
+        assert main(["validate", d1_file, str(doc), str(sigma)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_nonconforming_document(self, d1_file, tmp_path, capsys):
         doc = tmp_path / "doc.xml"
@@ -306,3 +337,56 @@ class TestDiagnoseAndBounds:
             ["bounds", d1_file, sigma1_file, "--type", "subject"]
         )
         assert code == 1
+
+
+class TestWireDrift:
+    """The one-shot CLI prints ``api.<op>(...).as_dict()``; the server
+    answers with ``SpecSession``'s payload.  Both must be the same JSON."""
+
+    SPECS = {
+        "d1_sigma1": (
+            teachers_dtd_d1,
+            sigma1_constraints,
+            ["subject.taught_by <= teacher.name"],
+        ),
+        "bibliography": (
+            bibliography_dtd,
+            bibliography_constraints,
+            ["person.pid -> person", "article.venue_id -> article"],
+        ),
+    }
+
+    @staticmethod
+    def _same(cli_payload, session_payload):
+        assert json.dumps(cli_payload, sort_keys=True) == json.dumps(
+            session_payload, sort_keys=True
+        )
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_every_op_matches_the_session_payload(self, name):
+        make_dtd, make_sigma, phis = self.SPECS[name]
+        dtd, sigma = make_dtd(), make_sigma()
+        spec = api.Spec(dtd=dtd, constraints=tuple(sigma))
+        config = CheckerConfig(backend="scipy")
+        session = SpecSession(dtd, sigma)
+
+        checked = api.check(spec, config=config)
+        self._same(checked.as_dict(), session.check())
+
+        verdicts = set()
+        for phi in phis:
+            result = api.implies(spec, phi, config=config)
+            verdicts.add(result.implied)
+            self._same(result.as_dict(), session.implies(phi))
+        # Bibliography covers a refuted implication (with its
+        # counterexample); D1/Sigma1 is inconsistent and implies all.
+        assert verdicts == ({True} if name == "d1_sigma1" else {True, False})
+
+        if checked.consistent:
+            document = checked.as_dict()["witness"]
+        else:
+            document = tree_to_string(figure1_tree())
+        self._same(api.validate(spec, document), session.validate(document))
+
+        self._same(api.diagnose(spec, config=config).as_dict(), session.diagnose())
+        self._same(api.repair(spec, config=config).as_dict(), session.repair())

@@ -100,6 +100,9 @@ _UNUSED_ON_CHECK = (
     "scipy.optimize",
     "repro.analysis.diagnostics",
     "repro.analysis.repair",
+    "repro.service",
+    "repro.service.session",
+    "repro.service.registry",
 )
 
 

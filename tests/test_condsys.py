@@ -158,3 +158,28 @@ class TestConnectivityCuts:
         result, _stats = solve_conditional_system(condsys)
         assert result.feasible
         assert result.values[("occ", 1, "a", "r")] >= 1
+
+
+class TestCertifiedConfiguration:
+    """What ``backend="exact"`` certifies: every leaf solve, but not the
+    support search's LP prunes unless ``lp_prune`` is off."""
+
+    def test_only_exact_without_lp_prune_avoids_highs(self):
+        from repro.checkers.config import CheckerConfig
+        from repro.checkers.consistency import check_consistency
+        from repro.workloads.generators import teachers_family
+
+        dtd, sigma = teachers_family(4, consistent=False)
+        expected = check_consistency(dtd, sigma).consistent
+        certified = check_consistency(
+            dtd, sigma, CheckerConfig(backend="exact", lp_prune=False)
+        )
+        assert certified.consistent == expected
+        for counter in ("lp_solves", "mip_solves", "bound_patch_solves"):
+            assert certified.stats[counter] == 0, counter
+        assert certified.stats["exact_nodes"] >= 1
+        # With the default lp_prune, the exact backend's verdict here
+        # rests on a HiGHS float prune.
+        pruned = check_consistency(dtd, sigma, CheckerConfig(backend="exact"))
+        assert pruned.consistent == expected
+        assert pruned.stats["lp_prunes"] >= 1

@@ -65,7 +65,6 @@ def test_readme_serving_section_is_executable():
     assert "ServiceClient" in text
     assert "session_hits" in text
     assert "repro serve" in text
-    assert "--session" in text
 
 
 def test_readme_operating_section_is_executable():

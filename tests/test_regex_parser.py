@@ -1,10 +1,12 @@
 """Unit tests for the content-model parser."""
 
+import random
 import subprocess
 import sys
 
 import pytest
 
+from repro.dtd.parser import parse_dtd
 from repro.errors import ParseError
 from repro.regex.ast import (
     EPSILON,
@@ -122,6 +124,34 @@ def _deep_spec(depth: int) -> tuple[str, str]:
     return dtd, "a.k -> a\nb.m -> b\nb.m => a.k\n"
 
 
+def _random_model(rng: random.Random, depth: int):
+    """A random content model at most ``depth`` operators deep."""
+    if depth == 0:
+        return rng.choice([EPSILON, TEXT, Name(rng.choice("abc"))])
+    kind = rng.choice([Concat, Union, Star, Plus, Optional])
+    if kind in (Concat, Union):
+        return kind(
+            tuple(
+                _random_model(rng, rng.randint(0, depth - 1))
+                for _ in range(rng.randint(2, 4))
+            )
+        )
+    return kind(_random_model(rng, depth - 1))
+
+
+def _reference_repr(expr) -> str:
+    """The dataclass ``repr`` of ``expr``, spelled out recursively."""
+    name = type(expr).__name__
+    if isinstance(expr, (Concat, Union)):
+        items = ", ".join(_reference_repr(item) for item in expr.items)
+        return f"{name}(items=({items}))"
+    if isinstance(expr, (Star, Plus, Optional)):
+        return f"{name}(item={_reference_repr(expr.item)})"
+    if isinstance(expr, Name):
+        return f"Name(symbol={expr.symbol!r})"
+    return f"{name}()"
+
+
 def _cli_check(tmp_path, spec: tuple[str, str]) -> subprocess.CompletedProcess:
     """``python -m repro check`` on ``spec`` in a fresh interpreter."""
     dtd, sigma = spec
@@ -192,6 +222,26 @@ class TestNestingLimit:
         at the default recursion limit, and the text parses back."""
         expr = parse_content_model(_deep_model(MAX_NESTING))
         assert parse_content_model(str(expr)) == expr
+
+    def test_deep_groups_repr(self):
+        """``repr`` of a model (and of its DTD) at the limit works at
+        the default recursion limit, like ``str`` and ``==``."""
+        expr = parse_content_model(_deep_model(MAX_NESTING))
+        text = repr(expr)
+        assert text.startswith("Concat(items=(Star(item=Name(symbol='a')), ")
+        assert text.count("Concat(items=") == MAX_NESTING
+        dtd = parse_dtd(_deep_spec(MAX_NESTING)[0])
+        assert text in repr(dtd)
+
+    def test_repr_matches_the_dataclass_form(self):
+        assert repr(Concat((Star(Name("a")), Plus(Name("b"))))) == (
+            "Concat(items=(Star(item=Name(symbol='a')), "
+            "Plus(item=Name(symbol='b'))))"
+        )
+        rng = random.Random(2001)
+        for _ in range(1200):
+            expr = _random_model(rng, depth=rng.randint(0, 4))
+            assert repr(expr) == _reference_repr(expr)
 
     @pytest.mark.parametrize("depth", [170, MAX_NESTING])
     def test_deep_groups_cli(self, tmp_path, depth):

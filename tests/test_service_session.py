@@ -13,7 +13,7 @@ from repro.dtd.model import DTD
 from repro.encoding.combined import spec_fingerprint
 from repro.errors import ReproError
 from repro.service.server import effective_parallelism
-from repro.service.registry import SessionRegistry, default_registry
+from repro.service.registry import SessionRegistry
 from repro.service.session import SpecSession, merge_config
 from repro.workloads.generators import wide_flat_dtd
 
@@ -201,9 +201,6 @@ class TestRegistry:
         assert readmitted is not first
         assert readmitted.fingerprint == first.fingerprint
         assert readmitted.check() == answer
-
-    def test_default_registry_is_a_singleton(self):
-        assert default_registry() is default_registry()
 
 
 def test_effective_parallelism_is_positive():
