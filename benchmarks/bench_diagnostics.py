@@ -1,7 +1,8 @@
 """Toggleable-row diagnostics benchmarks (ISSUE 3 acceptance gate).
 
-The diagnostics workloads — the MUS deletion filter and the redundancy
-audit — probe many constraint subsets of *one* specification.  The
+The diagnostics workloads — the MUS deletion filter (the
+:func:`tests.oracles.deletion_filter` oracle) and the redundancy audit —
+probe many constraint subsets of *one* specification.  The
 toggled engine (DESIGN.md section 6) assembles ``Psi(D, Sigma ∪ ¬Sigma)``
 once and serves every probe by row-bound flips on persistent solver
 state; the rebuild path (the automatic fallback, forced here by
@@ -31,7 +32,7 @@ from repro.analysis.diagnostics import (
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
 from repro.workloads.generators import registrar_mus_family
-from tests.oracles import rebuild_engines
+from tests.oracles import deletion_filter, rebuild_engines
 
 
 def _mixed_dtd(num_types: int) -> DTD:
@@ -105,7 +106,8 @@ def test_rebuild_audit_ablation(benchmark, n):
 @pytest.mark.parametrize("n", [16])
 def test_toggled_mus(benchmark, n):
     dtd, sigma = _mus_registrar(n)
-    core = benchmark(mus, dtd, sigma, method="deletion")
+    with deletion_filter():
+        core = benchmark(mus, dtd, sigma)
     # The stamp key + the FK into the singleton auditor (|approval| >= 2
     # forced by the DTD, <= 1 forced by key-through-FK): a 2-element MUS.
     assert _canonical(core) == [
@@ -198,9 +200,10 @@ def test_toggled_mus_matches_rebuild_and_saves_assemblies():
     """MUS rides the same machinery: identical answers, one assembly."""
     for dtd, sigma in _MUS_CASES:
         stats = DiagnosticsStats()
-        core = mus(dtd, sigma, method="deletion", stats=stats)
-        with rebuild_engines():
-            oracle = mus(dtd, sigma, method="deletion")
+        with deletion_filter():
+            core = mus(dtd, sigma, stats=stats)
+            with rebuild_engines():
+                oracle = mus(dtd, sigma)
         assert _canonical(core) == _canonical(oracle)
         assert stats.assemblies == 1
         assert stats.probes == len(sigma) + 1

@@ -6,11 +6,10 @@ XML specifications (Section 6). Two concrete tools toward that:
 
 * :func:`mus` — a minimal subset of Sigma that is already
   inconsistent with the DTD (a MUS): the smallest story to tell the
-  schema author.  The default ``method="quickxplain"`` finds it by
-  QuickXplain divide-and-conquer (DESIGN.md section 7) — probe counts
-  scale with the *core* size rather than ``|Sigma|``;
-  ``method="deletion"`` is the classic linear filter, exactly
-  ``|Sigma|`` probes, kept as the reference.
+  schema author, found by QuickXplain divide-and-conquer (DESIGN.md
+  section 7): probe counts scale with the *core* size rather than
+  ``|Sigma|``.  The linear deletion filter it is tested against lives
+  in ``tests/oracles.py``.
 * :func:`redundant_constraints` — constraints implied by the rest of the
   specification (over the DTD): safe to drop, or a hint that the author
   expected them to add strength they do not add. One implication probe per
@@ -56,7 +55,7 @@ from collections.abc import Callable, Iterable
 from typing import ClassVar, TypeVar
 
 from repro.constraints.ast import Constraint
-from repro.constraints.classes import expand_foreign_keys
+from repro.constraints.classes import expand_foreign_keys, validate_constraints
 from repro.checkers.config import DEFAULT_CONFIG, CheckerConfig
 from repro.checkers.consistency import (
     STAT_RENAMES,
@@ -305,53 +304,25 @@ def _probe(
     return probe if probe is not None else _RebuildProbe(dtd, config, stats)
 
 
-#: MUS filter names accepted by ``method=``.
-_MUS_METHODS = ("quickxplain", "deletion")
-
 #: A subset-consistency oracle: ``check(subset) -> True`` iff the DTD plus
-#: exactly those constraints is satisfiable.  Both MUS filters are written
-#: against this shape, so the toggled engine and the rebuild fallback drive
-#: the *same* filter code.
+#: exactly those constraints is satisfiable.  The MUS filter is written
+#: against this shape, so the toggled engine, the rebuild fallback and
+#: repair's edit oracle drive the *same* filter code.
 _SubsetCheck = Callable[[list[Constraint]], bool]
 
 
-def _require_mus_method(method: str) -> None:
-    """Reject unknown filter names before any expensive work happens."""
-    if method not in _MUS_METHODS:
-        raise InvalidConstraintError(
-            f"unknown MUS method {method!r}; expected one of {_MUS_METHODS}"
-        )
-
-
-def _mus_deletion(check: _SubsetCheck, sigma: list[Constraint]) -> list[Constraint]:
-    """The linear deletion filter: exactly ``|Sigma|`` probes.
-
-    Kept as the reference filter — its probe count is the baseline the
-    QuickXplain gate (``benchmarks/bench_parallel.py``) compares against.
-    """
-    current = list(sigma)
-    index = 0
-    while index < len(current):
-        candidate = current[:index] + current[index + 1:]
-        if check(candidate):
-            index += 1  # constraint is necessary for the conflict
-        else:
-            current = candidate  # still inconsistent without it: drop
-    return current
-
-
-def _mus_quickxplain(check: _SubsetCheck, sigma: list[Constraint]) -> list[Constraint]:
+def quickxplain(check: _SubsetCheck, sigma: list[Constraint]) -> list[Constraint]:
     """QuickXplain divide-and-conquer (Junker 2004; DESIGN.md section 7).
 
     Preconditions (the callers establish both): the full set is
     inconsistent, and the DTD alone is consistent.  Probes backgrounds —
     prefixes of the splitting tree — instead of every single-deletion
     subset, so the probe count scales as ``O(k + k·log(|Sigma|/k))`` for
-    a core of size ``k``: far below the deletion filter's ``|Sigma|``
-    whenever the conflict is small and the specification is large.  Like
-    the deletion filter it returns a *minimal* inconsistent subset; when
-    an instance has several MUSes the two filters may legitimately pick
-    different (individually minimal) ones.
+    a core of size ``k``: far below a linear deletion filter's
+    ``|Sigma|`` whenever the conflict is small and the specification is
+    large.  Returns a *minimal* inconsistent subset; when an instance
+    has several MUSes, which one it picks depends on the order of
+    ``sigma``.
     """
 
     def qx(
@@ -372,14 +343,11 @@ def _mus_quickxplain(check: _SubsetCheck, sigma: list[Constraint]) -> list[Const
     return qx([], False, list(sigma))
 
 
-def _minimal_core(
-    check: _SubsetCheck, sigma: list[Constraint], method: str
-) -> list[Constraint]:
-    """Dispatch to the selected MUS filter (full set known UNSAT)."""
-    _require_mus_method(method)
-    if method == "quickxplain":
-        return _mus_quickxplain(check, sigma)
-    return _mus_deletion(check, sigma)
+#: The MUS filter :func:`mus`, :func:`diagnose` and repair's core
+#: extraction shrink with (full set known inconsistent).  Its
+#: ``__name__`` is the ``mus_method``/``core_method`` stats label.
+#: ``tests/oracles.py`` swaps the linear deletion filter in here.
+_minimal_core = quickxplain
 
 
 def _mus_check(probe: "_ToggleProbe | _RebuildProbe") -> _SubsetCheck:
@@ -408,28 +376,22 @@ def mus(
     constraints: Iterable[Constraint],
     config: CheckerConfig | None = None,
     *,
-    method: str = "quickxplain",
     stats: DiagnosticsStats | None = None,
 ) -> list[Constraint]:
     """A minimal inconsistent subset of ``Sigma`` (a MUS).
-
-    The single MUS entry point: ``method`` selects the filter.
 
     Requires the full set to be inconsistent with the DTD (raises
     :class:`InvalidConstraintError` otherwise). The result may be empty
     when the DTD alone has no valid tree — then no constraints are to
     blame at all.
 
-    ``method`` selects the filter: ``"quickxplain"`` (default) probes
-    divide-and-conquer backgrounds — ``O(k + k·log(|Sigma|/k))`` probes
-    for a core of size ``k`` — while ``"deletion"`` is the classic linear
-    filter, exactly ``|Sigma|`` probes.  Both return minimal cores; on
-    specifications with several distinct MUSes they may return different
-    (individually minimal) ones.  Subsets are probed by row toggles on a
-    single assembled system (one full checker call per probe outside the
-    unary fragment).  ``stats``, when supplied, is filled with the
-    call's work counters — ``mus_probes`` isolates the filter's probe
-    count, the number the QuickXplain benchmark gate compares.
+    The QuickXplain filter probes divide-and-conquer backgrounds —
+    ``O(k + k·log(|Sigma|/k))`` probes for a core of size ``k``.  Subsets
+    are probed by row toggles on a single assembled system (one full
+    checker call per probe outside the unary fragment).  ``stats``, when
+    supplied, is filled with the call's work counters — ``mus_probes``
+    isolates the filter's probe count, the number the QuickXplain
+    benchmark gate compares.
 
     >>> from repro.workloads.examples import teachers_dtd_d1, sigma1_constraints
     >>> stats = DiagnosticsStats()
@@ -439,10 +401,9 @@ def mus(
     >>> (stats.mus_method, stats.assemblies)  # one persistent system
     ('quickxplain', 1)
     """
-    _require_mus_method(method)
     config = config or DEFAULT_CONFIG
     stats = stats if stats is not None else DiagnosticsStats()
-    stats.mus_method = method
+    stats.mus_method = _minimal_core.__name__
     sigma = list(constraints)
     probe = _probe(dtd, sigma, config, stats, with_negations=False)
     if probe.consistent(sigma):
@@ -451,7 +412,7 @@ def mus(
         )
     if not dtd_has_valid_tree(dtd):
         return []
-    return _minimal_core(_mus_check(probe), sigma, method)
+    return _minimal_core(_mus_check(probe), sigma)
 
 
 def redundant_constraints(
@@ -519,23 +480,23 @@ def diagnose(
     dtd: DTD,
     constraints: Iterable[Constraint],
     config: CheckerConfig | None = None,
-    *,
-    mus_method: str = "quickxplain",
 ) -> DiagnosticsReport:
     """Full specification health check.
 
     For consistent specifications, reports redundancies; for inconsistent
-    ones, a minimal conflicting subset — found by the ``mus_method``
-    filter (QuickXplain by default; ``"deletion"`` for the linear
-    reference filter).  The whole report — the initial consistency
+    ones, a minimal conflicting subset found by the QuickXplain filter.
+    Sigma is validated against the DTD first, as every checker does, so
+    a constraint naming an undeclared type or attribute raises
+    :class:`InvalidConstraintError` even when the DTD alone is
+    unsatisfiable.  The whole report — the initial consistency
     verdict plus every MUS/redundancy probe — is served from one
     assembled system (``report.stats.assemblies == 1`` on the toggled
-    path); the rebuild fallback drives the *same* filters through full
+    path); the rebuild fallback drives the *same* filter through full
     checker calls.
     """
-    _require_mus_method(mus_method)
     config = config or DEFAULT_CONFIG
     sigma = list(constraints)
+    validate_constraints(dtd, sigma)
     stats = DiagnosticsStats()
     if not dtd_has_valid_tree(dtd):
         return DiagnosticsReport(
@@ -545,9 +506,9 @@ def diagnose(
     if probe.consistent(sigma):
         redundant = _redundancy_filter(probe, sigma)
         return DiagnosticsReport(consistent=True, redundant=redundant, stats=stats)
-    stats.mus_method = mus_method
+    stats.mus_method = _minimal_core.__name__
     return DiagnosticsReport(
         consistent=False,
-        mus=_minimal_core(_mus_check(probe), sigma, mus_method),
+        mus=_minimal_core(_mus_check(probe), sigma),
         stats=stats,
     )

@@ -14,7 +14,7 @@ edit families:
 
 Every candidate edit is probed on **one** shared assembly: constraint
 deletions reuse the :class:`~repro.encoding.combined.ConsistencyEncoding`
-toggle registry exactly as the MUS filters do, and DTD edits ride the
+toggle registry exactly as the MUS filter does, and DTD edits ride the
 ``repair_sites=True`` shadow rows — deactivating a rule-equation row
 leaves its one-sided shadow, which *is* the loosened DTD's projection —
 plus a per-probe recomputation of the unusable-type closure.  A probe is
@@ -24,9 +24,9 @@ therefore one re-solve on the persistent workspace
 
 The search is the implicit-hitting-set loop, MUS-guided: whenever a
 candidate edit set probes infeasible, the engine shrinks a constraint-MUS
-of the edited spec with the **same** QuickXplain/deletion filters that
-power :func:`~repro.analysis.diagnostics.mus` (deleting a
-constraint *is* one of the edits, so the filters run unchanged over the
+of the edited spec with the **same** QuickXplain filter that powers
+:func:`~repro.analysis.diagnostics.mus` (deleting a
+constraint *is* one of the edits, so the filter runs unchanged over the
 edit oracle — the divide-and-conquer is exactly dual), then widens it to
 a *core*: the edits that could neutralize that MUS.  A repair must hit
 every discovered core — missing one would leave the MUS intact over a
@@ -58,7 +58,6 @@ from repro.analysis.diagnostics import (
     SOLVER_COUNTERS,
     SolverCounters,
     _minimal_core,
-    _require_mus_method,
     _toggled,
     _ToggleProbe,
 )
@@ -731,7 +730,6 @@ def minimal_repair(
     config: CheckerConfig | None = None,
     *,
     weights: Mapping[RepairAction | str, int] | None = None,
-    core_method: str = "quickxplain",
     stats: RepairStats | None = None,
 ) -> Repair:
     """A minimum-weight repair of ``(dtd, Sigma)``.
@@ -740,8 +738,7 @@ def minimal_repair(
     drops for a smallest edit set restoring consistency; with the default
     unit weights the result is cardinality-minimal, and ``weights``
     (keyed by action instance or by family name) selects weighted-minimal
-    repairs instead.  ``core_method`` picks the core-shrinking filter
-    (``"quickxplain"`` default, ``"deletion"`` reference).  Edit sets are
+    repairs instead.  Edit sets are
     probed by row toggles on one assembled system; outside the unary
     fragment the apply-and-recheck fallback runs one full checker call
     per probed edit set.  The returned repair is always applied and
@@ -749,10 +746,9 @@ def minimal_repair(
     raises :class:`SolverError` (it would be an internal probe-exactness
     bug, never a wrong answer).
     """
-    _require_mus_method(core_method)
     config = config or DEFAULT_CONFIG
     stats = stats if stats is not None else RepairStats()
-    stats.core_method = core_method
+    stats.core_method = _minimal_core.__name__
     sigma = list(constraints)
     validate_constraints(dtd, sigma)
     universe = _candidate_universe(dtd, sigma)
@@ -823,7 +819,7 @@ def minimal_repair(
     def extract_core(hit: frozenset[int]) -> frozenset[int]:
         """A MUS-guided core: shrink a constraint-MUS of the hit-edited
         spec (deleting a constraint = applying its delete edit, so the
-        standard filters run unchanged over the index oracle), then
+        MUS filter runs unchanged over the index oracle), then
         widen to every edit that could neutralize the MUS — its members'
         deletions, attribute drops its members name, and all remaining
         loosenings (a repair avoiding all of these keeps the MUS intact
@@ -843,7 +839,7 @@ def minimal_repair(
 
         mus: list[Constraint] = []
         if active and check([]):
-            mus = _minimal_core(check, active, core_method)
+            mus = _minimal_core(check, active)
         mus_refs: set[tuple[str, str]] = set()
         for phi in mus:
             mus_refs.update(_attr_refs(phi))

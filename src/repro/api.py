@@ -176,39 +176,26 @@ def diagnose(
     spec: "Spec | DTD | tuple",
     *,
     config: CheckerConfig | None = None,
-    mus_method: str = "quickxplain",
 ) -> DiagnosticsReport:
     """Specification health: a minimal conflict when inconsistent, the
     redundant constraints when consistent."""
     from repro.analysis.diagnostics import diagnose as _diagnose
 
     resolved = as_spec(spec)
-    return _diagnose(
-        resolved.dtd,
-        list(resolved.constraints),
-        config,
-        mus_method=mus_method,
-    )
+    return _diagnose(resolved.dtd, list(resolved.constraints), config)
 
 
 def mus(
     spec: "Spec | DTD | tuple",
     *,
     config: CheckerConfig | None = None,
-    method: str = "quickxplain",
     stats: DiagnosticsStats | None = None,
 ) -> list[Constraint]:
     """A minimal inconsistent subset of the specification's Sigma."""
     from repro.analysis.diagnostics import mus as _mus
 
     resolved = as_spec(spec)
-    return _mus(
-        resolved.dtd,
-        list(resolved.constraints),
-        config,
-        method=method,
-        stats=stats,
-    )
+    return _mus(resolved.dtd, list(resolved.constraints), config, stats=stats)
 
 
 def repair(
@@ -216,7 +203,6 @@ def repair(
     *,
     config: CheckerConfig | None = None,
     weights: Mapping | None = None,
-    core_method: str = "quickxplain",
     stats: RepairStats | None = None,
 ) -> Repair:
     """A minimum-weight edit making the specification consistent.
@@ -236,6 +222,5 @@ def repair(
         list(resolved.constraints),
         config,
         weights=weights,
-        core_method=core_method,
         stats=stats,
     )

@@ -30,11 +30,10 @@ class CheckerConfig:
     want_witness:
         Synthesize an actual witness tree for consistent instances (and
         counterexample trees for refuted implications). Disable for pure
-        yes/no benchmarking.
-    verify_witness:
-        Re-verify every synthesized witness against the DTD and the
-        constraints; a failure raises :class:`SolverError` (it would be an
-        internal bug, never a wrong answer).
+        yes/no benchmarking. Every synthesized tree is re-verified against
+        the DTD and the constraints before it is returned; a failure
+        raises :class:`SolverError` (it would be an internal bug, never a
+        wrong answer).
     max_setrep_attrs:
         Cap on attribute pairs in the set-representation block (its size
         is ``2^n - 1``; the problem is NP-complete).
@@ -50,7 +49,6 @@ class CheckerConfig:
 
     backend: str = "scipy"
     want_witness: bool = True
-    verify_witness: bool = True
     max_setrep_attrs: int = 12
     max_support_nodes: int = 20000
     lp_prune: bool = True

@@ -109,8 +109,7 @@ def _keys_only(
         raise SolverError("encoding disagrees with the emptiness check")
     witness = synthesize_witness(encoding, result.values)
     make_all_values_distinct(witness, dtd)
-    if config.verify_witness:
-        _verify(witness, encoding, constraints)
+    _verify(witness, encoding, constraints)
     return ConsistencyResult(
         True,
         witness=witness,
@@ -175,8 +174,7 @@ def check_consistency(
     if not config.want_witness:
         return ConsistencyResult(True, method=method, stats=stat_map)
     witness = synthesize_witness(encoding, result.values)
-    if config.verify_witness:
-        _verify(witness, encoding, constraints)
+    _verify(witness, encoding, constraints)
     return ConsistencyResult(
         True, witness=witness, method=method, stats=stat_map
     )

@@ -87,10 +87,9 @@ def _keys_only_counterexample(
     first, second = tree.ext(phi.element_type)[:2]
     for attr in phi.attrs:
         second.attrs[attr] = first.attrs[attr]
-    if config.verify_witness:
-        report = encoding.validator.validate(tree)
-        if not report or not satisfies_all(tree, sigma) or satisfies(tree, phi):
-            raise SolverError("internal error: bad keys-only counterexample")
+    report = encoding.validator.validate(tree)
+    if not report or not satisfies_all(tree, sigma) or satisfies(tree, phi):
+        raise SolverError("internal error: bad keys-only counterexample")
     return tree
 
 

@@ -14,7 +14,7 @@ change rarely.  This package turns the pipeline into a resident engine
 * :class:`~repro.service.server.CheckingServer` — the asyncio front end
   (``repro serve``): line-delimited JSON over stdio or a localhost TCP
   socket, with a per-session batcher that coalesces concurrent
-  ``implies`` requests into single ``implies_all`` calls;
+  ``implies`` requests into single ``SpecSession.implies_batch`` calls;
 * :class:`~repro.service.client.ServiceClient` — a small synchronous
   client for scripts, benchmarks and the README quickstart;
 * :class:`~repro.service.fleet.FleetRouter` — the distributed fleet's

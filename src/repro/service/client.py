@@ -17,7 +17,7 @@ class ServiceClient:
     ``call`` sends one request and waits for its response; ``call_many``
     sends a burst first and then collects every response, re-ordered by
     request id — the client-side shape that lets the server's batcher
-    coalesce the burst into one ``implies_all`` call.
+    coalesce the burst into one ``implies_batch`` call.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 60.0):

@@ -4,7 +4,7 @@
 maps onto the *same* dispatch as the line protocol —
 :meth:`~repro.service.server.CheckingServer.handle_request` — so every
 service property carries over by construction rather than by parallel
-implementation: the coalesced ``implies_all`` batching (concurrent HTTP
+implementation: the coalesced ``implies_batch`` batching (concurrent HTTP
 ``implies`` land in the same per-session queue the line protocol
 drains), admission control (shed requests answer ``429`` with a
 ``Retry-After`` header from the same ``retry_after`` hint), deadlines

@@ -40,7 +40,7 @@ __all__ = ["SNAPSHOT_VERSION", "save_snapshot", "load_snapshot"]
 
 #: Bump on any change to the payload shape; a mismatched snapshot is
 #: silently treated as absent (cold start), never migrated in place.
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 
 # -- value packing -----------------------------------------------------------

@@ -20,8 +20,8 @@ error::
 Operations: ``open`` (admit/refresh a session, returns its identity
 card), ``check``, ``implies`` (one ``phi``), ``implies_all`` (a ``phis``
 list, answered as one coalesced batch), ``diagnose``, ``repair`` (a
-minimum-weight consistency-restoring edit; optional ``core_method`` and
-a ``weights`` object mapping action family to a positive integer cost),
+minimum-weight consistency-restoring edit; an optional ``weights``
+object maps action family to a positive integer cost),
 ``validate`` (a ``document``), ``stats`` (registry + server counters) and
 ``shutdown``.
 Responses may arrive out of request order when requests from one
@@ -64,6 +64,9 @@ SESSION_OPS = frozenset(
 #: Every operation the server answers.
 ALL_OPS = SESSION_OPS | {"stats", "shutdown"}
 
+#: The request fields that name a specification; each must be text.
+SPEC_FIELDS = ("session", "dtd", "constraints", "root")
+
 
 class ProtocolError(ReproError):
     """A request the server cannot even dispatch (bad JSON, bad shape)."""
@@ -85,6 +88,12 @@ def parse_request(line: str) -> dict:
 
 def resolve_session(registry: SessionRegistry, request: dict) -> SpecSession:
     """The session a request addresses — by fingerprint or inline spec."""
+    for name in SPEC_FIELDS:
+        value = request.get(name)
+        if value is not None and not isinstance(value, str):
+            raise ProtocolError(
+                f"request field {name!r} must be text, got {type(value).__name__}"
+            )
     fingerprint = request.get("session")
     if fingerprint is not None:
         session = registry.get(fingerprint)
@@ -120,18 +129,12 @@ def perform(session: SpecSession, request: dict) -> dict:
             raise ProtocolError("op 'implies_all' needs a 'phis' list")
         return {"results": session.implies_batch(phis, config)}
     if op == "diagnose":
-        return session.diagnose(
-            config, mus_method=request.get("mus_method", "quickxplain")
-        )
+        return session.diagnose(config)
     if op == "repair":
         weights = request.get("weights")
         if weights is not None and not isinstance(weights, dict):
             raise ProtocolError("op 'repair' takes 'weights' as an object")
-        return session.repair(
-            config,
-            core_method=request.get("core_method", "quickxplain"),
-            weights=weights,
-        )
+        return session.repair(config, weights=weights)
     if op == "validate":
         if "document" not in request:
             raise ProtocolError("op 'validate' needs a 'document'")

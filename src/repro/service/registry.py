@@ -12,7 +12,9 @@ next request for it simply re-admits a cold session, whose answers are
 byte-identical to the evicted one's (the differential suite replays
 exactly this).
 
-Resolving inline text pays for the specification's constraints, not for
+The registry takes specifications as text only (``<!ELEMENT ...>``
+declarations and constraint lines), the form every request carries.
+Resolving text pays for the specification's constraints, not for
 its DTD: the registry memoizes each ``(dtd_text, root)`` to the parsed
 :class:`~repro.dtd.model.DTD` and its canonical text, so a request over
 a DTD seen before neither re-parses nor re-serializes it.
@@ -25,7 +27,6 @@ from collections import OrderedDict
 from functools import lru_cache
 
 from repro.checkers.config import CheckerConfig
-from repro.constraints.ast import Constraint
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
@@ -41,42 +42,28 @@ from repro.service.session import SpecSession
 
 
 @lru_cache(maxsize=1024)
-def _fingerprint_text(dtd_text: str, constraints_text: str, root: str | None) -> str:
-    dtd = parse_dtd(dtd_text, root=root)
-    sigma = parse_constraints(constraints_text)
-    return spec_fingerprint(dtd, sigma)
-
-
 def fingerprint_for(
-    dtd: DTD | str,
-    constraints: list[Constraint] | tuple[Constraint, ...] | str = (),
-    root: str | None = None,
+    dtd_text: str, constraints_text: str = "", root: str | None = None
 ) -> str:
-    """The canonical spec fingerprint for text or parsed inputs.
+    """The canonical spec fingerprint of a textual specification.
 
     The same identity :meth:`SessionRegistry.session_for` keys on, but
     *without admitting a session* — the fleet router shards requests by
-    this value before any backend has parsed the spec.  Text inputs are
-    memoized (the router fingerprints every inline request on its event
-    loop; a repeated spec must not re-parse).
+    this value before any backend has parsed the spec.  Memoized: the
+    router fingerprints every inline request on its event loop, and a
+    repeated spec must not re-parse.
     """
-    if isinstance(dtd, str) and isinstance(constraints, str):
-        return _fingerprint_text(dtd, constraints, root)
-    if isinstance(dtd, str):
-        dtd = parse_dtd(dtd, root=root)
-    if isinstance(constraints, str):
-        constraints = parse_constraints(constraints)
-    return spec_fingerprint(dtd, list(constraints))
+    dtd = parse_dtd(dtd_text, root=root)
+    return spec_fingerprint(dtd, parse_constraints(constraints_text))
 
 
 class SessionRegistry:
     """LRU cache of :class:`SpecSession`\\ s keyed by spec fingerprint.
 
-    >>> from repro.dtd.model import DTD
     >>> registry = SessionRegistry(max_sessions=2)
-    >>> d = DTD.build("r", {"r": "(a*)", "a": "EMPTY"}, attrs={"a": ["k"]})
-    >>> first = registry.session_for(d, [])
-    >>> registry.session_for(d, []) is first      # same spec: cache hit
+    >>> dtd = "<!ELEMENT r (a*)> <!ELEMENT a EMPTY> <!ATTLIST a k CDATA #REQUIRED>"
+    >>> first = registry.session_for(dtd, "a.k -> a")
+    >>> registry.session_for(dtd, "a.k -> a") is first   # same spec: cache hit
     True
     >>> registry.core_stats()["session_hits"]
     1
@@ -119,24 +106,16 @@ class SessionRegistry:
     # -- resolution ---------------------------------------------------------
 
     def session_for(
-        self,
-        dtd: DTD | str,
-        constraints: list[Constraint] | tuple[Constraint, ...] | str = (),
-        root: str | None = None,
+        self, dtd_text: str, constraints_text: str = "", root: str | None = None
     ) -> SpecSession:
-        """The resident session for ``(dtd, constraints)``; admit if absent.
+        """The resident session for a textual spec; admit if absent.
 
-        Accepts parsed objects or text (``<!ELEMENT ...>`` declarations
-        and constraint lines).  DTD text goes through the registry's
-        parsed-DTD memo (:meth:`parsed_dtd`).
+        ``dtd_text`` is ``<!ELEMENT ...>`` declarations and
+        ``constraints_text`` constraint lines.  The DTD goes through the
+        registry's parsed-DTD memo (:meth:`parsed_dtd`).
         """
-        if isinstance(dtd, str):
-            dtd, dtd_text = self.parsed_dtd(dtd, root)
-        else:
-            dtd_text = dtd_to_string(dtd)
-        if isinstance(constraints, str):
-            constraints = parse_constraints(constraints)
-        sigma = list(constraints)
+        dtd, dtd_text = self.parsed_dtd(dtd_text, root)
+        sigma = parse_constraints(constraints_text)
         fingerprint = fingerprint_of(canonical_spec(dtd, sigma, dtd_text))
         with self._lock:
             session = self._sessions.get(fingerprint)

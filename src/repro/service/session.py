@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro import api
 from repro.checkers.config import DEFAULT_CONFIG, CheckerConfig
-from repro.checkers.implication import implies_all
 from repro.constraints.ast import Constraint
 from repro.constraints.classes import validate_constraints
 from repro.constraints.parser import parse_constraint
@@ -275,12 +274,15 @@ class SpecSession:
             return self._implies_locked(phi, merge_config(self.config, config))
 
     def implies_batch(self, phis: list, config: dict | None = None) -> list[dict]:
-        """Batch implication — the coalesced form the server's batcher uses.
+        """Batch implication — the form the server's batcher coalesces into.
 
-        Per-query responses are identical to asking :meth:`implies` one
-        by one (``implies_all`` runs the same validated per-query path),
-        but the batch validates once and answers the misses in one
-        ``implies_all`` call over the shared per-DTD encoding block.
+        Each query is answered exactly as :meth:`implies` would answer it
+        alone: a first pass serves cache hits and collects the misses,
+        then each miss runs the single-query path, so a query repeated
+        within the batch replays its first answer while the response
+        cache still holds it, and is solved again once evicted.  A
+        query that fails answers its error payload in its slot; the rest
+        of the batch still runs.
         """
         with self._lock:
             # Each coalesced query is one served operation: session.requests
@@ -296,42 +298,10 @@ class SpecSession:
                 except ReproError as exc:
                     responses.append(_error_payload(exc))
                     continue
-                key = ("implies", str(parsed), effective)
-                cached = self._recall(key)
+                cached = self._recall(("implies", str(parsed), effective))
                 if cached is None:
                     misses.append((len(responses), parsed))
                 responses.append(cached)  # placeholder when None
-            if len(misses) > 1:
-                # The coalesced path: one ``implies_all`` call over the
-                # batch's *distinct* missed queries — it validates once
-                # and shares the per-DTD encoding block; queries repeated
-                # within the batch are solved once and the duplicates
-                # replay the recorded response (counted as cache hits,
-                # exactly as the sequential loop would have served
-                # them).  Any ReproError from the batch call (an
-                # undecidable query poisons it whole) falls back to the
-                # per-query loop below, which isolates errors per
-                # request.
-                unique: dict[str, Constraint] = {}
-                for _, parsed in misses:
-                    unique.setdefault(str(parsed), parsed)
-                try:
-                    results = implies_all(
-                        self.dtd, self.sigma, list(unique.values()), effective
-                    )
-                except ReproError:
-                    pass
-                else:
-                    first: dict[str, dict] = {}
-                    for parsed, result in zip(unique.values(), results):
-                        key = ("implies", str(parsed), effective)
-                        first[str(parsed)] = self._remember(key, result.as_dict())
-                    for index, parsed in misses:
-                        payload = first.pop(str(parsed), None)
-                        if payload is None:  # an intra-batch repeat
-                            payload = self._recall(("implies", str(parsed), effective))
-                        responses[index] = payload
-                    misses = []
             for index, parsed in misses:
                 try:
                     responses[index] = self._implies_locked(parsed, effective)
@@ -339,51 +309,39 @@ class SpecSession:
                     responses[index] = _error_payload(exc)
             return responses
 
-    def diagnose(
-        self,
-        config: dict | None = None,
-        mus_method: str = "quickxplain",
-    ) -> dict:
+    def diagnose(self, config: dict | None = None) -> dict:
         """Specification health report (MUS / redundancy audit)."""
         with self._lock:
             self.stats.requests += 1
             effective = merge_config(self.config, config)
-            key = ("diagnose", mus_method, effective)
+            key = ("diagnose", effective)
             cached = self._recall(key)
             if cached is not None:
                 return cached
-            report = api.diagnose(self.spec, config=effective, mus_method=mus_method)
+            report = api.diagnose(self.spec, config=effective)
             return self._remember(key, report.as_dict())
 
     def repair(
-        self,
-        config: dict | None = None,
-        core_method: str = "quickxplain",
-        weights: dict | None = None,
+        self, config: dict | None = None, weights: dict | None = None
     ) -> dict:
         """A minimum-weight repair of the session's specification.
 
         ``weights`` is the wire form of the engine's weight mapping:
         action-family name (``"delete"`` / ``"loosen"`` / ``"drop"``)
         to a positive integer.  Responses are cached like every other
-        op — the key covers the filter, the weights and the
-        effective config, so a repeat is a byte replay.
+        op — the key covers the weights and the effective
+        config, so a repeat is a byte replay.
         """
         with self._lock:
             self.stats.requests += 1
             effective = merge_config(self.config, config)
             weight_key = tuple(sorted((weights or {}).items()))
-            key = ("repair", core_method, weight_key, effective)
+            key = ("repair", weight_key, effective)
             cached = self._recall(key)
             if cached is not None:
                 return cached
             try:
-                result = api.repair(
-                    self.spec,
-                    config=effective,
-                    weights=weights,
-                    core_method=core_method,
-                )
+                result = api.repair(self.spec, config=effective, weights=weights)
             except ValueError as exc:
                 # A bad weights mapping is a client error, not a crash:
                 # surface it with the structured wire contract.

@@ -19,11 +19,15 @@ the product already has, so no flag or hook exists for them in
   repair (``_ToggleProbe``, ``_RepairProbe``) raise
   :class:`ComplexityLimitError`, so both take the automatic rebuild
   fallback that non-unary or over-cap specifications already take: one
-  full checker call per probed subset or edit set.
+  full checker call per probed subset or edit set;
+* :func:`deletion_filter` — replaces the QuickXplain MUS filter of
+  ``mus``, ``diagnose`` and repair's core extraction
+  (``diagnostics._minimal_core``, which ``repair`` imports) with
+  :func:`deletion`, the linear filter that probes exactly ``|Sigma|``
+  subsets.
 
 Each is a context manager that patches module attributes and restores
-them on exit.  Worker processes forked inside the block inherit the
-patch.
+them on exit.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import repro.checkers.consistency as consistency
 import repro.checkers.implication as implication
 import repro.ilp.condsys as condsys
 from repro.budget import check_deadline
+from repro.constraints.ast import Constraint
 from repro.errors import ComplexityLimitError, SolverError
 from repro.ilp.assembled import AssembledSystem
 from repro.ilp.condsys import (
@@ -194,16 +199,15 @@ def solve_rebuild(
     active_rows: frozenset[int] | None = None,
     workspace=None,
     inactive_clauses: frozenset[int] = frozenset(),
-    jobs: int = 1,
 ) -> tuple[SolveResult, CondSolveStats]:
     """Drop-in for ``condsys.solve_conditional_system``: the from-scratch
     reference search.
 
     Deactivated rows and clauses are simply absent from every rebuilt
-    system.  ``workspace`` and ``jobs`` are accepted and ignored: the
-    oracle keeps no state across calls and always runs sequentially.
+    system.  ``workspace`` is accepted and ignored: the oracle keeps no
+    state across calls.
     """
-    del workspace, jobs
+    del workspace
     if backend not in ("scipy", "exact"):
         raise SolverError(f"unknown backend {backend!r}")
     stats = CondSolveStats()
@@ -360,5 +364,42 @@ def rebuild_engines():
     with _patched(
         (diagnostics, "_ToggleProbe", _no_toggle_engine),
         (repair, "_RepairProbe", _no_toggle_engine),
+    ):
+        yield
+
+
+# ---------------------------------------------------------------------------
+# deletion filter: the linear MUS reference
+# ---------------------------------------------------------------------------
+
+
+def deletion(
+    check: Callable[[list[Constraint]], bool], sigma: list[Constraint]
+) -> list[Constraint]:
+    """The linear deletion filter: exactly ``|Sigma|`` probes.
+
+    Drop each constraint in turn and keep it out while the rest stays
+    inconsistent.  Its probe count is the baseline the QuickXplain gates
+    (``benchmarks/bench_parallel.py``) compare against.  The function's
+    name is the ``mus_method``/``core_method`` stats label under
+    :func:`deletion_filter`.
+    """
+    current = list(sigma)
+    index = 0
+    while index < len(current):
+        candidate = current[:index] + current[index + 1:]
+        if check(candidate):
+            index += 1  # constraint is necessary for the conflict
+        else:
+            current = candidate  # still inconsistent without it: drop
+    return current
+
+
+@contextmanager
+def deletion_filter():
+    """Shrink every MUS and repair core with :func:`deletion`."""
+    with _patched(
+        (diagnostics, "_minimal_core", deletion),
+        (repair, "_minimal_core", deletion),
     ):
         yield

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.analysis.diagnostics import (
     diagnose,
     mus,
@@ -12,6 +13,7 @@ from repro.checkers.consistency import check_consistency
 from repro.constraints.parser import parse_constraint, parse_constraints
 from repro.dtd.model import DTD
 from repro.errors import InvalidConstraintError
+from tests.oracles import deletion_filter
 
 
 class TestExtentBounds:
@@ -96,7 +98,8 @@ class TestMus:
     def test_direct_contradiction(self):
         d = DTD.build("r", {"r": "(a*)", "a": "EMPTY"}, attrs={"a": ["x"]})
         sigma = parse_constraints("a.x -> a\na.x !-> a\na.x <= a.x")
-        core = mus(d, sigma, method="deletion")
+        with deletion_filter():
+            core = mus(d, sigma)
         assert sorted(str(phi) for phi in core) == ["a.x !-> a", "a.x -> a"]
 
 
@@ -150,3 +153,13 @@ class TestDiagnose:
         assert not report.consistent
         assert not report.dtd_satisfiable
         assert "no finite document" in report.summary()
+
+    @pytest.mark.parametrize("body", ["(a)", "EMPTY"])
+    def test_sigma_is_validated_before_the_dtd_verdict(self, body):
+        # Whether or not the DTD admits a tree, a constraint naming an
+        # attribute the DTD lacks is an input error, as for every op.
+        d = DTD.build("r", {"r": "(a)", "a": body}, attrs={"a": ["k"]})
+        sigma = parse_constraints("a.nosuch -> a")
+        for op in (api.check, api.diagnose, api.mus, api.repair):
+            with pytest.raises(InvalidConstraintError, match="nosuch"):
+                op((d, sigma))

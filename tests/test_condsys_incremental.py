@@ -39,13 +39,13 @@ from repro.workloads.generators import (
 )
 from tests.oracles import _propagate, legacy_rebuild, solve_rebuild
 
-VERIFYING = CheckerConfig(want_witness=True, verify_witness=True)
+VERIFYING = CheckerConfig(want_witness=True)
 FAST = CheckerConfig(want_witness=False)
 
 
 def _agree(dtd, sigma, want_witness=True):
     """Both paths must agree; witnesses are synthesized and re-verified
-    (verify_witness raises on any invalid tree), proving realizability."""
+    (the checker raises on any invalid tree), proving realizability."""
     config = VERIFYING if want_witness else FAST
     a = check_consistency(dtd, sigma, config)
     with legacy_rebuild():

@@ -21,6 +21,7 @@ from repro.analysis.diagnostics import (
     mus,
     redundant_constraints,
 )
+from repro.analysis.repair import minimal_repair
 from repro.checkers.config import CheckerConfig
 from repro.checkers.consistency import check_consistency
 from repro.constraints.parser import parse_constraints
@@ -31,7 +32,7 @@ from repro.workloads.generators import (
     random_unary_constraints,
     registrar_mus_family,
 )
-from tests.oracles import rebuild_engines
+from tests.oracles import deletion_filter, rebuild_engines
 
 #: Seeded sweep size, chunked for readable failure granularity.
 NUM_SEEDS = 60
@@ -95,9 +96,10 @@ def test_mus_single_assembly_and_oracle_agreement():
         "a.x -> a\na.x !-> a\nb.y -> b\na.x <= a.x"
     )
     stats = DiagnosticsStats()
-    core = mus(dtd, sigma, method="deletion", stats=stats)
-    with rebuild_engines():
-        oracle = mus(dtd, sigma, method="deletion")
+    with deletion_filter():
+        core = mus(dtd, sigma, stats=stats)
+        with rebuild_engines():
+            oracle = mus(dtd, sigma)
     assert _canonical(core) == _canonical(oracle) == ["a.x !-> a", "a.x -> a"]
     assert stats.assemblies == 1
     assert stats.probes == len(sigma) + 1  # full set + one deletion probe each
@@ -215,7 +217,8 @@ def test_quickxplain_equals_deletion_on_seeded_instances():
             continue
         qx_stats, del_stats = DiagnosticsStats(), DiagnosticsStats()
         qx = mus(dtd, sigma, stats=qx_stats)
-        deletion = mus(dtd, sigma, method="deletion", stats=del_stats)
+        with deletion_filter():
+            deletion = mus(dtd, sigma, stats=del_stats)
         assert qx_stats.mus_method == "quickxplain"
         assert del_stats.mus_method == "deletion"
         _assert_valid_mus(dtd, sigma, qx, seed)
@@ -253,7 +256,8 @@ def test_quickxplain_saves_probes_on_large_specifications():
     assert len(sigma) >= 8
     qx_stats, del_stats = DiagnosticsStats(), DiagnosticsStats()
     qx = mus(dtd, sigma, stats=qx_stats)
-    deletion = mus(dtd, sigma, method="deletion", stats=del_stats)
+    with deletion_filter():
+        deletion = mus(dtd, sigma, stats=del_stats)
     assert _canonical(qx) == _canonical(deletion)
     assert del_stats.mus_probes == len(sigma)
     assert qx_stats.mus_probes < del_stats.mus_probes, (
@@ -262,14 +266,16 @@ def test_quickxplain_saves_probes_on_large_specifications():
     )
 
 
-def test_diagnose_mus_method_selects_the_filter():
-    """``diagnose`` exposes the filter choice and stamps it in the stats."""
-    dtd, sigma = _instance(3)
-    default = diagnose(dtd, sigma)
-    deletion = diagnose(dtd, sigma, mus_method="deletion")
-    assert default.consistent == deletion.consistent
-    if not default.consistent:
-        _assert_valid_mus(dtd, sigma, default.mus, "diagnose-default")
-        _assert_valid_mus(dtd, sigma, deletion.mus, "diagnose-deletion")
-        assert default.stats.mus_method == "quickxplain"
-        assert deletion.stats.mus_method == "deletion"
+def test_deletion_filter_reaches_mus_diagnose_and_repair():
+    """The oracle swaps the one MUS filter everywhere it runs, and the
+    ``mus_method``/``core_method`` stats name the filter that ran."""
+    dtd, sigma = registrar_mus_family(4)
+    outside = (diagnose(dtd, sigma), minimal_repair(dtd, sigma))
+    with deletion_filter():
+        inside = (diagnose(dtd, sigma), minimal_repair(dtd, sigma))
+    for (report, repair), name in zip((outside, inside), ("quickxplain", "deletion")):
+        assert report.stats.mus_method == name
+        assert repair.stats.core_method == name
+    assert _canonical(outside[0].mus) == _canonical(inside[0].mus)
+    assert outside[1].actions == inside[1].actions
+    assert diagnose(dtd, sigma).stats.mus_method == "quickxplain"  # restored

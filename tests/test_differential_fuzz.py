@@ -15,8 +15,8 @@ are decided four ways:
 
 Every instance must get the *same* sat/unsat verdict from all four, and
 each "consistent" answer is backed by a synthesized witness re-verified
-against the DTD and constraints (``verify_witness=True`` raises on any
-invalid tree), so a divergence anywhere in encoder, patch plumbing or
+against the DTD and constraints (the checker raises on any invalid
+tree), so a divergence anywhere in encoder, patch plumbing or
 simplex shows up as a hard failure naming the seed.
 
 ``tests/data/differential_corpus.json`` is the regression corpus: seeds
@@ -46,12 +46,12 @@ from tests.oracles import exact_cold, legacy_rebuild
 #: the tier-1 budget.
 DECIDERS = {
     "exact-warm": (
-        CheckerConfig(want_witness=True, verify_witness=True, backend="exact"),
+        CheckerConfig(want_witness=True, backend="exact"),
         nullcontext,
     ),
     "exact-cold": (CheckerConfig(want_witness=False, backend="exact"), exact_cold),
     "highs-inc": (
-        CheckerConfig(want_witness=True, verify_witness=True, backend="scipy"),
+        CheckerConfig(want_witness=True, backend="scipy"),
         nullcontext,
     ),
     "legacy-reb": (

@@ -105,8 +105,8 @@ class TestOneExecutorJob:
         assert server.stats.batch_width_sum >= len(phis)
 
 
-#: Spec fields that are not text: each reaches the client as the error
-#: that resolving it directly raises.
+#: Spec fields that are not text: each reaches the client as the
+#: ``ProtocolError`` naming the field that resolving it directly raises.
 NON_TEXT = [
     ("dtd", [DTD_TEXT]),
     ("dtd", 5),
@@ -145,8 +145,10 @@ def test_non_text_spec_fields_answer_their_resolution_error():
             responses = client.call_many(requests)
     finally:
         server.close()
-    for request, response in zip(requests, responses):
+    for (field, _), request, response in zip(NON_TEXT, requests, responses):
         assert protocol.encode(response) == protocol.encode(_direct_error(request))
+        assert response["error"]["type"] == "ProtocolError"
+        assert f"request field {field!r} must be text" in response["error"]["message"]
     assert server.stats.errors == len(requests)
 
 

@@ -197,6 +197,26 @@ def test_version_skew_restores_nothing(tmp_path):
     assert session.check()["consistent"] is True
     assert session.stats.cache_hits == 0
 
+    # A version-4 snapshot, written while CheckerConfig still had a
+    # ``verify_witness`` field and diagnose keys named their MUS filter.
+    # It cold-starts the same way.
+    payload = _with_config_fields(written["payload"], {"verify_witness": True})
+    payload = json.loads(
+        json.dumps(payload).replace(
+            '["s", "diagnose"]', '["s", "diagnose"], ["s", "quickxplain"]'
+        )
+    )
+    assert '"verify_witness": true' in json.dumps(payload)
+    assert '["s", "quickxplain"]' in json.dumps(payload)
+    envelope = {"version": 4, "checksum": _checksum(payload), "payload": payload}
+    with open(state, "w", encoding="utf-8") as handle:
+        json.dump(envelope, handle)
+    registry = SessionRegistry()
+    assert load_snapshot(registry, state) == 0
+    session = registry.session_for(dtd_to_string(teachers_dtd_d1()), KEYS)
+    assert session.diagnose()["consistent"] is True
+    assert session.stats.cache_hits == 0
+
 
 def test_missing_snapshot_is_a_cold_start(tmp_path):
     state = str(tmp_path / "never-written.json")

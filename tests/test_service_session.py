@@ -10,6 +10,7 @@ import pytest
 from repro.checkers.config import CheckerConfig
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
+from repro.dtd.serializer import dtd_to_string
 from repro.encoding.combined import spec_fingerprint
 from repro.errors import ReproError
 from repro.service.server import effective_parallelism
@@ -25,6 +26,12 @@ def _spec(tag: str = "a"):
         attrs={tag: ["id"]},
     )
     return dtd, parse_constraints(f"{tag}.id -> {tag}")
+
+
+def _spec_text(tag: str = "a"):
+    """:func:`_spec` as the text a registry takes."""
+    dtd, sigma = _spec(tag)
+    return dtd_to_string(dtd), "\n".join(str(phi) for phi in sigma)
 
 
 class TestFingerprint:
@@ -136,6 +143,17 @@ class TestResponseCache:
             with pytest.raises(ReproError, match="unknown config override"):
                 perform(session, {**request, "config": {"jobs": jobs}})
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_verify_witness_override_is_unknown(self, value):
+        """Every witness is re-verified: ``verify_witness`` is no config
+        field, so the wire rejects it as an unknown override."""
+        from repro.service.protocol import perform
+
+        session = SpecSession(*_spec())
+        for op in ("check", "diagnose", "repair"):
+            with pytest.raises(ReproError, match="unknown config override"):
+                perform(session, {"op": op, "config": {"verify_witness": value}})
+
 
 class TestBatch:
     def test_batch_equals_singles_and_caches(self):
@@ -151,6 +169,18 @@ class TestBatch:
         assert batch_session.implies_batch(phis) == batch
         assert batch_session.stats.cache_hits == len(phis)
 
+    def test_batch_answers_every_query_past_the_cache_bound(self):
+        """More distinct queries than the response cache holds, then a
+        repeat of the first: every answer equals the one-by-one answer
+        (the repeat is solved again, never answered ``None``)."""
+        dtd = wide_flat_dtd(4)
+        sigma = parse_constraints("t0.x <= t1.x\nt1.x <= t2.x")
+        phis = ["t0.x <= t2.x", "t2.x <= t0.x", "t0.x <= t1.x", "t0.x <= t2.x"]
+        batch = SpecSession(dtd, sigma, max_cached_responses=2).implies_batch(phis)
+        single = SpecSession(dtd, sigma, max_cached_responses=2)
+        assert batch == [single.implies(phi) for phi in phis]
+        assert [answer["implied"] for answer in batch] == [True, False, True, True]
+
     def test_batch_isolates_per_query_errors(self):
         dtd, sigma = _spec()
         batch = SpecSession(dtd, sigma).implies_batch(
@@ -165,7 +195,7 @@ class TestRegistry:
     def test_lru_eviction_by_count(self):
         registry = SessionRegistry(max_sessions=2)
         sessions = [
-            registry.session_for(*_spec(tag)) for tag in ("a", "b", "c")
+            registry.session_for(*_spec_text(tag)) for tag in ("a", "b", "c")
         ]
         stats = registry.core_stats()
         assert stats["sessions"] == 2
@@ -175,17 +205,17 @@ class TestRegistry:
 
     def test_hit_moves_to_front(self):
         registry = SessionRegistry(max_sessions=2)
-        first = registry.session_for(*_spec("a"))
-        registry.session_for(*_spec("b"))
-        assert registry.session_for(*_spec("a")) is first  # refresh LRU
-        registry.session_for(*_spec("c"))  # evicts b, not a
+        first = registry.session_for(*_spec_text("a"))
+        registry.session_for(*_spec_text("b"))
+        assert registry.session_for(*_spec_text("a")) is first  # refresh LRU
+        registry.session_for(*_spec_text("c"))  # evicts b, not a
         assert registry.get(first.fingerprint) is first
         assert registry.core_stats()["session_hits"] >= 2
 
     def test_byte_budget_eviction(self):
         registry = SessionRegistry(max_sessions=8, max_bytes=1)
-        registry.session_for(*_spec("a"))
-        registry.session_for(*_spec("b"))
+        registry.session_for(*_spec_text("a"))
+        registry.session_for(*_spec_text("b"))
         stats = registry.core_stats()
         # Over budget: everything but the newest admission is evicted.
         assert stats["sessions"] == 1
@@ -193,11 +223,11 @@ class TestRegistry:
 
     def test_readmission_after_eviction(self):
         registry = SessionRegistry(max_sessions=1)
-        first = registry.session_for(*_spec("a"))
+        first = registry.session_for(*_spec_text("a"))
         answer = first.check()
-        registry.session_for(*_spec("b"))
+        registry.session_for(*_spec_text("b"))
         assert registry.get(first.fingerprint) is None
-        readmitted = registry.session_for(*_spec("a"))
+        readmitted = registry.session_for(*_spec_text("a"))
         assert readmitted is not first
         assert readmitted.fingerprint == first.fingerprint
         assert readmitted.check() == answer
