@@ -11,7 +11,8 @@ counters of the answers.
 Two runs that print the same line gave the same bytes for every
 response.  Compare a change against its parent, a warm run against
 ``--cold``, which answers every request from a new registry after
-``clear_encoding_cache()`` — the per-DTD caches must not change a byte —
+``clear_encoding_cache()`` and ``parsed_dtd.cache_clear()`` — the per-DTD
+caches must not change a byte —
 or against ``--threads N``, where N threads share one registry (and the
 per-DTD LP engines) and the digest is still taken in stream order —
 neither may contention::
@@ -65,7 +66,7 @@ def _answer(registry, request: dict) -> dict:
 def _answers(requests: list[dict], cold: bool, threads: int):
     """Every request's response, in stream order."""
     from repro.encoding.combined import clear_encoding_cache
-    from repro.service.registry import SessionRegistry
+    from repro.service.registry import SessionRegistry, parsed_dtd
 
     registry = SessionRegistry()
     if threads > 1:
@@ -75,6 +76,7 @@ def _answers(requests: list[dict], cold: bool, threads: int):
     for request in requests:
         if cold:
             clear_encoding_cache()
+            parsed_dtd.cache_clear()
             registry = SessionRegistry()
         yield _answer(registry, request)
 

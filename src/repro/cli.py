@@ -42,7 +42,8 @@ the wire ``open`` op.
 DTD files use ``<!ELEMENT>``/``<!ATTLIST>`` syntax; constraint files use
 the library's text syntax (one constraint per line, ``#`` comments).
 Exit codes: 0 = positive answer (consistent / valid / implied),
-1 = negative answer, 2 = usage or input error.
+1 = negative answer, 2 = usage or input error (including an input file
+that cannot be read or is not UTF-8 text).
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the caller
 already set it, so every CLI process (and every ``fleet`` backend it
@@ -70,14 +71,19 @@ from repro.dtd.parser import parse_dtd  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
 
 
+def _read(path: str) -> str:
+    """An input file's text; every input is UTF-8, whatever the locale."""
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _load_dtd(path: str, root: str | None):
-    return parse_dtd(Path(path).read_text(), root=root)
+    return parse_dtd(_read(path), root=root)
 
 
 def _load_constraints(path: str | None):
     if path is None:
         return []
-    return parse_constraints(Path(path).read_text())
+    return parse_constraints(_read(path))
 
 
 def _load_spec(args: argparse.Namespace) -> api.Spec:
@@ -120,10 +126,10 @@ def _config_overrides(args: argparse.Namespace) -> dict | None:
 
 def _wire_spec(args: argparse.Namespace) -> dict:
     """The inline-spec fields of a wire request (``--via`` routing)."""
-    request: dict = {"dtd": Path(args.dtd).read_text()}
+    request: dict = {"dtd": _read(args.dtd)}
     constraints = getattr(args, "constraints", None)
     if constraints is not None:
-        request["constraints"] = Path(constraints).read_text()
+        request["constraints"] = _read(constraints)
     if args.root is not None:
         request["root"] = args.root
     return request
@@ -176,7 +182,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    document = Path(args.document).read_text()
+    document = _read(args.document)
     if args.via:
         payload = _via_payload(
             args, {**_wire_spec(args), "op": "validate", "document": document}
@@ -725,10 +731,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ReproError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

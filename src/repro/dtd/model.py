@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Iterable, Mapping
 
 from repro.errors import InvalidDTDError
@@ -143,6 +144,11 @@ class DTD:
                 raise InvalidDTDError(
                     f"content model of {tau!r} references undeclared types {sorted(unknown)}"
                 )
+            if used & {"EMPTY", "ANY"}:
+                raise InvalidDTDError(
+                    f"content model of {tau!r} references a type named EMPTY or "
+                    "ANY, which declaration syntax reads as a keyword"
+                )
             if self.root in used:
                 raise InvalidDTDError(
                     f"root type {self.root!r} occurs in the content model of {tau!r}; "
@@ -156,6 +162,14 @@ class DTD:
                 raise InvalidDTDError(
                     f"type {tau!r} uses undeclared attributes {sorted(unknown_attrs)}"
                 )
+
+    @cached_property
+    def text(self) -> str:
+        """The canonical declaration text, root first: the DTD's identity
+        (:func:`repro.dtd.serializer.dtd_to_string`), rendered once."""
+        from repro.dtd.serializer import render_dtd
+
+        return render_dtd(self)
 
     def attrs(self, tau: str) -> frozenset[str]:
         """The attribute set ``R(tau)`` (empty for unknown types)."""

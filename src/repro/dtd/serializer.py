@@ -24,8 +24,13 @@ def dtd_to_string(dtd: DTD) -> str:
 
     The root element is emitted first so that
     ``parse_dtd(dtd_to_string(d))`` reconstructs the same DTD including its
-    root choice.
+    root choice.  It is ``dtd.text``, rendered once per DTD object.
     """
+    return dtd.text
+
+
+def render_dtd(dtd: DTD) -> str:
+    """The text behind :attr:`DTD.text <repro.dtd.model.DTD.text>`."""
     order = [dtd.root] + [t for t in dtd.element_types if t != dtd.root]
     lines: list[str] = []
     for tau in order:

@@ -15,7 +15,7 @@ satisfying ``Sigma`` exists; a feasible solution is realizable as an actual
 witness tree by :mod:`repro.witness`.
 
 The ``Psi_DN`` block depends only on the DTD, so it is memoized per DTD
-value (:func:`encoding_cache_stats` reports hit rates): batch callers such
+text (:func:`encoding_cache_stats` reports hit rates): batch callers such
 as :func:`repro.checkers.implication.implies_all` re-encode only the
 constraint rows per query.  The cached system is never handed out directly
 — every :func:`build_encoding` call copies it before the constraint
@@ -147,15 +147,15 @@ class _DTDBlock:
 
 
 #: Entry bound of the per-DTD caches: the ``Psi_DN`` blocks here and the
-#: service's parsed-DTD memo (:mod:`repro.service.registry`).  Bounded so
+#: parsed-DTD memo (:func:`repro.service.registry.parsed_dtd`).  Bounded so
 #: long-running services do not accumulate state for every DTD they saw.
 DTD_CACHE_LIMIT = 128
 
-#: LRU cache of ``Psi_DN`` blocks, keyed by DTD *value* (two structurally
-#: equal DTDs share an entry).  ``_CACHE_LOCK`` guards it and the
-#: counters: the server's executor threads look up, insert and evict
-#: concurrently.
-_DTD_BLOCK_CACHE: "OrderedDict[object, _DTDBlock]" = OrderedDict()
+#: LRU cache of ``Psi_DN`` blocks, keyed by the DTD's canonical text
+#: (:attr:`~repro.dtd.model.DTD.text`; equal DTDs, root included, share an
+#: entry).  ``_CACHE_LOCK`` guards it and the counters: the server's
+#: executor threads look up, insert and evict concurrently.
+_DTD_BLOCK_CACHE: "OrderedDict[str, _DTDBlock]" = OrderedDict()
 _CACHE_STATS = {"hits": 0, "misses": 0}
 _CACHE_LOCK = threading.Lock()
 
@@ -185,9 +185,7 @@ def clear_encoding_cache() -> None:
         _LIVE_ENGINES.clear()
 
 
-def canonical_spec(
-    dtd: DTD, constraints: list[Constraint], dtd_text: str | None = None
-) -> str:
+def canonical_spec(dtd: DTD, constraints: list[Constraint]) -> str:
     """The canonical text form of a ``(DTD, Sigma)`` specification.
 
     The DTD is rendered in declaration syntax (root first, a stable
@@ -195,8 +193,7 @@ def canonical_spec(
     constraints in the library's text syntax, one per line, *in order*:
     constraint order is part of a specification's identity because
     order-sensitive consumers (the MUS filters, toggle row ids) would
-    otherwise serve one ordering's answers for another.  A caller that
-    already holds ``dtd_to_string(dtd)`` passes it as ``dtd_text``.
+    otherwise serve one ordering's answers for another.
 
     >>> from repro.dtd.model import DTD
     >>> d = DTD.build("r", {"r": "(a)", "a": "EMPTY"}, attrs={"a": ["k"]})
@@ -206,13 +203,7 @@ def canonical_spec(
     <!ATTLIST a k CDATA #REQUIRED>
     <BLANKLINE>
     """
-    if dtd_text is None:
-        from repro.dtd.serializer import dtd_to_string
-
-        dtd_text = dtd_to_string(dtd)
-    lines = [dtd_text]
-    lines.extend(str(phi) for phi in constraints)
-    return "\n".join(lines)
+    return "\n".join([dtd.text, *(str(phi) for phi in constraints)])
 
 
 def fingerprint_of(canonical: str) -> str:
@@ -237,23 +228,13 @@ def spec_fingerprint(dtd: DTD, constraints: list[Constraint]) -> str:
     return fingerprint_of(canonical_spec(dtd, constraints))
 
 
-def _dtd_cache_key(dtd: DTD) -> object:
-    """A hashable value key for a DTD (regex ASTs are frozen/hashable)."""
-    return (
-        dtd.root,
-        dtd.element_types,
-        tuple(sorted(dtd.content.items())),
-        tuple(sorted(dtd.attrs_of.items())),
-    )
-
-
 def _dtd_block(dtd: DTD) -> _DTDBlock:
     """The cached DTD-only encoding block (simplify + ``Psi_DN`` + usability).
 
     A miss builds outside the lock; if another thread cached the same DTD
     meanwhile, its block wins (both are equal values).
     """
-    key = _dtd_cache_key(dtd)
+    key = dtd.text
     with _CACHE_LOCK:
         block = _DTD_BLOCK_CACHE.get(key)
         if block is not None:

@@ -138,7 +138,12 @@ def perform(session: SpecSession, request: dict) -> dict:
     if op == "validate":
         if "document" not in request:
             raise ProtocolError("op 'validate' needs a 'document'")
-        return session.validate(request["document"])
+        document = request["document"]
+        if not isinstance(document, str):
+            raise ProtocolError(
+                f"request field 'document' must be text, got {type(document).__name__}"
+            )
+        return session.validate(document)
     raise ProtocolError(f"op {op!r} is not a session operation")
 
 

@@ -15,9 +15,11 @@ exactly this).
 The registry takes specifications as text only (``<!ELEMENT ...>``
 declarations and constraint lines), the form every request carries.
 Resolving text pays for the specification's constraints, not for
-its DTD: the registry memoizes each ``(dtd_text, root)`` to the parsed
-:class:`~repro.dtd.model.DTD` and its canonical text, so a request over
-a DTD seen before neither re-parses nor re-serializes it.
+its DTD: one process-wide memo, :func:`parsed_dtd`, maps each
+``(dtd_text, root)`` to its parsed :class:`~repro.dtd.model.DTD`, which
+renders its canonical text once, so a request over a DTD seen before
+neither re-parses nor re-serializes it — whichever registry, or the
+fleet router's :func:`fingerprint_for`, saw it first.
 """
 
 from __future__ import annotations
@@ -30,15 +32,18 @@ from repro.checkers.config import CheckerConfig
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
-from repro.dtd.serializer import dtd_to_string
-from repro.encoding.combined import (
-    DTD_CACHE_LIMIT,
-    canonical_spec,
-    fingerprint_of,
-    spec_fingerprint,
-)
+from repro.encoding.combined import DTD_CACHE_LIMIT, spec_fingerprint
 from repro.errors import ReproError
 from repro.service.session import SpecSession
+
+
+@lru_cache(maxsize=DTD_CACHE_LIMIT)
+def parsed_dtd(text: str, root: str | None) -> DTD:
+    """``parse_dtd(text, root=root)``, memoized process-wide (parse errors
+    are not cached).  Every session over the same text shares one immutable
+    DTD and its rendered text.  Pass both arguments positionally: the memo
+    keys on the call's form."""
+    return parse_dtd(text, root=root)
 
 
 @lru_cache(maxsize=1024)
@@ -53,7 +58,7 @@ def fingerprint_for(
     router fingerprints every inline request on its event loop, and a
     repeated spec must not re-parse.
     """
-    dtd = parse_dtd(dtd_text, root=root)
+    dtd = parsed_dtd(dtd_text, root)
     return spec_fingerprint(dtd, parse_constraints(constraints_text))
 
 
@@ -85,11 +90,6 @@ class SessionRegistry:
         self._max_cached_responses = max_cached_responses
         self._lock = threading.Lock()
         self._sessions: "OrderedDict[str, SpecSession]" = OrderedDict()
-        #: ``(dtd_text, root)`` -> ``(DTD, dtd_to_string(DTD))``, least
-        #: recently used first, at most ``DTD_CACHE_LIMIT`` entries.
-        self._dtds: "OrderedDict[tuple[str, str | None], tuple[DTD, str]]" = (
-            OrderedDict()
-        )
         #: Running byte total of the resident sessions, and each one's
         #: share of it (updated through ``SpecSession.on_resize``), so
         #: admission never rescans or locks every session.
@@ -112,11 +112,11 @@ class SessionRegistry:
 
         ``dtd_text`` is ``<!ELEMENT ...>`` declarations and
         ``constraints_text`` constraint lines.  The DTD goes through the
-        registry's parsed-DTD memo (:meth:`parsed_dtd`).
+        process-wide parsed-DTD memo (:func:`parsed_dtd`).
         """
-        dtd, dtd_text = self.parsed_dtd(dtd_text, root)
+        dtd = parsed_dtd(dtd_text, root)
         sigma = parse_constraints(constraints_text)
-        fingerprint = fingerprint_of(canonical_spec(dtd, sigma, dtd_text))
+        fingerprint = spec_fingerprint(dtd, sigma)
         with self._lock:
             session = self._sessions.get(fingerprint)
             if session is not None:
@@ -129,7 +129,6 @@ class SessionRegistry:
                 config=self.config,
                 max_cached_responses=self._max_cached_responses,
                 collector=self.collector,
-                dtd_text=dtd_text,
             )
             self._opened += 1
             self._sessions[fingerprint] = session
@@ -138,27 +137,6 @@ class SessionRegistry:
             session.on_resize = self._resized
             self._shrink_locked()
             return session
-
-    def parsed_dtd(self, text: str, root: str | None = None) -> tuple[DTD, str]:
-        """``parse_dtd(text, root)`` and its ``dtd_to_string``, memoized.
-
-        Parse errors are raised, never cached.  A DTD value is immutable,
-        so every session over the same text shares one object.
-        """
-        key = (text, root)
-        with self._lock:
-            entry = self._dtds.get(key)
-            if entry is not None:
-                self._dtds.move_to_end(key)
-                return entry
-        dtd = parse_dtd(text, root=root)
-        entry = (dtd, dtd_to_string(dtd))
-        with self._lock:
-            self._dtds[key] = entry
-            self._dtds.move_to_end(key)
-            if len(self._dtds) > DTD_CACHE_LIMIT:
-                self._dtds.popitem(last=False)
-        return entry
 
     def get(self, fingerprint: str) -> SpecSession | None:
         """The resident session with this fingerprint, if any (no admit)."""

@@ -163,7 +163,6 @@ class SpecSession:
         max_cached_responses: int = 512,
         max_response_bytes: int = 64 * 1024 * 1024,
         collector: StatsCollector | None = None,
-        dtd_text: str | None = None,
     ):
         self.dtd = dtd
         self.sigma = list(constraints)
@@ -176,8 +175,7 @@ class SpecSession:
         #: documents.
         self._validator = TreeValidator(dtd)
         self.config = config or DEFAULT_CONFIG
-        # ``dtd_text`` is ``dtd_to_string(dtd)`` when the caller has it.
-        canonical = canonical_spec(dtd, self.sigma, dtd_text)
+        canonical = canonical_spec(dtd, self.sigma)
         self.fingerprint = fingerprint_of(canonical)
         self.stats = SessionStats()
         #: Optional :class:`~repro.service.metrics.StatsCollector` the

@@ -30,16 +30,25 @@ _ENTITIES = {
 }
 
 
+#: A numeric character reference, at most 7 significant digits.
+_CHAR_REF_RE = re.compile(r"&#(?:0*([0-9]{1,7})|[xX]0*([0-9A-Fa-f]{1,7}));")
+#: XML 1.0's ``Char`` production.
+_XML_CHAR_RE = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _unescape(value: str) -> str:
     def replace(match: re.Match[str]) -> str:
         entity = match.group(0)
         if entity in _ENTITIES:
             return _ENTITIES[entity]
-        if entity.startswith("&#x") or entity.startswith("&#X"):
-            return chr(int(entity[3:-1], 16))
-        if entity.startswith("&#"):
-            return chr(int(entity[2:-1]))
-        raise ParseError(f"unknown entity {entity!r}")
+        reference = _CHAR_REF_RE.fullmatch(entity)
+        if reference is None:
+            raise ParseError(f"unknown entity {entity!r}")
+        decimal, hexadecimal = reference.groups()
+        code = int(decimal) if decimal is not None else int(hexadecimal, 16)
+        if code > 0x10FFFF or not _XML_CHAR_RE.fullmatch(chr(code)):
+            raise ParseError(f"character reference {entity!r} names no XML character")
+        return chr(code)
 
     return re.sub(r"&#?[A-Za-z0-9]+;", replace, value)
 

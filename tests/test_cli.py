@@ -71,8 +71,18 @@ class TestCheck:
     def test_dtd_only(self, d1_file, capsys):
         assert main(["check", d1_file]) == 0
 
-    def test_missing_file_is_usage_error(self, capsys):
-        assert main(["check", "/nonexistent.dtd"]) == 2
+    def test_missing_file_is_usage_error(self, d1_file, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("teacher.name -> teacher # caf\u00e9\n".encode("latin-1"))
+        for argv in (
+            ["check", "/nonexistent.dtd"],
+            ["check", str(tmp_path)],  # a directory
+            ["check", str(latin1)],  # not UTF-8, as the DTD
+            ["check", d1_file, str(latin1)],  # ... and as the constraints
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, argv
 
     def test_bad_dtd_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.dtd"
@@ -252,6 +262,17 @@ class TestValidate:
         sigma.write_text("teacher.nosuch -> teacher\n")
         assert main(["validate", d1_file, str(doc), str(sigma)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"<teachers>caf\xe9</teachers>", b"<teachers>&#xFFFFFFFF;</teachers>"],
+        ids=["not-utf8", "bad-char-ref"],
+    )
+    def test_unreadable_document_is_usage_error(self, d1_file, tmp_path, capsys, content):
+        doc = tmp_path / "doc.xml"
+        doc.write_bytes(content)
+        assert main(["validate", d1_file, str(doc)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_nonconforming_document(self, d1_file, tmp_path, capsys):
         doc = tmp_path / "doc.xml"

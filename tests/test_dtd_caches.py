@@ -1,8 +1,12 @@
 """The per-DTD caches of the served path, and what they must not change.
 
-A request pays for its ``Sigma``, not for its DTD: the parsed DTD and its
-canonical text are memoized per ``(dtd_text, root)``
-(:meth:`repro.service.registry.SessionRegistry.parsed_dtd`), and the cached ``Psi_DN``
+A DTD's one identity is its canonical text, :attr:`repro.dtd.model.DTD.text`,
+rendered once per object: it keys the ``Psi_DN`` block cache and the spec
+fingerprint, and these tests pin that two DTDs render the same text
+exactly when they are structurally equal.  A request pays for its
+``Sigma``, not for its DTD: the parsed DTD is memoized per
+``(dtd_text, root)`` in one process-wide memo
+(:func:`repro.service.registry.parsed_dtd`), and the cached ``Psi_DN``
 block carries its rows pre-assembled as a CSR prefix that
 :func:`repro.ilp.assembled.assemble_arrays` reuses, an index of its
 support clauses that each solve extends, the DTD's conformance checker,
@@ -24,8 +28,11 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constraints.parser import parse_constraints
+from repro.dtd import serializer
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
 from repro.dtd.serializer import dtd_to_string
@@ -33,15 +40,27 @@ from repro.encoding import combined
 from repro.encoding.combined import (
     DTD_CACHE_LIMIT,
     build_encoding,
+    canonical_spec,
     clear_encoding_cache,
     encoding_cache_stats,
     spec_fingerprint,
 )
-from repro.errors import ReproError
+from repro.errors import InvalidDTDError, ReproError
 from repro.ilp.assembled import AssembledSystem, assemble_arrays
 from repro.ilp.condsys import _ClauseIndex
+from repro.regex.ast import (
+    EPSILON,
+    TEXT,
+    Concat,
+    Name,
+    Optional,
+    Plus,
+    Regex,
+    Star,
+    Union,
+)
 from repro.service import protocol
-from repro.service.registry import SessionRegistry, fingerprint_for
+from repro.service.registry import SessionRegistry, fingerprint_for, parsed_dtd
 from repro.workloads.examples import (
     recursive_dtd_d2,
     school_constraints_d3,
@@ -93,6 +112,148 @@ def _example_specs():
         (school_dtd_d3(), school_constraints_d3()),
         (recursive_dtd_d2(), []),
     ]
+
+
+_SYMBOLS = ["a", "b", "c"]
+
+
+#: Programmatic content models over ``a, b, c``: the shape of
+#: ``tests/test_regex_matchers.py``'s ``_regexes``, with 2- and 3-ary groups
+#: so same-kind groups nest (``Concat`` in ``Concat``).  Built once: a
+#: strategy validates itself on first use.
+_MODELS: st.SearchStrategy[Regex] = st.recursive(
+    st.one_of(st.sampled_from([Name(s) for s in _SYMBOLS]), st.just(EPSILON), st.just(TEXT)),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(lambda xs: Concat(tuple(xs))),
+        st.lists(inner, min_size=2, max_size=3).map(lambda xs: Union(tuple(xs))),
+        inner.map(Star),
+        inner.map(Plus),
+        inner.map(Optional),
+    ),
+    max_leaves=6,
+)
+_ATTR_SETS = st.frozensets(st.sampled_from(["k", "l"]))
+
+
+#: Every DTD below declares these types; ``r``/``s`` are root candidates
+#: no model references, and ``d`` is declared by some DTDs only.
+_TYPES = ("r", "s", *_SYMBOLS)
+
+
+@st.composite
+def _dtd_pairs(draw) -> tuple[DTD, DTD]:
+    """Two DTDs, the second redrawing one or two components of the first
+    (the root, a content model, an attribute set, the extra type ``d``);
+    a redrawn component may come out equal."""
+
+    def spec():
+        return {
+            "root": draw(st.sampled_from(["r", "s"])),
+            "extra": draw(st.booleans()),
+            **{f"P{t}": draw(_MODELS) for t in _TYPES},
+            **{f"R{t}": draw(_ATTR_SETS) for t in _TYPES},
+        }
+
+    first, other = spec(), spec()
+    changed = draw(st.lists(st.sampled_from(sorted(first)), min_size=1, max_size=2))
+    pair = []
+    for chosen in (first, {**first, **{key: other[key] for key in changed}}):
+        types = _TYPES + ("d",) * chosen["extra"]
+        pair.append(
+            DTD.build(
+                chosen["root"],
+                {t: chosen.get(f"P{t}", EPSILON) for t in types},
+                attrs={t: chosen[f"R{t}"] for t in _TYPES},
+            )
+        )
+    return pair[0], pair[1]
+
+
+def _structure(dtd: DTD) -> tuple:
+    """The structural value of a DTD: root, types, ``P`` and ``R``."""
+    return (
+        dtd.root,
+        dtd.element_types,
+        tuple(sorted(dtd.content.items())),
+        tuple(sorted(dtd.attrs_of.items())),
+    )
+
+
+class TestOneIdentity:
+    """The canonical text is a DTD's only identity, so it must separate
+    exactly the DTDs that differ."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_dtd_pairs())
+    def test_equal_text_iff_equal_structure(self, pair):
+        first, second = pair
+        assert (dtd_to_string(first) == dtd_to_string(second)) == (
+            _structure(first) == _structure(second)
+        )
+        # Random pairs rarely hit a near miss; but the text parses back to
+        # the structure it came from, so no other DTD can share it.
+        for dtd in pair:
+            assert _structure(parse_dtd(dtd.text)) == _structure(dtd)
+
+    def test_near_miss_models_render_apart(self):
+        a, b, c = (Name(s) for s in _SYMBOLS)
+        models = [
+            Concat((Concat((a, b)), c)),
+            Concat((a, Concat((b, c)))),
+            Concat((a, b, c)),
+            Union((Union((a, b)), c)),
+            Union((a, b, c)),
+            Union((a, Concat((b, c)))),
+            Concat((Union((a, b)), c)),
+            Star(a),
+            Star(Star(a)),
+            Plus(Star(a)),
+            Star(Concat((a, b))),
+            Concat((a, Star(b))),
+            Optional(EPSILON),
+            EPSILON,
+            Union((TEXT, a)),
+            Union((a, TEXT)),
+            Star(Union((TEXT, a))),
+            TEXT,
+            Optional(TEXT),
+            a,
+        ]
+        texts = {
+            dtd_to_string(DTD.build("r", {"r": model, "a": EPSILON, "b": EPSILON, "c": EPSILON}))
+            for model in models
+        }
+        assert len(texts) == len(models)
+
+    def test_a_type_named_like_a_keyword_cannot_be_referenced(self):
+        # ``(EMPTY, a)`` would print the same for a type named EMPTY and
+        # for the empty word.
+        with pytest.raises(InvalidDTDError, match="keyword"):
+            DTD.build("r", {"r": Concat((Name("EMPTY"), Name("a"))), "EMPTY": EPSILON, "a": EPSILON})
+        declared = DTD.build("r", {"r": Concat((EPSILON, Name("a"))), "EMPTY": EPSILON, "a": EPSILON})
+        assert parse_dtd(dtd_to_string(declared)) == declared
+
+    def test_each_dtd_object_renders_once(self, monkeypatch):
+        from repro.service.session import SpecSession
+
+        rendered = []
+        real = serializer.render_dtd
+
+        def counting(dtd):
+            rendered.append(dtd)
+            return real(dtd)
+
+        monkeypatch.setattr(serializer, "render_dtd", counting)
+        clear_encoding_cache()
+        dtd, sigma = teachers_dtd_d1(), sigma1_constraints()
+        text = dtd_to_string(dtd)
+        assert dtd_to_string(dtd) is text
+        assert canonical_spec(dtd, sigma).startswith(text)
+        spec_fingerprint(dtd, sigma)
+        build_encoding(dtd, sigma)
+        SpecSession(dtd, sigma).check()
+        assert rendered == [dtd]
+        clear_encoding_cache()
 
 
 class TestPrefixAssembly:
@@ -250,7 +411,7 @@ class TestBlockCacheLock:
         clear_encoding_cache()
         target = DTD.build("r", {"r": "(a*)", "a": "EMPTY"}, attrs={"a": ["k"]})
         build_encoding(target, [])
-        target_key = combined._dtd_cache_key(target)
+        target_key = target.text
         fillers = [
             DTD.build("r", {"r": f"(t{i}*)", f"t{i}": "EMPTY"})
             for i in range(DTD_CACHE_LIMIT + 1)
@@ -301,18 +462,18 @@ class TestBlockCacheLock:
         switching every few microseconds: every lookup is counted once,
         nothing raises, and both caches stay within their bound."""
         clear_encoding_cache()
+        parsed_dtd.cache_clear()
         texts = [
             f"<!ELEMENT r (t{i}*)>\n<!ELEMENT t{i} EMPTY>\n<!ATTLIST t{i} k CDATA #REQUIRED>"
             for i in range(DTD_CACHE_LIMIT + 8)
         ]
-        registry = SessionRegistry()
         errors: list[BaseException] = []
         num_threads = 4
 
         def work(offset: int) -> None:
             try:
                 for i in range(len(texts)):
-                    dtd, _ = registry.parsed_dtd(texts[(i + offset) % len(texts)])
+                    dtd = parsed_dtd(texts[(i + offset) % len(texts)], None)
                     build_encoding(dtd, [])
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
@@ -334,7 +495,9 @@ class TestBlockCacheLock:
         stats = encoding_cache_stats()
         assert stats["hits"] + stats["misses"] == num_threads * len(texts)
         assert len(combined._DTD_BLOCK_CACHE) <= DTD_CACHE_LIMIT
-        assert len(registry._dtds) <= DTD_CACHE_LIMIT
+        memo = parsed_dtd.cache_info()
+        assert memo.hits + memo.misses == num_threads * len(texts)
+        assert memo.currsize <= DTD_CACHE_LIMIT
         clear_encoding_cache()
 
 
@@ -378,39 +541,59 @@ class TestDTDTextMemo:
     @pytest.mark.parametrize("text, root, sigma_text", MEMO_CASES)
     def test_fingerprint_equals_spec_fingerprint(self, text, root, sigma_text):
         want = spec_fingerprint(parse_dtd(text, root=root), parse_constraints(sigma_text))
+        parsed_dtd.cache_clear()
         registry = SessionRegistry()
         for _ in range(2):  # cold, then a memo hit
             session = registry.session_for(text, sigma_text, root=root)
             assert session.fingerprint == want
             assert fingerprint_for(text, sigma_text, root=root) == want
-        assert len(registry._dtds) == 1
+        memo = parsed_dtd.cache_info()
+        assert (memo.currsize, memo.misses) == (1, 1)
+
+    def test_the_router_and_the_registries_share_one_parse(self):
+        parsed_dtd.cache_clear()
+        fingerprint_for.cache_clear()
+        routed = fingerprint_for(DTD_TEXT, SIGMAS[0])
+        sessions = [SessionRegistry().session_for(DTD_TEXT, text) for text in SIGMAS]
+        assert sessions[0].fingerprint == routed
+        assert len({id(session.dtd) for session in sessions}) == 1
+        assert parsed_dtd.cache_info().misses == 1
 
     def test_root_override_is_part_of_the_key(self):
+        parsed_dtd.cache_clear()
+        override, default = parsed_dtd(TWO_ROOTS_TEXT, "c"), parsed_dtd(TWO_ROOTS_TEXT, None)
+        assert (override.root, default.root) == ("c", "a")
+        assert override.text != default.text  # so the block key differs too
+        clear_encoding_cache()
+        assert combined._dtd_block(override) is not combined._dtd_block(default)
+        clear_encoding_cache()
         registry = SessionRegistry()
-        assert registry.parsed_dtd(TWO_ROOTS_TEXT, root="c")[0].root == "c"
-        assert registry.parsed_dtd(TWO_ROOTS_TEXT)[0].root == "a"
         assert (
             registry.session_for(TWO_ROOTS_TEXT, "", root="c").fingerprint
             != registry.session_for(TWO_ROOTS_TEXT, "").fingerprint
         )
 
     def test_memo_holds_the_canonical_text_and_bounds_itself(self):
-        registry = SessionRegistry()
-        dtd, text = registry.parsed_dtd(DTD_TEXT)
-        assert text == dtd_to_string(dtd)
-        assert registry.parsed_dtd(DTD_TEXT)[0] is dtd
-        assert registry.parsed_dtd(DTD_TEXT, root="teachers")[0] is not dtd
+        parsed_dtd.cache_clear()
+        dtd = parsed_dtd(DTD_TEXT, None)
+        assert dtd.text == dtd_to_string(parse_dtd(DTD_TEXT))
+        assert parsed_dtd(DTD_TEXT, None) is dtd
+        assert parsed_dtd(DTD_TEXT, "teachers") is not dtd
         for i in range(DTD_CACHE_LIMIT + 1):
-            registry.parsed_dtd(f"<!ELEMENT r{i} EMPTY>")
-        assert len(registry._dtds) == DTD_CACHE_LIMIT
-        assert (DTD_TEXT, None) not in registry._dtds  # least recently used
+            parsed_dtd(f"<!ELEMENT r{i} EMPTY>", None)
+        assert parsed_dtd.cache_info().currsize == DTD_CACHE_LIMIT
+        misses = parsed_dtd.cache_info().misses
+        assert parsed_dtd(DTD_TEXT, None) is not dtd  # least recently used
+        assert parsed_dtd.cache_info().misses == misses + 1
 
     def test_parse_errors_are_not_cached(self):
+        parsed_dtd.cache_clear()
         registry = SessionRegistry()
         for _ in range(2):
             with pytest.raises(ReproError):
                 registry.session_for("<!ELEMENT r (a)>", "")
-        assert not registry._dtds
+        memo = parsed_dtd.cache_info()
+        assert (memo.currsize, memo.misses) == (0, 2)
 
 
 def _served(registry: SessionRegistry, request: dict) -> str:
@@ -452,6 +635,7 @@ class TestServedBytes:
     )
     def test_fresh_and_warm_registries_answer_alike(self, request_):
         clear_encoding_cache()
+        parsed_dtd.cache_clear()
         fresh = _served(SessionRegistry(), request_)
 
         warm = SessionRegistry()
@@ -461,10 +645,11 @@ class TestServedBytes:
                     warm,
                     {"id": i, "op": "check", "dtd": DTD_TEXT, "constraints": sigma_text},
                 )
-        hits = encoding_cache_stats()["hits"]
+        hits, parses = encoding_cache_stats()["hits"], parsed_dtd.cache_info()
         assert _served(warm, request_) == fresh
         assert encoding_cache_stats()["hits"] > hits  # the block was reused
-        assert len(warm._dtds) == 1  # and so was the parsed text
+        after = parsed_dtd.cache_info()  # and so was the parsed text
+        assert (after.hits, after.misses) == (parses.hits + 1, 1)
         clear_encoding_cache()
 
 
@@ -649,7 +834,7 @@ class TestBlockEngine:
         specs, keys = [], set()
         for seed in FUZZ_SEEDS:
             dtd, sigma = _fuzz_instance(seed)
-            key = combined._dtd_cache_key(dtd)
+            key = dtd.text
             try:
                 solved = key not in keys and answer((dtd, sigma))[1]["lp_solves"] > 0
             except ReproError:

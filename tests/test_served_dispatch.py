@@ -152,6 +152,20 @@ def test_non_text_spec_fields_answer_their_resolution_error():
     assert server.stats.errors == len(requests)
 
 
+@pytest.mark.parametrize("document", [5, None, ["<db/>"]])
+def test_a_non_text_document_answers_a_protocol_error(document):
+    request = {"id": 1, **_request("validate"), "document": document}
+    parsed = protocol.parse_request(json.dumps(request))
+    session = protocol.resolve_session(SessionRegistry(), parsed)
+    with pytest.raises(protocol.ProtocolError) as raised:
+        protocol.perform(session, parsed)
+    body = protocol.error_response(1, raised.value)["error"]
+    assert body["type"] == "ProtocolError"
+    assert body["message"] == (
+        f"request field 'document' must be text, got {type(document).__name__}"
+    )
+
+
 def test_textual_variants_answer_alike_and_admit_one_session():
     requests = []
     for i in range(12):

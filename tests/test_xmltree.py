@@ -112,8 +112,8 @@ class TestSerializeParse:
         assert any(isinstance(c, TextNode) for c in tree.root.children)
 
     def test_entities(self):
-        tree = parse_xml("<r>&lt;&amp;&gt;&#65;&#x42;</r>")
-        assert tree.root.children[0].value == "<&>AB"
+        tree = parse_xml("<r>&lt;&amp;&gt;&#65;&#x42;&#0065;&#x10FFFF;&#9;</r>")
+        assert tree.root.children[0].value == "<&>ABA\U0010ffff\t"
 
     @pytest.mark.parametrize(
         "bad",
@@ -123,6 +123,15 @@ class TestSerializeParse:
             "<r><a></r></a>",
             "<r/><r/>",
             '<r a="1" a="2"/>',
+            "<r>&#xFFFFFFFF;</r>",
+            "<r>&#x110000;</r>",
+            "<r>&#amp;</r>",
+            "<r>&#0;</r>",
+            "<r>&#xD800;</r>",
+            "<r>&#xFFFE;</r>",
+            '<r a="&#99999999999999999999;"/>',
+            pytest.param("<r>&#" + "9" * 5000 + ";</r>", id="5000-digit-reference"),
+            "<r>&#x;</r>",
         ],
     )
     def test_malformed_rejected(self, bad):
