@@ -10,7 +10,9 @@ persistent workspace, so the acceptance invariants are:
   how many candidate sets the hitting-set loop probes, and
 * **repair wall-clock <= 3x a single diagnose-MUS call** on the
   registrar family (measured ~2.5x: each hitting-set round costs one
-  probe plus one core extraction, both row-toggle re-solves).
+  probe plus one core extraction, both row-toggle re-solves), and
+* **at most 4k cores** for the inconsistent ``k``-dimension star schema
+  (a deterministic counter, k = 2..5).
 
 Every benchmark asserts the correctness of the answer it times, per the
 suite's fast-nonsense policy.
@@ -22,7 +24,7 @@ import pytest
 
 from repro.analysis.diagnostics import mus
 from repro.analysis.repair import DeleteConstraint, RepairStats, minimal_repair
-from repro.workloads.generators import registrar_mus_family
+from repro.workloads.generators import registrar_mus_family, star_schema_family
 
 
 def _assert_registrar_repair(repair) -> None:
@@ -60,6 +62,19 @@ def test_repair_single_assembly():
     assert stats.probes >= 1
     assert stats.cores >= 1 and stats.hitting_sets >= 1
     assert stats.verify_checks == 1  # the applied repair is re-checked once
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4, 5])
+def test_star_repair_cores_grow_linearly(dims):
+    """A deterministic counter gate: each repair core keeps only the
+    loosenings whose child can reach its MUS, so the inconsistent star
+    schema needs at most 4 cores per dimension (widening every core with
+    every loosening took 9, 29, 82 and 216 cores for 2..5 dimensions)."""
+    dtd, sigma = star_schema_family(dims, consistent=False)
+    stats = RepairStats()
+    repair = minimal_repair(dtd, sigma, stats=stats)
+    assert repair.found and repair.verified and repair.cost == dims
+    assert stats.cores <= 4 * dims, f"{stats.cores} cores for {dims} dimensions"
 
 
 def _best_of_3(fn, *args, **kwargs) -> float:

@@ -28,12 +28,15 @@ of the edited spec with the **same** QuickXplain filter that powers
 :func:`~repro.analysis.diagnostics.mus` (deleting a
 constraint *is* one of the edits, so the filter runs unchanged over the
 edit oracle — the divide-and-conquer is exactly dual), then widens it to
-a *core*: the edits that could neutralize that MUS.  A repair must hit
-every discovered core — missing one would leave the MUS intact over a
-DTD at least as strict, hence inconsistent by monotonicity — so the
-engine alternates exact min-weight hitting sets with core extraction
-until a hitting set probes consistent; positive weights make that set
-both minimum-weight and inclusion-minimal.  The result is applied and
+a *core*: the edits that could neutralize that MUS — deleting a member,
+dropping an attribute a member names, and loosening a required child
+that is unproductive or has a type the MUS names below it.  A repair
+must hit every discovered core — missing one would leave the MUS
+unsatisfiable (a loosened child outside the core can always be filled
+back in with a subtree the MUS does not see; see ``extract_core`` in
+:func:`minimal_repair`) — so the engine alternates exact min-weight
+hitting sets with core extraction until a hitting set probes consistent;
+positive weights make that set both minimum-weight and inclusion-minimal.  The result is applied and
 re-checked end to end before being returned (``verified``).
 
 >>> from repro.dtd.model import DTD
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from repro.analysis.diagnostics import (
     SOLVER_COUNTERS,
@@ -72,7 +75,7 @@ from repro.constraints.ast import (
     NegKey,
 )
 from repro.constraints.classes import validate_constraints
-from repro.dtd.analysis import required_children
+from repro.dtd.analysis import productive_types, reachable_types, required_children
 from repro.dtd.model import DTD
 from repro.dtd.serializer import dtd_to_string
 from repro.dtd.simplify import AltRule, EpsRule, OneRule, SeqRule
@@ -705,23 +708,68 @@ def _candidate_universe(
     return universe
 
 
+def _loosening_reaches(dtd: DTD) -> Callable[[str, frozenset[str]], bool]:
+    """The core filter of the loosening edits: ``reaches(c, named)`` says
+    whether making a required child ``c`` optional can neutralize a
+    conflict among the element types ``named``.
+
+    It can when ``c`` is unproductive (no finite ``c`` subtree exists,
+    so loosening it may be the only way to a valid tree), or when a type
+    reachable from ``c`` (``c`` included) is named.  Otherwise a minimal
+    valid ``c`` subtree can fill every gap the loosening leaves without
+    touching a named type (see ``extract_core`` in
+    :func:`minimal_repair`).  Productivity and each child's reachable
+    types are computed once per call of this function.
+    """
+    productive = productive_types(dtd)
+    below: dict[str, frozenset[str]] = {}
+
+    def reaches(child: str, named: frozenset[str]) -> bool:
+        if child not in productive:
+            return True
+        if child not in below:
+            below[child] = reachable_types(dtd, child)
+        return not below[child].isdisjoint(named)
+
+    return reaches
+
+
+#: The family names a weight mapping may key, besides action instances.
+_FAMILIES = frozenset(
+    family.kind for family in (DeleteConstraint, LoosenChild, DropAttribute)
+)
+
+
+def check_weights(weights: Mapping[RepairAction | str, int] | None) -> None:
+    """Reject a weight mapping with a key that is neither an action nor a
+    family name (``"delete"``/``"loosen"``/``"drop"``), or with a value
+    that is not a positive integer (``True`` is not one), by
+    :class:`ValueError`."""
+    for key, value in (weights or {}).items():
+        if not isinstance(key, RepairAction) and key not in _FAMILIES:
+            raise ValueError(
+                f"unknown repair weight key {key!r}: use an action or one of "
+                f"{', '.join(sorted(_FAMILIES))}"
+            )
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(
+                f"repair weights must be positive integers, got {value!r} "
+                f"for {key!r}"
+            )
+
+
 def _resolve_weights(
     universe: list[_Candidate],
     weights: Mapping[RepairAction | str, int] | None,
 ) -> list[int]:
     """Per-candidate positive weights: exact action match first, then the
     family name (``"delete"``/``"loosen"``/``"drop"``), default 1."""
-    resolved: list[int] = []
+    check_weights(weights)
     weights = weights or {}
-    for candidate in universe:
-        value = weights.get(candidate.action, weights.get(candidate.action.kind, 1))
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(
-                f"repair weights must be positive integers, got {value!r} "
-                f"for {candidate.action.describe()!r}"
-            )
-        resolved.append(value)
-    return resolved
+    return [
+        weights.get(candidate.action, weights.get(candidate.action.kind, 1))
+        for candidate in universe
+    ]
 
 
 def minimal_repair(
@@ -737,8 +785,10 @@ def minimal_repair(
     Searches constraint deletions, cardinality loosenings and attribute
     drops for a smallest edit set restoring consistency; with the default
     unit weights the result is cardinality-minimal, and ``weights``
-    (keyed by action instance or by family name) selects weighted-minimal
-    repairs instead.  Edit sets are
+    (keyed by action instance or by family name, each mapped to a
+    positive ``int``; anything else is a :class:`ValueError`, see
+    :func:`check_weights`) selects weighted-minimal repairs instead.
+    Edit sets are
     probed by row toggles on one assembled system; outside the unary
     fragment the apply-and-recheck fallback runs one full checker call
     per probed edit set.  The returned repair is always applied and
@@ -805,25 +855,36 @@ def minimal_repair(
             return result.consistent
 
     delete_index: dict[Constraint, int] = {}
-    loosen_indices: list[int] = []
+    loosen_children: dict[int, str] = {}
     drop_pairs: dict[int, tuple[str, str]] = {}
     for index, candidate in enumerate(universe):
         action = candidate.action
         if isinstance(action, DeleteConstraint):
             delete_index[action.constraint] = index
         elif isinstance(action, LoosenChild):
-            loosen_indices.append(index)
+            loosen_children[index] = action.child
         else:
             drop_pairs[index] = (action.element_type, action.attr)
+    reaches = _loosening_reaches(dtd)
 
     def extract_core(hit: frozenset[int]) -> frozenset[int]:
         """A MUS-guided core: shrink a constraint-MUS of the hit-edited
         spec (deleting a constraint = applying its delete edit, so the
         MUS filter runs unchanged over the index oracle), then
         widen to every edit that could neutralize the MUS — its members'
-        deletions, attribute drops its members name, and all remaining
-        loosenings (a repair avoiding all of these keeps the MUS intact
-        over a DTD at least as strict, hence stays inconsistent)."""
+        deletions, attribute drops its members name, and the remaining
+        loosenings whose child can reach the MUS (:func:`_loosening_reaches`).
+
+        A repair avoiding all of these keeps the MUS unsatisfiable.  Its
+        deletions and drops leave the MUS and the attributes it names
+        alone, and its loosenings outside the hit set are all of
+        productive children ``c`` no MUS type lies below.  A document of
+        such a loosened spec becomes one of the hit-edited spec by
+        inserting a minimal valid ``c`` subtree wherever a ``c`` is
+        missing: the subtree is valid in the stricter DTD and holds no
+        element the MUS constrains, so the MUS would stay satisfied —
+        but it is unsatisfiable over the hit-edited spec.
+        """
         removed_h: set[Constraint] = set()
         for index in hit:
             removed_h.update(universe[index].removes)
@@ -849,7 +910,12 @@ def minimal_repair(
             for index, pair in drop_pairs.items()
             if index not in hit and pair in mus_refs
         )
-        core.update(index for index in loosen_indices if index not in hit)
+        mus_types = frozenset(tau for tau, _ in mus_refs)
+        core.update(
+            index
+            for index, child in loosen_children.items()
+            if index not in hit and reaches(child, mus_types)
+        )
         return frozenset(core - hit)
 
     status, chosen = _search(

@@ -40,10 +40,12 @@ def productive_types(dtd: DTD) -> frozenset[str]:
     return frozenset(productive)
 
 
-def reachable_types(dtd: DTD) -> frozenset[str]:
-    """Element types reachable from the root through content models."""
-    reachable: set[str] = {dtd.root}
-    frontier = [dtd.root]
+def reachable_types(dtd: DTD, start: str | None = None) -> frozenset[str]:
+    """Element types reachable from ``start`` (default: the root) through
+    content models, ``start`` included."""
+    start = dtd.root if start is None else start
+    reachable: set[str] = {start}
+    frontier = [start]
     while frontier:
         tau = frontier.pop()
         for symbol in alphabet(dtd.content[tau]) - {TEXT_SYMBOL}:

@@ -17,20 +17,25 @@ persistent HiGHS instance holds the model; each solve is a
 during the search are appended with ``addRow`` and switched on/off per
 solve through their row bounds.
 
-Integer solves run **LP first**, as a three-step ladder.  The
+Integer solves run **LP first**, as a four-step ladder.  The
 LP-relaxation instance decides most of them: an infeasible relaxation
 refutes every integer point, and a rounded vertex that passes the exact
 check is an integer solution.  A warm-started run can land on a
 fractional vertex of the same optimal face where a cold run would not,
 so a vertex that fails the check is first re-solved cold (the basis
-dropped, presolve included) when its run was warm.  Only when that
-vertex fails too does the MIP run, on a second instance built on first
-such use, which replays the cut pool at build time.  All of them
-minimise ``sum(x)``, so an integral LP optimum is also a MIP optimum,
-but it may be a different optimal vertex than the MIP would pick:
-witnesses are equally valid, not necessarily the same.  ``lp_solves``
-(cold re-runs included) and ``mip_solves`` count the HiGHS runs of each
-instance.  HiGHS is the binding scipy vendors; :func:`_load_highs_core`
+dropped, presolve included) when its run was warm.  When that vertex
+fails too, a best-first branch-and-bound over the LP relaxation decides,
+on a second instance holding the integer model (built on first such
+use, replaying the cut pool at build time) with HiGHS's
+``solve_relaxation`` option on.  Only what that search cannot decide
+within :data:`BRANCH_NODES` nodes runs the HiGHS MIP on the same
+instance: a MIP run costs milliseconds even on tiny models, a
+relaxation run a fraction of one.  All of them minimise ``sum(x)``, so
+an integral LP optimum is also a MIP optimum, but it may be a different
+optimal vertex than the MIP would pick: witnesses are equally valid,
+not necessarily the same.  ``lp_solves`` (cold re-runs and
+branch-and-bound nodes included) and ``mip_solves`` (MIP runs only)
+count the HiGHS runs.  HiGHS is the binding scipy vendors; :func:`_load_highs_core`
 loads that extension straight from its file.  That file is all this
 package takes from scipy: no scipy Python package is imported on any
 path, and the exact re-check of a rounded point is a numpy-only row
@@ -79,6 +84,12 @@ released.
 ('feasible', 1, 1)
 >>> assembled.solve_counts          # (lp_solves, mip_solves): LP decided both
 (2, 0)
+>>> parity = LinearSystem()
+>>> parity.add_eq({"x": 2}, 1)      # x = 1/2: no integer point
+0
+>>> branched = AssembledSystem(parity)
+>>> (branched.solve_int({}).status, branched.solve_counts)  # LP; x<=0; x>=1
+('infeasible', (4, 0))
 
 Exactness is preserved by the same discipline as the one-shot backend: every
 floating-point solution is rounded and re-checked exactly against the
@@ -91,6 +102,7 @@ when the rounded vertex passes the exact check.
 
 from __future__ import annotations
 
+import heapq
 import importlib.machinery
 import importlib.util
 import math
@@ -99,6 +111,7 @@ import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +129,12 @@ from repro.ilp.model import (
 )
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
+
+#: Relaxation runs the branch-and-bound of :meth:`AssembledSystem.solve_int`
+#: may spend before it leaves the solve to the HiGHS MIP.
+BRANCH_NODES = 16
+#: A column this close to an integer counts as integral when branching.
+_INTEGRALITY_TOL = 1e-6
 
 
 def _load_highs_core():
@@ -355,6 +374,15 @@ class _HighsInstance:
         the assembled bounds — never a matrix change.
         """
         self._h.changeRowBounds(row, lower, upper)
+
+    @contextmanager
+    def relaxation(self):
+        """Solve the LP relaxation of an integer model while inside."""
+        self._h.setOptionValue("solve_relaxation", True)
+        try:
+            yield self
+        finally:
+            self._h.setOptionValue("solve_relaxation", False)
 
     def solve(
         self, var_lower: np.ndarray, var_upper: np.ndarray, cold: bool = False
@@ -932,8 +960,10 @@ class AssembledSystem:
     ) -> SolveResult:
         """Integer solve under bound patches, exact-checked, LP first: a
         relaxation vertex that fails the exact check is re-solved cold
-        when its run was warm-started, and the MIP runs only when that
-        vertex fails too (see the module docstring).
+        when its run was warm-started; when that vertex fails too, a
+        branch-and-bound over the relaxation (:meth:`_branch_and_bound`)
+        decides, and the MIP runs only when it cannot (see the module
+        docstring).
 
         ``inactive_rows`` deactivates the named base rows for this solve
         (toggleable constraint rows; see the module docstring).  Status
@@ -950,6 +980,10 @@ class AssembledSystem:
         for integer, cold in ((False, False), (False, True), (True, False)):
             if cold and not self._lp_engine.last_warm:
                 continue  # the relaxation already ran cold
+            if integer:
+                decided = self._branch_and_bound(patches, active, inactive_rows, bounds)
+                if decided is not None:
+                    return decided
             status, x, bounds = self._solve_raw(
                 patches, active, integer, inactive_rows, cold
             )
@@ -968,6 +1002,69 @@ class AssembledSystem:
             "error",
             message="rounded incremental solution violates: " + "; ".join(violated[:3]),
         )
+
+    def _branch_and_bound(
+        self,
+        patches: Mapping[VarId, BoundPatch],
+        active: set[int],
+        inactive_rows: frozenset[int],
+        bounds: tuple[np.ndarray, np.ndarray],
+    ) -> SolveResult | None:
+        """Best-first branch-and-bound over the LP relaxation of the
+        integer instance; ``None`` leaves the solve to the MIP.
+
+        Each node is one relaxation run (counted in ``lp_solves``) under
+        tightened column bounds.  A fractional node branches on its most
+        fractional column; every cost is 1 and every column an integer,
+        so a child's bound is its parent's objective rounded up.  Every
+        incumbent passes :meth:`_accept` against the unbranched bounds.
+        The search stops when no open node can beat the incumbent: the
+        incumbent is then an optimum, and an exhausted tree without one
+        is ``"infeasible"`` (trusting HiGHS's infeasible relaxations, as
+        the LP rungs do).  A doubtful status, an integral vertex that
+        fails the exact check, or more than :data:`BRANCH_NODES` nodes
+        return ``None``.
+        """
+        self._apply_cut_activation(True, active)
+        self._apply_row_activation(True, inactive_rows)
+        best: dict[VarId, int] | None = None
+        best_cost = math.inf
+        # (bound, tie-break, column lower, column upper)
+        queue = [(-math.inf, 0, *bounds)]
+        pushed = nodes = 0
+        with self._engine(True).relaxation() as instance:
+            while queue and queue[0][0] < best_cost:
+                if nodes == BRANCH_NODES:
+                    return None
+                nodes += 1
+                _, _, lower, upper = heapq.heappop(queue)
+                self.lp_solves += 1
+                status, x = instance.solve(lower, upper)
+                if status == "infeasible":
+                    continue
+                if status != "optimal" or x is None:
+                    return None
+                values = self._accept(x, patches, active, inactive_rows, bounds)
+                if values is not None and sum(values.values()) < best_cost:
+                    best, best_cost = values, sum(values.values())
+                gap = np.abs(x - np.rint(x))
+                j = int(np.argmax(gap))
+                if gap[j] <= _INTEGRALITY_TOL:
+                    if values is None:
+                        return None
+                    continue
+                bound = math.ceil(float(x.sum()) - _INTEGRALITY_TOL)
+                if bound >= best_cost:
+                    continue
+                down = math.floor(x[j])
+                below, above = upper.copy(), lower.copy()
+                below[j], above[j] = down, down + 1
+                heapq.heappush(queue, (bound, pushed + 1, lower, below))
+                heapq.heappush(queue, (bound, pushed + 2, above, upper))
+                pushed += 2
+        if best is None:
+            return SolveResult("infeasible", message="branch-and-bound exhausted")
+        return SolveResult("feasible", best)
 
     def lp_probe(
         self,

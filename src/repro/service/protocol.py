@@ -21,7 +21,8 @@ Operations: ``open`` (admit/refresh a session, returns its identity
 card), ``check``, ``implies`` (one ``phi``), ``implies_all`` (a ``phis``
 list, answered as one coalesced batch), ``diagnose``, ``repair`` (a
 minimum-weight consistency-restoring edit; an optional ``weights``
-object maps action family to a positive integer cost),
+object maps action family — ``delete``, ``loosen`` or ``drop`` — to a
+positive integer cost; any other key or value is an error),
 ``validate`` (a ``document``), ``stats`` (registry + server counters) and
 ``shutdown``.
 Responses may arrive out of request order when requests from one

@@ -330,20 +330,24 @@ class SpecSession:
         op — the key covers the weights and the effective
         config, so a repeat is a byte replay.
         """
+        from repro.analysis.repair import check_weights
+
         with self._lock:
             self.stats.requests += 1
+            try:
+                check_weights(weights)
+            except ValueError as exc:
+                # A bad weights mapping is a client error, not a crash:
+                # surface it with the structured wire contract, before
+                # its values can reach the cache key.
+                raise ReproError(str(exc)) from None
             effective = merge_config(self.config, config)
             weight_key = tuple(sorted((weights or {}).items()))
             key = ("repair", weight_key, effective)
             cached = self._recall(key)
             if cached is not None:
                 return cached
-            try:
-                result = api.repair(self.spec, config=effective, weights=weights)
-            except ValueError as exc:
-                # A bad weights mapping is a client error, not a crash:
-                # surface it with the structured wire contract.
-                raise ReproError(str(exc)) from None
+            result = api.repair(self.spec, config=effective, weights=weights)
             payload = result.as_dict()
             if self.collector is not None:
                 self.collector.absorb_repair_stats(payload)

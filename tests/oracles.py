@@ -24,7 +24,10 @@ the product already has, so no flag or hook exists for them in
   ``mus``, ``diagnose`` and repair's core extraction
   (``diagnostics._minimal_core``, which ``repair`` imports) with
   :func:`deletion`, the linear filter that probes exactly ``|Sigma|``
-  subsets.
+  subsets;
+* :func:`wide_cores` — widens every repair core with every loosening
+  outside the hitting set, whether or not its child can reach the
+  conflict (``repair._loosening_reaches`` answers yes to all).
 
 Each is a context manager that patches module attributes and restores
 them on exit.
@@ -402,4 +405,20 @@ def deletion_filter():
         (diagnostics, "_minimal_core", deletion),
         (repair, "_minimal_core", deletion),
     ):
+        yield
+
+
+# ---------------------------------------------------------------------------
+# wide cores: every loosening in every repair core
+# ---------------------------------------------------------------------------
+
+
+def _every_loosening(dtd):
+    return lambda child, named: True
+
+
+@contextmanager
+def wide_cores():
+    """Keep every loosening in repair's cores, reachable or not."""
+    with _patched((repair, "_loosening_reaches", _every_loosening)):
         yield

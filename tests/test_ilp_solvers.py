@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SolverError
-from repro.ilp.assembled import AssembledSystem
+from repro.ilp.assembled import BRANCH_NODES, AssembledSystem
 from repro.ilp.exact import solve_exact
 from repro.ilp.model import LinearSystem
 
@@ -192,9 +192,10 @@ class TestLpFirstSolveInt:
         assert assembled._int_engine is None
         assert assembled.solve_counts == (1, 0)
 
-    def test_fractional_vertex_runs_the_mip(self):
+    def test_fractional_vertex_is_branched(self):
         # 2x >= 1: the LP vertex is x = 0.5, which rounds to 0 and fails
-        # the exact check; the MIP answers x = 1.
+        # the exact check; the branch x >= 1 answers x = 1 (the root and
+        # both children are relaxation runs, and the MIP never runs).
         system = LinearSystem()
         system.add_ge({"x": 2}, 1)
         assembled = AssembledSystem(system)
@@ -202,28 +203,43 @@ class TestLpFirstSolveInt:
         assert result.status == "feasible"
         assert result.values == {"x": 1}
         assert assembled.check_values(result.values, {}, set()) == []
-        assert assembled.solve_counts == (1, 1)
+        assert assembled.solve_counts == (4, 0)
+        # The integer instance solves its MIP again once the search is over.
+        assert assembled._int_engine._h.getOptionValue("solve_relaxation")[1] is False
 
     def test_parity_row_never_feasible(self):
         # 2x = 1: the LP vertex x = 0.5 rounds to an infeasible point, and
-        # the MIP refutes the row.
+        # both branches (x <= 0, x >= 1) are infeasible relaxations.
         system = LinearSystem()
         system.add_eq({"x": 2}, 1)
         assembled = AssembledSystem(system)
         assert assembled.solve_int({}).status == "infeasible"
-        assert assembled.solve_counts == (1, 1)
+        assert assembled.solve_counts == (4, 0)
 
     def test_presolve_failure_is_decided(self):
         assembled = AssembledSystem(_presolve_failure_system())
         assert assembled.solve_int({}).status == "infeasible"
-        assert assembled.mip_solves == 1
-        # The retry restores the instance's presolve setting.
+        assert assembled.mip_solves == 0
+        # The MIP rung itself decides it too, and its presolve retry
+        # restores the instance's presolve setting.
+        status, _, _ = assembled._solve_raw({}, set(), True, frozenset())
+        assert status == "infeasible" and assembled.mip_solves == 1
         assert assembled._int_engine._h.getOptionValue("presolve")[1] == "choose"
+
+    def test_node_budget_exhaustion_reaches_the_mip(self):
+        # 2x - 2y = 1 has a fractional vertex under every branching, so
+        # the tree outgrows its budget and the MIP refutes the row.
+        system = LinearSystem()
+        system.add_eq({"x": 2, "y": -2}, 1)
+        assembled = AssembledSystem(system)
+        assert assembled.solve_int({}).status == "infeasible"
+        assert assembled.solve_counts == (1 + BRANCH_NODES, 1)
 
     def test_cuts_replay_into_the_lazy_mip_engine(self):
         # 2x + 2y >= 1 is integer-feasible; the cut 2x + 2y <= 1 (as
         # -2x - 2y >= -1) leaves an LP-feasible, integer-infeasible system.
-        # Both LP vertices are fractional, so every solve reaches the MIP.
+        # Both LP vertices are fractional, so every solve reaches the
+        # integer instance, whose branch-and-bound decides it.
         system = LinearSystem()
         system.add_ge({"x": 2, "y": 2}, 1)
         assembled = AssembledSystem(system)
@@ -241,7 +257,25 @@ class TestLpFirstSolveInt:
             assert relaxed.status == "feasible"
             assert system.check(relaxed.values) == []
         assert assembled._int_engine is not None
-        assert assembled.mip_solves == 4
+        assert assembled.mip_solves == 0
+        # The MIP rung sees the replayed cut as well.
+        assert assembled._solve_raw({}, {cut}, True, frozenset())[0] == "infeasible"
+        assert assembled._solve_raw({}, set(), True, frozenset())[0] == "optimal"
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=_random_systems())
+    @example(system=_presolve_failure_system())
+    def test_branch_and_bound_agrees_with_the_mip(self, system):
+        assembled = AssembledSystem(system)
+        bounds = assembled._patched_bounds({})
+        decided = assembled._branch_and_bound({}, set(), frozenset(), bounds)
+        status, x, _ = AssembledSystem(system)._solve_raw({}, set(), True, frozenset())
+        if decided is None or status == "unknown":
+            return  # over the node budget: the MIP decides in solve_int
+        assert decided.status == ("feasible" if status == "optimal" else status)
+        if decided.feasible:
+            assert not system.check(decided.values)
+            assert sum(decided.values.values()) == round(float(np.sum(x)))
 
 
 class TestToggleableRows:

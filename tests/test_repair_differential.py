@@ -33,10 +33,14 @@ from repro.checkers.consistency import check_consistency
 from repro.constraints.parser import parse_constraints
 from repro.dtd.model import DTD
 from repro.dtd.serializer import dtd_to_string
-from repro.errors import ComplexityLimitError, InvalidConstraintError
+from repro.errors import ComplexityLimitError, InvalidConstraintError, ReproError
 from repro.workloads.examples import teachers_dtd_d1
-from repro.workloads.generators import random_dtd, random_unary_constraints
-from tests.oracles import rebuild_engines
+from repro.workloads.generators import (
+    random_dtd,
+    random_unary_constraints,
+    star_schema_family,
+)
+from tests.oracles import rebuild_engines, wide_cores
 
 #: The big consistency-restoration sweep (engine vs the checker itself).
 NUM_SEEDS = 200
@@ -136,12 +140,46 @@ def test_repair_matches_rebuild_oracle(start):
     assert checked > 0
 
 
+@pytest.mark.parametrize("start", range(0, ORACLE_SEEDS, ORACLE_CHUNK))
+def test_repair_matches_wide_cores(start):
+    """Cores keep only the loosenings that can reach their MUS (DESIGN.md
+    section 12); widening every core with every loosening again must
+    find a repair of the same cost with the same actions."""
+    checked = 0
+    for seed in range(start, start + ORACLE_CHUNK):
+        dtd, sigma = _instance(seed)
+        try:
+            narrow = minimal_repair(dtd, sigma)
+            with wide_cores():
+                wide = minimal_repair(dtd, sigma)
+        except (InvalidConstraintError, ComplexityLimitError):
+            continue
+        checked += 1
+        assert narrow.found == wide.found, f"seed {seed}"
+        assert narrow.cost == wide.cost, f"seed {seed}"
+        assert _canonical_actions(narrow) == _canonical_actions(wide), f"seed {seed}"
+    assert checked > 0
+
+
+def _unproductive_child_spec():
+    """``a`` and ``c`` require each other, so no tree exists until one of
+    three loosenings breaks the cycle; the keyed foreign key into the
+    single root also bounds the two required ``b`` children to one."""
+    dtd = DTD.build(
+        "r",
+        {"r": "(a, b, b)", "a": "(c)", "c": "(a, b)", "b": "EMPTY"},
+        attrs={"r": ["k"], "b": ["k"]},
+    )
+    return dtd, parse_constraints("b.k -> b\nb.k => r.k")
+
+
 def test_repair_minimality_brute_force():
     """The minimality oracle: on small candidate universes, no strictly
     smaller edit set restores consistency (enumerated exhaustively)."""
-    verified = 0
-    for seed in range(24):
-        dtd, sigma = _instance(seed)
+    specs = [_instance(seed) for seed in range(24)]
+    extras = [star_schema_family(2, consistent=False), _unproductive_child_spec()]
+    verified = extra_verified = 0
+    for index, (dtd, sigma) in enumerate(specs + extras):
         try:
             repair = minimal_repair(dtd, sigma)
         except (InvalidConstraintError, ComplexityLimitError):
@@ -157,12 +195,12 @@ def test_repair_minimality_brute_force():
                     dtd, sigma, [c.action for c in combo]
                 )
                 assert not _spec_consistent(cand_dtd, cand_sigma), (
-                    f"seed {seed}: cheaper repair "
-                    f"{[c.action.describe() for c in combo]} beats "
-                    f"cost {repair.cost}"
+                    f"cheaper repair {[c.action.describe() for c in combo]} "
+                    f"beats cost {repair.cost} of {dtd_to_string(dtd)!r}"
                 )
         verified += 1
-    assert verified > 0
+        extra_verified += index >= len(specs)
+    assert verified > len(extras) and extra_verified == len(extras)
 
 
 def test_repair_weights_steer_the_search():
@@ -185,6 +223,31 @@ def test_repair_weights_steer_the_search():
 
     with pytest.raises(ValueError, match="positive integers"):
         minimal_repair(dtd, sigma, weights={"delete": 0})
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{"delete": [1]}, {"delete": {"a": 1}}, {"delete": True}, {"deletes": 5}],
+    ids=["list-value", "object-value", "bool-value", "unknown-family"],
+)
+def test_bad_wire_repair_weights_answer_a_structured_error(weights):
+    """A weight that is not a positive integer, or a key that names no
+    edit family, is a client error on the wire: never a bare
+    ``TypeError`` from the session's cache key, never silently used or
+    ignored."""
+    from repro.service import protocol
+    from repro.service.registry import SessionRegistry
+
+    request = protocol.parse_request(json.dumps({
+        "id": 1, "op": "repair", "dtd": dtd_to_string(teachers_dtd_d1()),
+        "constraints": SIGMA1, "weights": weights,
+    }))
+    registry = SessionRegistry()
+    session = protocol.resolve_session(registry, request)
+    with pytest.raises(ReproError, match="repair weight"):
+        protocol.perform(session, request)
+    with pytest.raises(ValueError, match="repair weight"):
+        minimal_repair(teachers_dtd_d1(), parse_constraints(SIGMA1), weights=weights)
 
 
 def test_repair_consistent_input_short_circuits():

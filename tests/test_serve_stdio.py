@@ -34,8 +34,8 @@ _NOISY_SERVE = """
 
     def noisy(self, *args):
         os.write(1, b"raw bytes on fd 1\\n")
-        if native:
-            native.pop().solve_int({})
+        if native:  # the MIP rung itself: solve_int branches first
+            native.pop()._solve_raw({}, set(), True, frozenset())
         return solve(self, *args)
 
     assembled._HighsInstance.solve = noisy
